@@ -102,10 +102,9 @@ pub use host::{fol1_host, fol1_host_with_work, try_fol1_host, try_fol1_host_with
 pub use ordered::{fol1_machine_ordered, try_fol1_machine_ordered};
 pub use parallel::{try_apply_rounds, try_par_apply_rounds};
 pub use recover::{
-    decompose_with_mode, decompose_with_mode_watched, run_transaction, run_transaction_durable,
-    split_retry, txn_apply_rounds, txn_par_apply_rounds, with_lane_mask, AttemptRecord, Backoff,
-    DurabilityHook, ExecMode, GroupError, ParsedReport, RecoveryError, RecoveryReport, RetryPolicy,
-    Watchdog, WatchdogConfig,
+    decompose_with_mode, decompose_with_mode_watched, run_transaction, split_retry,
+    txn_apply_rounds, txn_par_apply_rounds, with_lane_mask, AttemptRecord, Backoff, ExecMode,
+    GroupError, RecoveryError, RecoveryReport, RetryPolicy, Watchdog, WatchdogConfig,
 };
 
 use std::fmt;

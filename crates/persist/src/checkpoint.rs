@@ -1,21 +1,30 @@
-//! Versioned, CRC-framed checkpoints with atomic rename-commit.
+//! Versioned, CRC-framed region images with atomic rename-commit — the one
+//! codec behind full checkpoints and delta checkpoints.
 //!
-//! A checkpoint is the durable image of one worker's committed state at a
-//! round boundary: the byte-exact contents of its regions (a serialized
+//! An image is the durable form of one worker's committed state at a round
+//! boundary: the byte-exact contents of its regions (a serialized
 //! [`fol_vm::Snapshot`]), the tracked-region digests that certify those
 //! contents, the host-side counters machine memory cannot carry (arena
 //! watermarks and the like), and the set of request sequence numbers whose
 //! effects the image already contains — the fact the WAL replayer needs to
 //! be exactly-once instead of at-least-once.
 //!
+//! A full image ([`Checkpoint`]) carries every region it was given; a delta
+//! ([`crate::DeltaCheckpoint`]) carries only the regions dirty since its
+//! parent generation and names that parent. That parent link is the only
+//! difference, so both are [`Image<K>`], with `K` = [`Full`] or
+//! [`crate::delta::Parent`] supplying the magic, the file extension and
+//! the link fields ([`ImageKind`]).
+//!
 //! # On-disk format (version 1)
 //!
 //! ```text
-//! magic "FOLCKPT\0" (8 bytes)  version u32 LE
-//! frame: meta      — seq, counters, applied set, region/checksum counts
+//! magic "FOLCKPT\0" (full) | "FOLDCKP\0" (delta)   version u32 LE
+//! frame: meta      — seq, [parent_seq, parent_digest: deltas only],
+//!                    counters, applied set, region/checksum counts
 //! frame: region ×N — base u64, len u64, words i64 ×len
 //! frame: checksums — (name, base, len, digest) ×M
-//! frame: trailer   — literal "END"
+//! frame: trailer   — literal "END", and nothing after it
 //! ```
 //!
 //! Every frame is CRC-32 protected ([`crate::frame`]); the trailer frame
@@ -24,50 +33,91 @@
 //!
 //! # Commit discipline
 //!
-//! [`Checkpoint::write`] never exposes a half-written file under the final
+//! [`Image::write`] never exposes a half-written file under the final
 //! name: bytes go to a `.tmp` sibling, the file is fsynced, then atomically
 //! renamed over the destination, then the directory is fsynced so the name
 //! itself survives a crash. A kill at any point leaves either the old
-//! checkpoint or the new one — the torn `.tmp`, if present, fails the name
-//! filter and is never loaded.
+//! image or the new one — the torn `.tmp`, if present, is not a generation
+//! name and is never loaded.
 
-use crate::frame::{next_frame, push_frame, Dec, Enc, Frame};
+use crate::frame::{
+    push_frame, push_header, read_header, read_trailer, require_frame, Dec, Enc, HEADER_LEN,
+    TRAILER,
+};
 use crate::PersistError;
-use fol_core::recover::{DurabilityHook, ExecMode, RecoveryReport};
 use fol_vm::integrity::{digest_words, TrackedRegion};
 use fol_vm::{Machine, Region, Snapshot, Word};
 use std::fs;
 use std::io::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-/// First bytes of every checkpoint file.
-pub const CKPT_MAGIC: &[u8; 8] = b"FOLCKPT\0";
-/// The checkpoint format version this build writes and reads.
-pub const CKPT_VERSION: u32 = 1;
-
-const TRAILER: &[u8] = b"END";
+/// The image format version this build writes and reads, for both kinds.
+pub const IMAGE_VERSION: u32 = 1;
 
 /// One durable image of committed state. See the module docs for the
 /// on-disk format.
 #[derive(Clone, Debug, PartialEq)]
-pub struct Checkpoint {
+pub struct Image<K> {
     /// Monotonic position of this image: the highest request sequence (or
-    /// commit count) whose effects it contains.
+    /// commit count) whose effects it contains. Full images and deltas
+    /// share one sequence.
     pub seq: u64,
+    /// What the image is relative to: [`Full`] for a self-sufficient
+    /// image, [`crate::delta::Parent`] for a delta.
+    pub parent: K,
     /// Host-side counters that machine memory cannot carry (arena
     /// watermarks such as a chain table's `used_nodes`), restored alongside
-    /// the snapshot.
+    /// the snapshot. Always the full set, never a diff (they are tiny).
     pub counters: Vec<(String, u64)>,
-    /// Request sequence numbers whose effects this image already contains.
-    /// The WAL replayer subtracts this set so an acknowledged request is
-    /// applied exactly once, not re-applied on every restart.
+    /// Request sequence numbers whose effects this image (materialized,
+    /// for a delta) already contains. The WAL replayer subtracts this set
+    /// so an acknowledged request is applied exactly once, not re-applied
+    /// on every restart.
     pub applied: Vec<u64>,
-    /// The byte-exact region contents.
+    /// The byte-exact region contents (for a delta, only the dirty ones).
     pub snapshot: Snapshot,
-    /// Ground-truth digests of the tracked regions at capture time, for
-    /// [`Checkpoint::verify`] and post-restore certification.
+    /// Digests of all tracked regions at capture time, for
+    /// [`Image::verify`] and post-restore certification.
     pub checksums: Vec<TrackedRegion>,
 }
+
+/// What sets one image kind apart on disk: its magic, its file extension,
+/// and the link fields it writes into the meta frame right after `seq`.
+pub trait ImageKind: Sized {
+    /// First bytes of every file of this kind.
+    const MAGIC: &'static [u8; 8];
+    /// File-name extension, without the dot. Neither kind's extension is a
+    /// suffix of the other's, so a scan never confuses them.
+    const EXTENSION: &'static str;
+    /// How error messages name the kind.
+    const WHAT: &'static str;
+
+    /// Appends the link fields to the meta frame.
+    fn encode_link(&self, meta: &mut Enc);
+
+    /// Reads the link fields of an image at `seq` back, refusing links
+    /// that cannot be valid.
+    fn decode_link(meta: &mut Dec<'_>, seq: u64) -> Result<Self, PersistError>;
+}
+
+/// The kind of a full image: self-sufficient, no parent link.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Full;
+
+impl ImageKind for Full {
+    const MAGIC: &'static [u8; 8] = b"FOLCKPT\0";
+    const EXTENSION: &'static str = "ckpt";
+    const WHAT: &'static str = "checkpoint";
+
+    fn encode_link(&self, _meta: &mut Enc) {}
+
+    fn decode_link(_meta: &mut Dec<'_>, _seq: u64) -> Result<Self, PersistError> {
+        Ok(Full)
+    }
+}
+
+/// A full image of committed state.
+pub type Checkpoint = Image<Full>;
 
 impl Checkpoint {
     /// Captures the current contents of `regions` on `m`, together with
@@ -90,8 +140,9 @@ impl Checkpoint {
                 sum: digest_words(t.region.base(), &m.mem().read_region(t.region)),
             })
             .collect();
-        Checkpoint {
+        Image {
             seq,
+            parent: Full,
             counters,
             applied,
             snapshot: Snapshot::capture(m.mem(), regions),
@@ -107,15 +158,32 @@ impl Checkpoint {
         self.snapshot.restore(m.mem_mut());
         m.resync_integrity();
     }
+}
+
+/// The state digest of a checksum set: XOR of the per-region digests. Two
+/// generations with the same tracked regions and the same bytes have the
+/// same state digest; a delta names its parent by this value so a chain
+/// cannot silently splice onto the wrong image.
+pub(crate) fn state_digest(checksums: &[TrackedRegion]) -> u64 {
+    checksums.iter().fold(0, |acc, t| acc ^ t.sum)
+}
+
+impl<K: ImageKind> Image<K> {
+    /// This image's state digest (see the module docs of
+    /// [`crate::delta`]) — what a child delta must name as its parent
+    /// digest.
+    pub fn state_digest(&self) -> u64 {
+        state_digest(&self.checksums)
+    }
 
     /// Serializes to the version-1 byte format.
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(CKPT_MAGIC);
-        out.extend_from_slice(&CKPT_VERSION.to_le_bytes());
+        push_header(&mut out, K::MAGIC, IMAGE_VERSION);
 
         let mut meta = Enc::new();
         meta.u64(self.seq);
+        self.parent.encode_link(&mut meta);
         meta.u32(self.counters.len() as u32);
         for (name, v) in &self.counters {
             meta.str(name);
@@ -155,36 +223,18 @@ impl Checkpoint {
     /// typed error: wrong magic ([`PersistError::BadMagic`]), unknown
     /// version ([`PersistError::UnsupportedVersion`]), torn file
     /// ([`PersistError::Truncated`]), bit-flip
-    /// ([`PersistError::CrcMismatch`]), framed-in garbage
-    /// ([`PersistError::Malformed`]).
+    /// ([`PersistError::CrcMismatch`]), framed-in garbage or bytes after
+    /// the trailer ([`PersistError::Malformed`]). A delta whose parent is
+    /// not strictly older than itself is also `Malformed`.
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let header = CKPT_MAGIC.len() + 4;
-        if bytes.len() < header {
-            return Err(PersistError::Truncated {
-                what: "checkpoint: header".into(),
-                offset: 0,
-                needed: header,
-                available: bytes.len(),
-            });
-        }
-        if &bytes[..CKPT_MAGIC.len()] != CKPT_MAGIC {
-            return Err(PersistError::BadMagic {
-                what: "checkpoint".into(),
-                found: bytes[..CKPT_MAGIC.len()].to_vec(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != CKPT_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                what: "checkpoint".into(),
-                found: version,
-                supported: CKPT_VERSION,
-            });
-        }
-        let mut pos = header;
-        let meta = require_frame(bytes, &mut pos, "checkpoint: meta frame")?;
+        let what = K::WHAT;
+        read_header(bytes, K::MAGIC, IMAGE_VERSION..=IMAGE_VERSION, what)?;
+        let mut pos = HEADER_LEN;
+        let meta_what = format!("{what}: meta frame");
+        let meta = require_frame(bytes, &mut pos, &meta_what)?;
         let mut d = Dec::new(meta);
         let seq = d.u64("meta.seq")?;
+        let parent = K::decode_link(&mut d, seq)?;
         let n_counters = d.u32("meta.counters.len")? as usize;
         let mut counters = Vec::with_capacity(n_counters.min(1024));
         for _ in 0..n_counters {
@@ -199,24 +249,26 @@ impl Checkpoint {
         }
         let n_regions = d.u32("meta.regions.len")? as usize;
         let n_sums = d.u32("meta.checksums.len")? as usize;
-        d.finish("checkpoint: meta frame")?;
+        d.finish(&meta_what)?;
 
+        let region_what = format!("{what}: region frame");
         let mut parts: Vec<(Region, Vec<Word>)> = Vec::with_capacity(n_regions.min(1024));
         for i in 0..n_regions {
-            let payload = require_frame(bytes, &mut pos, "checkpoint: region frame")?;
+            let payload = require_frame(bytes, &mut pos, &region_what)?;
             let mut d = Dec::new(payload);
-            let what = format!("region[{i}]");
-            let base = d.u64(&what)? as usize;
-            let len = d.u64(&what)? as usize;
+            let field = format!("region[{i}]");
+            let base = d.u64(&field)? as usize;
+            let len = d.u64(&field)? as usize;
             let mut words = Vec::with_capacity(len.min(1 << 20));
             for _ in 0..len {
-                words.push(d.i64(&what)?);
+                words.push(d.i64(&field)?);
             }
-            d.finish("checkpoint: region frame")?;
+            d.finish(&region_what)?;
             parts.push((Region::from_raw(base, len), words));
         }
 
-        let sums_payload = require_frame(bytes, &mut pos, "checkpoint: checksum frame")?;
+        let sums_what = format!("{what}: checksum frame");
+        let sums_payload = require_frame(bytes, &mut pos, &sums_what)?;
         let mut d = Dec::new(sums_payload);
         let mut checksums = Vec::with_capacity(n_sums.min(1024));
         for _ in 0..n_sums {
@@ -230,24 +282,12 @@ impl Checkpoint {
                 sum,
             });
         }
-        d.finish("checkpoint: checksum frame")?;
+        d.finish(&sums_what)?;
 
-        let trailer = require_frame(bytes, &mut pos, "checkpoint: trailer frame")?;
-        if trailer != TRAILER {
-            return Err(PersistError::Malformed {
-                what: format!("checkpoint: trailer is {trailer:02x?}, expected \"END\""),
-            });
-        }
-        if pos != bytes.len() {
-            return Err(PersistError::Malformed {
-                what: format!(
-                    "checkpoint: {} byte(s) after the trailer frame",
-                    bytes.len() - pos
-                ),
-            });
-        }
-        Ok(Checkpoint {
+        read_trailer(bytes, pos, what)?;
+        Ok(Image {
             seq,
+            parent,
             counters,
             applied,
             snapshot: Snapshot::from_parts(parts),
@@ -258,9 +298,11 @@ impl Checkpoint {
     /// Cross-checks the stored digests against the stored region contents:
     /// every checksum whose region was captured must match a fresh
     /// [`digest_words`] over the captured words. The CRC layer certifies
-    /// the *bytes* survived storage; this certifies the checkpoint was
+    /// the *bytes* survived storage; this certifies the image was
     /// internally consistent when written (a writer racing its own
-    /// mutations would be caught here).
+    /// mutations would be caught here). Regions checksummed but not
+    /// captured — a delta's clean regions — are certified by
+    /// [`crate::materialize`]'s end-to-end check instead.
     pub fn verify(&self) -> Result<(), PersistError> {
         for t in &self.checksums {
             let Some((_, words)) = self
@@ -275,9 +317,11 @@ impl Checkpoint {
             if actual != t.sum {
                 return Err(PersistError::Malformed {
                     what: format!(
-                        "checkpoint: region \"{}\" digest {actual:#018x} does not match \
-                         stored checksum {:#018x} — the checkpoint was written inconsistent",
-                        t.name, t.sum
+                        "{}: region \"{}\" digest {actual:#018x} does not match \
+                         stored checksum {:#018x} — the image was written inconsistent",
+                        K::WHAT,
+                        t.name,
+                        t.sum
                     ),
                 });
             }
@@ -289,73 +333,43 @@ impl Checkpoint {
     /// rename + directory fsync). A crash at any point leaves either the
     /// previous file or the complete new one under `path`.
     pub fn write(&self, path: &Path) -> Result<(), PersistError> {
-        write_atomic(path, &self.encode())
+        write_atomic(path, &self.encode(), true)
     }
 
-    /// [`Checkpoint::write`] without the fsyncs: the same atomic
-    /// temp-file + rename commit (safe against process crashes), relying
-    /// on the OS to flush. Appropriate when a durable write-ahead log is
-    /// the source of truth and this checkpoint merely shortens replay — a
-    /// power-loss-torn file is refused typed at load time and recovery
-    /// falls back to the previous checkpoint plus the log.
+    /// [`Image::write`] without the fsyncs: the same atomic temp-file +
+    /// rename commit (safe against process crashes), relying on the OS to
+    /// flush. Appropriate when a durable write-ahead log is the source of
+    /// truth and this image merely shortens replay — a power-loss-torn
+    /// file is refused typed at load time and recovery falls back to an
+    /// older generation plus the log.
     pub fn write_unsynced(&self, path: &Path) -> Result<(), PersistError> {
-        write_atomic_opts(path, &self.encode(), false)
+        write_atomic(path, &self.encode(), false)
     }
 
-    /// Reads and decodes `path`. Does not [`Checkpoint::verify`]; the scan
-    /// helpers do both.
+    /// Reads and decodes `path`. Does not [`Image::verify`]; the planner
+    /// and the compactor do both.
     pub fn load(path: &Path) -> Result<Self, PersistError> {
         let bytes =
             fs::read(path).map_err(|e| PersistError::io(format!("read {}", path.display()), e))?;
         Self::decode(&bytes)
     }
 
-    /// The canonical file name for a checkpoint of `prefix` at `seq` —
-    /// zero-padded so lexicographic order is sequence order.
+    /// The canonical file name for an image of `prefix` at `seq` —
+    /// zero-padded so lexicographic order is sequence order, with the
+    /// kind's extension.
     pub fn file_name(prefix: &str, seq: u64) -> String {
-        format!("{prefix}-{seq:020}.ckpt")
-    }
-
-    /// The state digest of this image: the XOR of its per-region checksums.
-    /// A delta checkpoint names its parent by this value — see
-    /// [`crate::delta::state_digest`].
-    pub fn state_digest(&self) -> u64 {
-        self.checksums.iter().fold(0, |acc, t| acc ^ t.sum)
+        format!("{prefix}-{seq:020}.{}", K::EXTENSION)
     }
 }
 
-/// Reads the frame at `*pos`, turning a clean end-of-input into a
-/// [`PersistError::Truncated`] — here, running out of frames early *is* a
-/// truncation (the meta frame promised more).
-fn require_frame<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    what: &str,
-) -> Result<&'a [u8], PersistError> {
-    match next_frame(bytes, pos, what)? {
-        Frame::Ok(p) => Ok(p),
-        Frame::End => Err(PersistError::Truncated {
-            what: format!("{what} (file ends before it)"),
-            offset: *pos,
-            needed: 8,
-            available: 0,
-        }),
-    }
-}
-
-/// Write-to-temp + fsync + atomic rename + directory fsync.
-pub(crate) fn write_atomic(path: &Path, bytes: &[u8]) -> Result<(), PersistError> {
-    write_atomic_opts(path, bytes, true)
-}
-
-/// [`write_atomic`] with the fsyncs optional. `sync: false` keeps the
-/// temp-file + rename protocol (a *process* crash still leaves either the
-/// old file or the complete new one) but skips the file and directory
-/// fsyncs, conceding that a *power* loss may tear the file — acceptable
+/// Write-to-temp + atomic rename, with the file and directory fsyncs when
+/// `sync` is set. `sync: false` keeps the temp-file + rename protocol (a
+/// *process* crash still leaves either the old file or the complete new
+/// one) but concedes that a *power* loss may tear the file — acceptable
 /// exactly where the caller treats the artifact as a cache over a durable
-/// log: a torn checkpoint is refused typed at load time and recovery falls
-/// back to the previous one plus log replay.
-pub(crate) fn write_atomic_opts(path: &Path, bytes: &[u8], sync: bool) -> Result<(), PersistError> {
+/// log: a torn image is refused typed at load time and recovery falls back
+/// to an older one plus log replay.
+pub(crate) fn write_atomic(path: &Path, bytes: &[u8], sync: bool) -> Result<(), PersistError> {
     let dir = path.parent().unwrap_or_else(|| Path::new("."));
     fs::create_dir_all(dir)
         .map_err(|e| PersistError::io(format!("create {}", dir.display()), e))?;
@@ -382,333 +396,11 @@ pub(crate) fn write_atomic_opts(path: &Path, bytes: &[u8], sync: bool) -> Result
     Ok(())
 }
 
-/// The outcome of scanning a directory for checkpoints: the newest loadable
-/// one (if any), plus a typed refusal per newer file that failed to load or
-/// verify — surfaced, never silently skipped.
-#[derive(Debug, Default)]
-pub struct CheckpointScan {
-    /// The newest checkpoint that loaded and verified, with its path.
-    pub newest: Option<(PathBuf, Checkpoint)>,
-    /// Files newer than `newest` that were refused, newest first, each with
-    /// the typed reason.
-    pub refused: Vec<(PathBuf, PersistError)>,
-    /// Directory entries that were skipped without being read: unreadable
-    /// entries, non-file entries (a junk subdirectory, a socket), and
-    /// `.ckpt`-suffixed names that do not belong to the scanned prefix.
-    /// Each carries a typed note — surfaced for the operator, never a
-    /// reason to fail the whole scan.
-    pub skipped: Vec<ScanNote>,
-}
-
-/// Why [`latest_checkpoint`] stepped over a directory entry without
-/// attempting to load it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScanNote {
-    /// The directory entry itself could not be read (racing deletion,
-    /// permissions). Carries the rendered I/O error.
-    Unreadable {
-        /// Where the entry sat.
-        dir: PathBuf,
-        /// The rendered `std::io::Error`.
-        error: String,
-    },
-    /// The name matched the checkpoint pattern but the entry is not a
-    /// regular file — a subdirectory or special file squatting on a
-    /// checkpoint name is never opened.
-    NotAFile {
-        /// The offending path.
-        path: PathBuf,
-    },
-    /// A `.ckpt` file whose name does not start with the scanned prefix —
-    /// another worker's checkpoint, or a foreign artifact. Left alone.
-    ForeignName {
-        /// The foreign path.
-        path: PathBuf,
-    },
-}
-
-impl std::fmt::Display for ScanNote {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ScanNote::Unreadable { dir, error } => {
-                write!(f, "unreadable entry in {}: {error}", dir.display())
-            }
-            ScanNote::NotAFile { path } => {
-                write!(f, "not a regular file: {}", path.display())
-            }
-            ScanNote::ForeignName { path } => {
-                write!(f, "foreign checkpoint name: {}", path.display())
-            }
-        }
-    }
-}
-
-/// Scans `dir` for `{prefix}-*.ckpt` files, newest first, returning the
-/// first one that loads and [`Checkpoint::verify`]s plus a typed refusal
-/// for every newer file that did not. A missing directory is an empty scan,
-/// not an error; an unreadable one is [`PersistError::Io`]. Entries that
-/// cannot even be classified — unreadable entries, non-file entries
-/// squatting on checkpoint names, foreign-prefixed `.ckpt` files — are
-/// stepped over with a typed [`ScanNote`] in [`CheckpointScan::skipped`]
-/// rather than failing the scan: one junk inode must never hide every
-/// recoverable checkpoint behind an error.
-pub fn latest_checkpoint(dir: &Path, prefix: &str) -> Result<CheckpointScan, PersistError> {
-    let mut scan = CheckpointScan::default();
-    let entries = match fs::read_dir(dir) {
-        Ok(e) => e,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(scan),
-        Err(e) => return Err(PersistError::io(format!("read dir {}", dir.display()), e)),
-    };
-    let mut names: Vec<String> = Vec::new();
-    let wanted_prefix = format!("{prefix}-");
-    for entry in entries {
-        // A single bad entry (racing deletion, permissions) must not sink
-        // the scan — every other checkpoint is still recoverable state.
-        let entry = match entry {
-            Ok(e) => e,
-            Err(e) => {
-                scan.skipped.push(ScanNote::Unreadable {
-                    dir: dir.to_path_buf(),
-                    error: e.to_string(),
-                });
-                continue;
-            }
-        };
-        let name = entry.file_name().to_string_lossy().into_owned();
-        if !name.ends_with(".ckpt") {
-            continue; // WAL segments etc. share the directory legitimately.
-        }
-        if !name.starts_with(&wanted_prefix) {
-            scan.skipped.push(ScanNote::ForeignName {
-                path: dir.join(&name),
-            });
-            continue;
-        }
-        // Only regular files are ever opened: a subdirectory named like a
-        // checkpoint would otherwise turn into a confusing read error.
-        let is_file = entry.file_type().map(|t| t.is_file());
-        match is_file {
-            Ok(true) => names.push(name),
-            Ok(false) => scan.skipped.push(ScanNote::NotAFile {
-                path: dir.join(&name),
-            }),
-            Err(e) => scan.skipped.push(ScanNote::Unreadable {
-                dir: dir.to_path_buf(),
-                error: e.to_string(),
-            }),
-        }
-    }
-    // Zero-padded sequence numbers: lexicographic descending = newest first.
-    names.sort_unstable_by(|a, b| b.cmp(a));
-    for name in names {
-        let path = dir.join(&name);
-        match Checkpoint::load(&path).and_then(|c| c.verify().map(|()| c)) {
-            Ok(c) => {
-                scan.newest = Some((path, c));
-                break;
-            }
-            Err(e) => scan.refused.push((path, e)),
-        }
-    }
-    Ok(scan)
-}
-
-/// Deletes all but the newest `keep` checkpoints of `prefix` in `dir`.
-/// Returns how many were removed; removal errors are ignored (a stale file
-/// is re-pruned next time).
-pub fn prune_checkpoints(dir: &Path, prefix: &str, keep: usize) -> usize {
-    let Ok(entries) = fs::read_dir(dir) else {
-        return 0;
-    };
-    let wanted_prefix = format!("{prefix}-");
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .map(|e| e.file_name().to_string_lossy().into_owned())
-        .filter(|n| n.starts_with(&wanted_prefix) && n.ends_with(".ckpt"))
-        .collect();
-    names.sort_unstable();
-    let excess = names.len().saturating_sub(keep);
-    let mut removed = 0;
-    for name in &names[..excess] {
-        if fs::remove_file(dir.join(name)).is_ok() {
-            removed += 1;
-        }
-    }
-    removed
-}
-
-/// A [`DurabilityHook`] that makes the retry supervisor's progress durable:
-/// ladder rung before every attempt (so a killed process resumes mid-ladder
-/// via [`DurabilityHook::resume_rung`]), and a full [`Checkpoint`] of the
-/// machine's tracked regions every `every` commits.
-///
-/// Hook calls never fail the supervised transaction; I/O problems are
-/// recorded and readable via [`Checkpointer::last_error`].
-pub struct Checkpointer {
-    dir: PathBuf,
-    prefix: String,
-    every: u64,
-    keep: usize,
-    commits: u64,
-    counters: Vec<(String, u64)>,
-    applied: Vec<u64>,
-    checkpoints_written: u64,
-    last_error: Option<PersistError>,
-}
-
-impl Checkpointer {
-    /// A checkpointer writing into `dir` with file prefix `prefix`,
-    /// checkpointing every commit and keeping the 2 newest files.
-    pub fn new(dir: impl Into<PathBuf>, prefix: impl Into<String>) -> Self {
-        Checkpointer {
-            dir: dir.into(),
-            prefix: prefix.into(),
-            every: 1,
-            keep: 2,
-            commits: 0,
-            counters: Vec::new(),
-            applied: Vec::new(),
-            checkpoints_written: 0,
-            last_error: None,
-        }
-    }
-
-    /// Checkpoint every `every` commits (0 is treated as 1).
-    pub fn every(mut self, every: u64) -> Self {
-        self.every = every.max(1);
-        self
-    }
-
-    /// Keep the newest `keep` checkpoint files (older ones are pruned).
-    pub fn keep(mut self, keep: usize) -> Self {
-        self.keep = keep.max(1);
-        self
-    }
-
-    /// Continue the commit count from `seq` — used after restoring from a
-    /// checkpoint so new files sort after the restored one.
-    pub fn starting_at(mut self, seq: u64) -> Self {
-        self.commits = seq;
-        self
-    }
-
-    /// Sets the host counters attached to the next checkpoint.
-    pub fn set_counters(&mut self, counters: Vec<(String, u64)>) {
-        self.counters = counters;
-    }
-
-    /// Sets the applied-sequence set attached to the next checkpoint.
-    pub fn set_applied(&mut self, applied: Vec<u64>) {
-        self.applied = applied;
-    }
-
-    /// Commits observed so far (the checkpoint sequence counter).
-    pub fn commits(&self) -> u64 {
-        self.commits
-    }
-
-    /// Checkpoints successfully written.
-    pub fn checkpoints_written(&self) -> u64 {
-        self.checkpoints_written
-    }
-
-    /// The most recent durability I/O failure, if any. Durability is
-    /// best-effort at write time (refusal is typed at *load* time); this is
-    /// where a supervisor checks whether its safety net actually exists.
-    pub fn last_error(&self) -> Option<&PersistError> {
-        self.last_error.as_ref()
-    }
-
-    fn rung_path(&self) -> PathBuf {
-        self.dir.join(format!("{}.rung", self.prefix))
-    }
-}
-
-impl DurabilityHook for Checkpointer {
-    fn resume_rung(&mut self) -> usize {
-        let path = self.rung_path();
-        let bytes = match fs::read(&path) {
-            Ok(b) => b,
-            Err(_) => return 0,
-        };
-        let mut pos = 0;
-        match next_frame(&bytes, &mut pos, "ladder rung file") {
-            Ok(Frame::Ok(payload)) => {
-                let mut d = Dec::new(payload);
-                match d
-                    .u32("rung")
-                    .and_then(|r| d.finish("rung file").map(|()| r))
-                {
-                    Ok(r) => r as usize,
-                    Err(e) => {
-                        // A corrupt rung file cannot be resumed from;
-                        // restarting the ladder at the bottom is always
-                        // safe (merely slower). Typed, recorded, not silent.
-                        self.last_error = Some(e);
-                        0
-                    }
-                }
-            }
-            Ok(Frame::End) => 0,
-            Err(e) => {
-                self.last_error = Some(e);
-                0
-            }
-        }
-    }
-
-    fn on_attempt(&mut self, rung: usize, _mode: ExecMode) {
-        let mut e = Enc::new();
-        e.u32(rung as u32);
-        let mut bytes = Vec::new();
-        push_frame(&mut bytes, &e.into_bytes());
-        if let Err(err) = write_atomic(&self.rung_path(), &bytes) {
-            self.last_error = Some(err);
-        }
-    }
-
-    fn on_commit(&mut self, m: &Machine, _report: &RecoveryReport) {
-        self.commits += 1;
-        // The ladder completed; a restart should begin at the bottom.
-        let _ = fs::remove_file(self.rung_path());
-        if !self.commits.is_multiple_of(self.every) {
-            return;
-        }
-        let regions: Vec<Region> = m.tracked_regions().iter().map(|t| t.region).collect();
-        let ckpt = Checkpoint::capture(
-            m,
-            &regions,
-            self.commits,
-            self.counters.clone(),
-            self.applied.clone(),
-        );
-        let path = self
-            .dir
-            .join(Checkpoint::file_name(&self.prefix, self.commits));
-        match ckpt.write(&path) {
-            Ok(()) => {
-                self.checkpoints_written += 1;
-                prune_checkpoints(&self.dir, &self.prefix, self.keep);
-            }
-            Err(e) => self.last_error = Some(e),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delta::DeltaCheckpoint;
     use fol_vm::CostModel;
-    use std::sync::atomic::{AtomicU64, Ordering};
-
-    fn temp_dir(tag: &str) -> PathBuf {
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let n = NEXT.fetch_add(1, Ordering::Relaxed);
-        let dir =
-            std::env::temp_dir().join(format!("fol-persist-test-{}-{tag}-{n}", std::process::id()));
-        fs::create_dir_all(&dir).unwrap();
-        dir
-    }
 
     fn sample_machine() -> (Machine, Region, Region) {
         let mut m = Machine::new(CostModel::unit());
@@ -760,81 +452,103 @@ mod tests {
         m2.scrub().expect("restore_into must resync the digests");
     }
 
-    /// Satellite: the version/corruption table. Every distinct way a stored
-    /// checkpoint can be damaged maps to a *distinct* typed error — version
-    /// skew is not "corruption", truncation is not a bit-flip, and none of
-    /// them load.
+    /// The version/corruption table, run over both image kinds. Every
+    /// distinct way a stored image can be damaged maps to a *distinct*
+    /// typed error — version skew is not "corruption", truncation is not a
+    /// bit-flip, and none of them load.
     #[test]
     fn corruption_table_yields_distinct_typed_errors() {
-        let good = sample_checkpoint().encode();
-        Checkpoint::decode(&good).unwrap();
-
-        // (mutation, expected-variant name, matcher)
-        type Case = (&'static str, Vec<u8>, fn(&PersistError) -> bool);
-        let cases: Vec<Case> = vec![
-            (
-                "bumped version",
-                {
-                    let mut b = good.clone();
-                    b[8] = (CKPT_VERSION + 1) as u8;
-                    b
-                },
-                |e| {
-                    matches!(
-                        e,
-                        PersistError::UnsupportedVersion {
-                            found,
-                            supported: CKPT_VERSION,
-                            ..
-                        } if *found == CKPT_VERSION + 1
-                    )
-                },
-            ),
-            (
-                "unknown magic",
-                {
-                    let mut b = good.clone();
-                    b[0] = b'X';
-                    b
-                },
-                |e| matches!(e, PersistError::BadMagic { .. }),
-            ),
-            ("truncated header", good[..7].to_vec(), |e| {
-                matches!(e, PersistError::Truncated { .. })
+        let (mut m, a, b) = sample_machine();
+        let full = Checkpoint::capture(&m, &[a, b], 1, vec![], vec![1]);
+        m.s_write(a.at(0), 5);
+        let delta = DeltaCheckpoint::capture(&m, 2, 1, &full.checksums, vec![], vec![1, 2]);
+        type Decode = fn(&[u8]) -> Result<(), PersistError>;
+        let kinds: [(&str, Vec<u8>, Decode); 2] = [
+            ("full", full.encode(), |b| Checkpoint::decode(b).map(drop)),
+            ("delta", delta.encode(), |b| {
+                DeltaCheckpoint::decode(b).map(drop)
             }),
-            (
-                "truncated mid-frame",
-                good[..good.len() - 5].to_vec(),
-                |e| matches!(e, PersistError::Truncated { .. }),
-            ),
-            (
-                "truncated at a frame boundary (trailer missing)",
-                good[..good.len() - (8 + TRAILER.len())].to_vec(),
-                |e| matches!(e, PersistError::Truncated { .. }),
-            ),
-            (
-                "bit-flipped frame payload",
-                {
-                    let mut b = good.clone();
-                    let mid = 12 + 8 + 2; // inside the meta frame payload
-                    b[mid] ^= 0x20;
-                    b
-                },
-                |e| matches!(e, PersistError::CrcMismatch { .. }),
-            ),
         ];
-        let mut seen = Vec::new();
-        for (label, bytes, matches_expected) in cases {
-            let err = Checkpoint::decode(&bytes)
-                .err()
-                .unwrap_or_else(|| panic!("{label}: corrupt checkpoint must not decode"));
-            assert!(matches_expected(&err), "{label}: wrong variant: {err}");
-            seen.push((label, std::mem::discriminant(&err)));
+        for (kind, good, decode) in kinds {
+            decode(&good).unwrap();
+            // (mutation, damaged bytes, expected-variant matcher)
+            type Case = (&'static str, Vec<u8>, fn(&PersistError) -> bool);
+            let cases: Vec<Case> = vec![
+                (
+                    "bumped version",
+                    {
+                        let mut b = good.clone();
+                        b[8] = (IMAGE_VERSION + 1) as u8;
+                        b
+                    },
+                    |e| {
+                        matches!(
+                            e,
+                            PersistError::UnsupportedVersion {
+                                found,
+                                supported: IMAGE_VERSION,
+                                ..
+                            } if *found == IMAGE_VERSION + 1
+                        )
+                    },
+                ),
+                (
+                    "unknown magic",
+                    {
+                        let mut b = good.clone();
+                        b[0] = b'X';
+                        b
+                    },
+                    |e| matches!(e, PersistError::BadMagic { .. }),
+                ),
+                ("truncated header", good[..7].to_vec(), |e| {
+                    matches!(e, PersistError::Truncated { .. })
+                }),
+                (
+                    "truncated mid-frame",
+                    good[..good.len() - 5].to_vec(),
+                    |e| matches!(e, PersistError::Truncated { .. }),
+                ),
+                (
+                    "truncated at a frame boundary (trailer missing)",
+                    good[..good.len() - (8 + TRAILER.len())].to_vec(),
+                    |e| matches!(e, PersistError::Truncated { .. }),
+                ),
+                (
+                    "bit-flipped frame payload",
+                    {
+                        let mut b = good.clone();
+                        b[HEADER_LEN + 8 + 2] ^= 0x20; // inside the meta frame payload
+                        b
+                    },
+                    |e| matches!(e, PersistError::CrcMismatch { .. }),
+                ),
+                (
+                    "bytes after the trailer",
+                    {
+                        let mut b = good.clone();
+                        b.push(0);
+                        b
+                    },
+                    |e| matches!(e, PersistError::Malformed { .. }),
+                ),
+            ];
+            let mut seen = Vec::new();
+            for (label, bytes, matches_expected) in cases {
+                let err = decode(&bytes)
+                    .err()
+                    .unwrap_or_else(|| panic!("{kind}: {label}: a damaged image must not decode"));
+                assert!(
+                    matches_expected(&err),
+                    "{kind}: {label}: wrong variant: {err}"
+                );
+                seen.push(std::mem::discriminant(&err));
+            }
+            // Version skew, truncation and bit-flip are pairwise distinct.
+            assert_ne!(seen[0], seen[2], "{kind}: version skew != truncation");
+            assert_ne!(seen[0], seen[5], "{kind}: version skew != bit-flip");
+            assert_ne!(seen[2], seen[5], "{kind}: truncation != bit-flip");
         }
-        // The first three damage classes are pairwise distinct variants.
-        assert_ne!(seen[0].1, seen[2].1, "version skew != truncation");
-        assert_ne!(seen[0].1, seen[5].1, "version skew != bit-flip");
-        assert_ne!(seen[2].1, seen[5].1, "truncation != bit-flip");
     }
 
     #[test]
@@ -847,178 +561,5 @@ mod tests {
         // stored lie) and is still caught at verify.
         let back = Checkpoint::decode(&c.encode()).unwrap();
         assert!(back.verify().is_err());
-    }
-
-    #[test]
-    fn write_is_atomic_and_scan_finds_newest() {
-        let dir = temp_dir("scan");
-        let c = sample_checkpoint();
-        let p1 = dir.join(Checkpoint::file_name("w0", 1));
-        let p2 = dir.join(Checkpoint::file_name("w0", 2));
-        c.write(&p1).unwrap();
-        let mut c2 = c.clone();
-        c2.seq = 2;
-        c2.write(&p2).unwrap();
-        assert!(!p1.with_extension("tmp").exists(), "no tmp residue");
-
-        let scan = latest_checkpoint(&dir, "w0").unwrap();
-        let (path, newest) = scan.newest.expect("two valid checkpoints on disk");
-        assert_eq!(path, p2);
-        assert_eq!(newest.seq, 2);
-        assert!(scan.refused.is_empty());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn scan_refuses_torn_newest_and_falls_back_typed() {
-        let dir = temp_dir("torn");
-        let c = sample_checkpoint();
-        c.write(&dir.join(Checkpoint::file_name("w0", 1))).unwrap();
-        // A newer checkpoint, torn mid-write (simulated: truncated bytes
-        // under the final name — stronger than anything the atomic rename
-        // path can produce).
-        let torn = c.encode()[..40].to_vec();
-        fs::write(dir.join(Checkpoint::file_name("w0", 2)), &torn).unwrap();
-
-        let scan = latest_checkpoint(&dir, "w0").unwrap();
-        let (_, newest) = scan.newest.expect("the older checkpoint is intact");
-        assert_eq!(newest.seq, 42);
-        assert_eq!(scan.refused.len(), 1, "the torn file is surfaced, typed");
-        assert!(
-            matches!(scan.refused[0].1, PersistError::Truncated { .. }),
-            "{}",
-            scan.refused[0].1
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn scan_steps_over_junk_inodes_with_typed_notes() {
-        let dir = temp_dir("junk");
-        let c = sample_checkpoint();
-        c.write(&dir.join(Checkpoint::file_name("w0", 1))).unwrap();
-        // A junk subdirectory squatting on a *newer* checkpoint name: the
-        // scan must note it and keep going, not die trying to read it.
-        fs::create_dir_all(dir.join(Checkpoint::file_name("w0", 3))).unwrap();
-        // A 0-byte file under a checkpoint name: opened, refused typed.
-        fs::write(dir.join(Checkpoint::file_name("w0", 2)), b"").unwrap();
-        // Another worker's checkpoint: noted as foreign, never opened.
-        fs::write(dir.join(Checkpoint::file_name("w9", 7)), b"junk").unwrap();
-        // A WAL segment sharing the directory: silently irrelevant.
-        fs::write(dir.join("requests-0001.wal"), b"junk").unwrap();
-
-        let scan = latest_checkpoint(&dir, "w0").unwrap();
-        let (_, newest) = scan.newest.expect("the valid checkpoint survives");
-        assert_eq!(newest.seq, 42);
-        assert_eq!(scan.refused.len(), 1, "only the 0-byte file was opened");
-        assert!(
-            matches!(scan.refused[0].1, PersistError::Truncated { .. }),
-            "{}",
-            scan.refused[0].1
-        );
-        let mut notes = scan.skipped.clone();
-        notes.sort_by_key(|n| format!("{n}"));
-        assert_eq!(notes.len(), 2, "{notes:?}");
-        assert!(
-            notes.iter().any(|n| matches!(n, ScanNote::NotAFile { path }
-                    if path.ends_with(Checkpoint::file_name("w0", 3)))),
-            "{notes:?}"
-        );
-        assert!(
-            notes
-                .iter()
-                .any(|n| matches!(n, ScanNote::ForeignName { path }
-                    if path.ends_with(Checkpoint::file_name("w9", 7)))),
-            "{notes:?}"
-        );
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn missing_dir_is_an_empty_scan() {
-        let scan = latest_checkpoint(Path::new("/nonexistent/fol-persist-nowhere"), "w0").unwrap();
-        assert!(scan.newest.is_none());
-        assert!(scan.refused.is_empty());
-    }
-
-    #[test]
-    fn prune_keeps_the_newest() {
-        let dir = temp_dir("prune");
-        let c = sample_checkpoint();
-        for seq in 1..=5 {
-            c.write(&dir.join(Checkpoint::file_name("w0", seq)))
-                .unwrap();
-        }
-        assert_eq!(prune_checkpoints(&dir, "w0", 2), 3);
-        let scan = latest_checkpoint(&dir, "w0").unwrap();
-        assert!(scan
-            .newest
-            .unwrap()
-            .0
-            .ends_with(Checkpoint::file_name("w0", 5)));
-        assert!(dir.join(Checkpoint::file_name("w0", 4)).exists());
-        assert!(!dir.join(Checkpoint::file_name("w0", 3)).exists());
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpointer_persists_ladder_progress_and_checkpoints_on_commit() {
-        use fol_core::recover::{run_transaction_durable, RetryPolicy};
-        let dir = temp_dir("hook");
-        let (mut m, a, _) = sample_machine();
-
-        // A crashed predecessor left a rung file at rung 1.
-        let mut prior = Checkpointer::new(&dir, "w0");
-        prior.on_attempt(1, ExecMode::Vector);
-        drop(prior);
-
-        let mut ck = Checkpointer::new(&dir, "w0");
-        let policy = RetryPolicy::default();
-        let modes_seen = std::cell::RefCell::new(Vec::new());
-        let (_, report) = run_transaction_durable(&mut m, &policy, &mut ck, |m, mode| {
-            modes_seen.borrow_mut().push(mode);
-            m.s_write(a.at(0), 123);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(report.attempts, 1);
-        assert_eq!(
-            modes_seen.borrow().len(),
-            1,
-            "resumed ladder runs one attempt"
-        );
-        // Rung 1 of the default ladder is not rung 0's plain Vector mode.
-        assert_ne!(
-            modes_seen.borrow()[0],
-            ExecMode::Vector,
-            "resumed at rung 1"
-        );
-        assert_eq!(ck.commits(), 1);
-        assert_eq!(ck.checkpoints_written(), 1);
-        assert!(ck.last_error().is_none(), "{:?}", ck.last_error());
-        assert!(!dir.join("w0.rung").exists(), "commit clears the rung file");
-
-        // The checkpoint on disk restores the committed value.
-        let scan = latest_checkpoint(&dir, "w0").unwrap();
-        let (_, ckpt) = scan.newest.expect("one checkpoint written");
-        let (mut m2, a2, _) = sample_machine();
-        ckpt.restore_into(&mut m2);
-        assert_eq!(m2.s_read(a2.at(0)), 123);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn checkpointer_resume_rung_reads_back_and_tolerates_garbage() {
-        let dir = temp_dir("rung");
-        let mut ck = Checkpointer::new(&dir, "w0");
-        assert_eq!(ck.resume_rung(), 0, "no rung file = fresh ladder");
-        ck.on_attempt(3, ExecMode::ScalarTail);
-        assert_eq!(ck.resume_rung(), 3);
-
-        fs::write(dir.join("w0.rung"), b"\xFF\xFF").unwrap();
-        let mut ck2 = Checkpointer::new(&dir, "w0");
-        assert_eq!(ck2.resume_rung(), 0, "corrupt rung file restarts safely");
-        assert!(ck2.last_error().is_some(), "…but the refusal is typed");
-        fs::remove_dir_all(&dir).ok();
     }
 }

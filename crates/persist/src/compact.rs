@@ -283,7 +283,7 @@ impl Compactor {
             gen_deletions.len(),
             wal_deletions.len()
         );
-        write_atomic(&self.marker_path(), marker_body.as_bytes())?;
+        write_atomic(&self.marker_path(), marker_body.as_bytes(), true)?;
         for path in &gen_deletions {
             if fs::remove_file(path).is_ok() {
                 report.generations_removed += 1;

@@ -11,26 +11,20 @@
 //! parent is missing, torn, or has the wrong digest is a typed refusal at
 //! plan time, never a silent mis-splice.
 //!
-//! # On-disk format (version 1)
-//!
-//! ```text
-//! magic "FOLDCKP\0" (8 bytes)  version u32 LE
-//! frame: meta      — seq, parent_seq, parent_digest, counters,
-//!                    applied set, dirty-region/checksum counts
-//! frame: region ×N — base u64, len u64, words i64 ×len   (dirty only)
-//! frame: checksums — (name, base, len, digest) ×M        (ALL tracked)
-//! frame: trailer   — literal "END"
-//! ```
-//!
-//! The checksum frame covers **every** tracked region, not just the dirty
-//! ones: clean regions inherit the parent's recorded digest. That makes the
-//! delta's own state digest computable without touching the parent, and it
-//! makes materialization verifiable end-to-end — after overlaying the chain
-//! onto its base image, every region must hash to the head's checksum.
+//! A delta is an [`Image`] whose kind is [`Parent`]: it shares the full
+//! image's codec ([`crate::checkpoint`]), under the magic `FOLDCKP\0`, with
+//! the parent id and digest in the meta frame and only the dirty regions
+//! in region frames. The checksum frame covers **every** tracked region,
+//! not just the dirty ones: clean regions inherit the parent's recorded
+//! digest. That makes the delta's own state digest computable without
+//! touching the parent, and it makes materialization verifiable
+//! end-to-end — after overlaying the chain onto its base image, every
+//! region must hash to the head's checksum.
 //!
 //! Files are named `{prefix}-{seq:020}.delta`. The extension is
-//! deliberately **not** a suffix of `.ckpt`, so the full-image scan
-//! ([`crate::latest_checkpoint`]) never opens (and refuses) delta files.
+//! deliberately **not** a suffix of `.ckpt`, so the generation scan
+//! ([`crate::planner::scan_generations`]) never mistakes one kind for the
+//! other.
 //!
 //! # Rot interaction
 //!
@@ -41,55 +35,56 @@
 //! poison the chain — the scrubber repairs the live machine, the chain
 //! keeps certifying committed state.
 
-use crate::checkpoint::{write_atomic_opts, Checkpoint};
-use crate::frame::{next_frame, push_frame, Dec, Enc, Frame};
+use crate::checkpoint::{state_digest, Checkpoint, Full, Image, ImageKind};
+use crate::frame::{Dec, Enc};
 use crate::PersistError;
 use fol_vm::integrity::{digest_words, TrackedRegion};
 use fol_vm::{Machine, Region, Snapshot, Word};
-use std::fs;
-use std::path::Path;
 
-/// First bytes of every delta checkpoint file.
-pub const DELTA_MAGIC: &[u8; 8] = b"FOLDCKP\0";
-/// The delta format version this build writes and reads.
-pub const DELTA_VERSION: u32 = 1;
+/// The parent link of a delta: which generation it applies on top of, and
+/// what that generation's state digest was at capture time.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Parent {
+    /// Generation id of the parent. Always strictly less than the delta's
+    /// own `seq` (enforced at decode), so chains terminate.
+    pub seq: u64,
+    /// The parent's state digest at capture time: the link check.
+    pub digest: u64,
+}
 
-const TRAILER: &[u8] = b"END";
+impl ImageKind for Parent {
+    const MAGIC: &'static [u8; 8] = b"FOLDCKP\0";
+    const EXTENSION: &'static str = "delta";
+    const WHAT: &'static str = "delta checkpoint";
 
-/// The state digest of a checksum set: XOR of the per-region digests. Two
-/// generations with the same tracked regions and the same bytes have the
-/// same state digest; a delta names its parent by this value so a chain
-/// cannot silently splice onto the wrong image.
-pub fn state_digest(checksums: &[TrackedRegion]) -> u64 {
-    checksums.iter().fold(0, |acc, t| acc ^ t.sum)
+    fn encode_link(&self, meta: &mut Enc) {
+        meta.u64(self.seq);
+        meta.u64(self.digest);
+    }
+
+    fn decode_link(meta: &mut Dec<'_>, seq: u64) -> Result<Self, PersistError> {
+        let parent_seq = meta.u64("meta.parent_seq")?;
+        let digest = meta.u64("meta.parent_digest")?;
+        if parent_seq >= seq {
+            return Err(PersistError::Malformed {
+                what: format!(
+                    "delta checkpoint: parent_seq {parent_seq} is not below seq {seq} \
+                     (chains must walk strictly backwards)"
+                ),
+            });
+        }
+        Ok(Parent {
+            seq: parent_seq,
+            digest,
+        })
+    }
 }
 
 /// One incremental image: the dirty regions since a parent generation,
 /// plus enough metadata to verify the link and the materialized result.
-/// See the module docs for the on-disk format.
-#[derive(Clone, Debug, PartialEq)]
-pub struct DeltaCheckpoint {
-    /// Monotonic position of this image (same counter as full checkpoints;
-    /// generations of either kind share one sequence).
-    pub seq: u64,
-    /// Generation id of the parent this delta applies on top of. Always
-    /// strictly less than `seq` (enforced at decode), so chains terminate.
-    pub parent_seq: u64,
-    /// The parent's [`state_digest`] at capture time: the link check.
-    pub parent_digest: u64,
-    /// Host-side counters, as in [`Checkpoint::counters`] — the full set,
-    /// not a diff (they are tiny).
-    pub counters: Vec<(String, u64)>,
-    /// Request sequence numbers whose effects the *materialized* image
-    /// contains — the full set, as in [`Checkpoint::applied`].
-    pub applied: Vec<u64>,
-    /// The byte-exact contents of the regions dirty since the parent.
-    pub snapshot: Snapshot,
-    /// Digests of **all** tracked regions at capture time: fresh
-    /// [`digest_words`] for dirty regions, the parent's recorded digest for
-    /// clean ones.
-    pub checksums: Vec<TrackedRegion>,
-}
+/// Its `checksums` cover **all** tracked regions: fresh [`digest_words`]
+/// for dirty regions, the parent's recorded digest for clean ones.
+pub type DeltaCheckpoint = Image<Parent>;
 
 impl DeltaCheckpoint {
     /// Captures the regions of `m` that are dirty relative to `parent_sums`
@@ -127,237 +122,17 @@ impl DeltaCheckpoint {
                 }
             })
             .collect();
-        DeltaCheckpoint {
+        Image {
             seq,
-            parent_seq,
-            parent_digest: state_digest(parent_sums),
+            parent: Parent {
+                seq: parent_seq,
+                digest: state_digest(parent_sums),
+            },
             counters,
             applied,
             snapshot: Snapshot::capture(m.mem(), &dirty),
             checksums,
         }
-    }
-
-    /// This delta's own [`state_digest`] — what a child delta must name as
-    /// its `parent_digest`.
-    pub fn state_digest(&self) -> u64 {
-        state_digest(&self.checksums)
-    }
-
-    /// Serializes to the version-1 byte format.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(DELTA_MAGIC);
-        out.extend_from_slice(&DELTA_VERSION.to_le_bytes());
-
-        let mut meta = Enc::new();
-        meta.u64(self.seq);
-        meta.u64(self.parent_seq);
-        meta.u64(self.parent_digest);
-        meta.u32(self.counters.len() as u32);
-        for (name, v) in &self.counters {
-            meta.str(name);
-            meta.u64(*v);
-        }
-        meta.u32(self.applied.len() as u32);
-        for &s in &self.applied {
-            meta.u64(s);
-        }
-        meta.u32(self.snapshot.parts().len() as u32);
-        meta.u32(self.checksums.len() as u32);
-        push_frame(&mut out, &meta.into_bytes());
-
-        for (region, words) in self.snapshot.parts() {
-            let mut e = Enc::new();
-            e.u64(region.base() as u64);
-            e.u64(words.len() as u64);
-            for &w in words {
-                e.i64(w);
-            }
-            push_frame(&mut out, &e.into_bytes());
-        }
-
-        let mut sums = Enc::new();
-        for t in &self.checksums {
-            sums.str(&t.name);
-            sums.u64(t.region.base() as u64);
-            sums.u64(t.region.len() as u64);
-            sums.u64(t.sum);
-        }
-        push_frame(&mut out, &sums.into_bytes());
-        push_frame(&mut out, TRAILER);
-        out
-    }
-
-    /// Deserializes the version-1 byte format with the same typed-refusal
-    /// table as [`Checkpoint::decode`], plus one structural rule: a delta
-    /// whose `parent_seq` is not strictly below its own `seq` is
-    /// [`PersistError::Malformed`] (a self-parent or forward edge would
-    /// make chain walks non-terminating).
-    pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
-        let header = DELTA_MAGIC.len() + 4;
-        if bytes.len() < header {
-            return Err(PersistError::Truncated {
-                what: "delta checkpoint: header".into(),
-                offset: 0,
-                needed: header,
-                available: bytes.len(),
-            });
-        }
-        if &bytes[..DELTA_MAGIC.len()] != DELTA_MAGIC {
-            return Err(PersistError::BadMagic {
-                what: "delta checkpoint".into(),
-                found: bytes[..DELTA_MAGIC.len()].to_vec(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != DELTA_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                what: "delta checkpoint".into(),
-                found: version,
-                supported: DELTA_VERSION,
-            });
-        }
-        let mut pos = header;
-        let meta = require_frame(bytes, &mut pos, "delta checkpoint: meta frame")?;
-        let mut d = Dec::new(meta);
-        let seq = d.u64("delta.seq")?;
-        let parent_seq = d.u64("delta.parent_seq")?;
-        let parent_digest = d.u64("delta.parent_digest")?;
-        if parent_seq >= seq {
-            return Err(PersistError::Malformed {
-                what: format!(
-                    "delta checkpoint: parent_seq {parent_seq} is not below seq {seq} \
-                     (chains must walk strictly backwards)"
-                ),
-            });
-        }
-        let n_counters = d.u32("delta.counters.len")? as usize;
-        let mut counters = Vec::with_capacity(n_counters.min(1024));
-        for _ in 0..n_counters {
-            let name = d.str("delta.counter.name")?;
-            let v = d.u64("delta.counter.value")?;
-            counters.push((name, v));
-        }
-        let n_applied = d.u32("delta.applied.len")? as usize;
-        let mut applied = Vec::with_capacity(n_applied.min(1024));
-        for _ in 0..n_applied {
-            applied.push(d.u64("delta.applied.seq")?);
-        }
-        let n_regions = d.u32("delta.regions.len")? as usize;
-        let n_sums = d.u32("delta.checksums.len")? as usize;
-        d.finish("delta checkpoint: meta frame")?;
-
-        let mut parts: Vec<(Region, Vec<Word>)> = Vec::with_capacity(n_regions.min(1024));
-        for i in 0..n_regions {
-            let payload = require_frame(bytes, &mut pos, "delta checkpoint: region frame")?;
-            let mut d = Dec::new(payload);
-            let what = format!("delta region[{i}]");
-            let base = d.u64(&what)? as usize;
-            let len = d.u64(&what)? as usize;
-            let mut words = Vec::with_capacity(len.min(1 << 20));
-            for _ in 0..len {
-                words.push(d.i64(&what)?);
-            }
-            d.finish("delta checkpoint: region frame")?;
-            parts.push((Region::from_raw(base, len), words));
-        }
-
-        let sums_payload = require_frame(bytes, &mut pos, "delta checkpoint: checksum frame")?;
-        let mut d = Dec::new(sums_payload);
-        let mut checksums = Vec::with_capacity(n_sums.min(1024));
-        for _ in 0..n_sums {
-            let name = d.str("delta.checksum.name")?;
-            let base = d.u64("delta.checksum.base")? as usize;
-            let len = d.u64("delta.checksum.len")? as usize;
-            let sum = d.u64("delta.checksum.sum")?;
-            checksums.push(TrackedRegion {
-                name,
-                region: Region::from_raw(base, len),
-                sum,
-            });
-        }
-        d.finish("delta checkpoint: checksum frame")?;
-
-        let trailer = require_frame(bytes, &mut pos, "delta checkpoint: trailer frame")?;
-        if trailer != TRAILER {
-            return Err(PersistError::Malformed {
-                what: format!("delta checkpoint: trailer is {trailer:02x?}, expected \"END\""),
-            });
-        }
-        if pos != bytes.len() {
-            return Err(PersistError::Malformed {
-                what: format!(
-                    "delta checkpoint: {} byte(s) after the trailer frame",
-                    bytes.len() - pos
-                ),
-            });
-        }
-        Ok(DeltaCheckpoint {
-            seq,
-            parent_seq,
-            parent_digest,
-            counters,
-            applied,
-            snapshot: Snapshot::from_parts(parts),
-            checksums,
-        })
-    }
-
-    /// Cross-checks the stored digests against the stored dirty-region
-    /// contents, as [`Checkpoint::verify`] does for full images. Clean
-    /// regions (checksummed but not captured) are necessarily skipped here;
-    /// they are certified by [`materialize`]'s end-to-end check instead.
-    pub fn verify(&self) -> Result<(), PersistError> {
-        for t in &self.checksums {
-            let Some((_, words)) = self
-                .snapshot
-                .parts()
-                .iter()
-                .find(|(r, _)| r.base() == t.region.base() && r.len() == t.region.len())
-            else {
-                continue;
-            };
-            let actual = digest_words(t.region.base(), words);
-            if actual != t.sum {
-                return Err(PersistError::Malformed {
-                    what: format!(
-                        "delta checkpoint: region \"{}\" digest {actual:#018x} does not match \
-                         stored checksum {:#018x} — the delta was written inconsistent",
-                        t.name, t.sum
-                    ),
-                });
-            }
-        }
-        Ok(())
-    }
-
-    /// Serializes and commits atomically to `path` (temp file + fsync +
-    /// rename + directory fsync), as [`Checkpoint::write`].
-    pub fn write(&self, path: &Path) -> Result<(), PersistError> {
-        write_atomic_opts(path, &self.encode(), true)
-    }
-
-    /// [`DeltaCheckpoint::write`] without the fsyncs — same trade as
-    /// [`Checkpoint::write_unsynced`]: a power-loss-torn delta is refused
-    /// typed at plan time and recovery falls back one link.
-    pub fn write_unsynced(&self, path: &Path) -> Result<(), PersistError> {
-        write_atomic_opts(path, &self.encode(), false)
-    }
-
-    /// Reads and decodes `path`. Does not [`DeltaCheckpoint::verify`]; the
-    /// planner does both.
-    pub fn load(path: &Path) -> Result<Self, PersistError> {
-        let bytes =
-            fs::read(path).map_err(|e| PersistError::io(format!("read {}", path.display()), e))?;
-        Self::decode(&bytes)
-    }
-
-    /// The canonical file name for a delta of `prefix` at `seq` —
-    /// zero-padded so lexicographic order is sequence order, and an
-    /// extension that is not a suffix of `.ckpt` (see the module docs).
-    pub fn file_name(prefix: &str, seq: u64) -> String {
-        format!("{prefix}-{seq:020}.delta")
     }
 }
 
@@ -420,8 +195,9 @@ pub fn materialize(
             });
         }
     }
-    Ok(Checkpoint {
+    Ok(Image {
         seq,
+        parent: Full,
         counters: counters.to_vec(),
         applied: applied.to_vec(),
         snapshot: Snapshot::from_parts(
@@ -432,24 +208,6 @@ pub fn materialize(
         ),
         checksums: checksums.to_vec(),
     })
-}
-
-/// Reads the frame at `*pos`, turning a clean end-of-input into a typed
-/// truncation (the meta frame promised more).
-fn require_frame<'a>(
-    bytes: &'a [u8],
-    pos: &mut usize,
-    what: &str,
-) -> Result<&'a [u8], PersistError> {
-    match next_frame(bytes, pos, what)? {
-        Frame::Ok(p) => Ok(p),
-        Frame::End => Err(PersistError::Truncated {
-            what: format!("{what} (file ends before it)"),
-            offset: *pos,
-            needed: 8,
-            available: 0,
-        }),
-    }
 }
 
 #[cfg(test)]
@@ -490,7 +248,7 @@ mod tests {
         assert_eq!(d.snapshot.parts().len(), 1, "only b is captured");
         assert_eq!(d.snapshot.parts()[0].0, b);
         assert_eq!(d.checksums.len(), 2, "…but both regions are checksummed");
-        assert_eq!(d.parent_digest, state_digest(&base.checksums));
+        assert_eq!(d.parent.digest, base.state_digest());
 
         let back = DeltaCheckpoint::decode(&d.encode()).unwrap();
         assert_eq!(back, d);
@@ -509,7 +267,7 @@ mod tests {
         let val = m.vimm(&[88]);
         m.scatter(b, &idx, &val);
         let d2 = DeltaCheckpoint::capture(&m, 3, 2, &d1.checksums, vec![], vec![1, 2, 3]);
-        assert_eq!(d2.parent_digest, d1.state_digest());
+        assert_eq!(d2.parent.digest, d1.state_digest());
 
         let ckpt = materialize(&base, &[&d1, &d2]).unwrap();
         assert_eq!(ckpt.seq, 3);
@@ -547,53 +305,16 @@ mod tests {
     }
 
     #[test]
-    fn corruption_table_yields_distinct_typed_errors() {
-        let (mut m, a, b) = sample_machine();
-        let base = full(&m, &[a, b], 1);
-        let idx = m.vimm(&[0]);
-        let val = m.vimm(&[5]);
-        m.scatter(a, &idx, &val);
-        let good = DeltaCheckpoint::capture(&m, 2, 1, &base.checksums, vec![], vec![]).encode();
-        DeltaCheckpoint::decode(&good).unwrap();
-
-        let mut bumped = good.clone();
-        bumped[8] = (DELTA_VERSION + 1) as u8;
-        assert!(matches!(
-            DeltaCheckpoint::decode(&bumped),
-            Err(PersistError::UnsupportedVersion { .. })
-        ));
-
-        let mut magic = good.clone();
-        magic[0] = b'X';
-        assert!(matches!(
-            DeltaCheckpoint::decode(&magic),
-            Err(PersistError::BadMagic { .. })
-        ));
-
-        assert!(matches!(
-            DeltaCheckpoint::decode(&good[..good.len() - 5]),
-            Err(PersistError::Truncated { .. })
-        ));
-
-        let mut flipped = good.clone();
-        flipped[12 + 8 + 2] ^= 0x40; // inside the meta frame payload
-        assert!(matches!(
-            DeltaCheckpoint::decode(&flipped),
-            Err(PersistError::CrcMismatch { .. })
-        ));
-    }
-
-    #[test]
     fn forward_or_self_parent_edges_are_malformed() {
         let (m, a, b) = sample_machine();
         let base = full(&m, &[a, b], 5);
         let mut d = DeltaCheckpoint::capture(&m, 6, 5, &base.checksums, vec![], vec![]);
-        d.parent_seq = 6; // self-parent
+        d.parent.seq = 6; // self-parent
         assert!(matches!(
             DeltaCheckpoint::decode(&d.encode()),
             Err(PersistError::Malformed { .. })
         ));
-        d.parent_seq = 9; // forward edge
+        d.parent.seq = 9; // forward edge
         assert!(matches!(
             DeltaCheckpoint::decode(&d.encode()),
             Err(PersistError::Malformed { .. })
@@ -606,7 +327,7 @@ mod tests {
         assert_eq!(name, format!("w0-{:020}.delta", 7));
         assert!(
             !name.ends_with(".ckpt"),
-            "the full-image scan must never open delta files"
+            "the generation scan tells the kinds apart by extension"
         );
     }
 }

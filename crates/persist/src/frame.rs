@@ -1,9 +1,11 @@
-//! The shared on-disk vocabulary: little-endian scalars, CRC-32 and
-//! length-prefixed frames.
+//! The shared on-disk vocabulary: little-endian scalars, CRC-32,
+//! length-prefixed frames and the envelope around them.
 //!
-//! Both durable artifacts — checkpoints ([`crate::checkpoint`]) and WAL
-//! segments ([`crate::wal`]) — are sequences of **frames** over a small
-//! fixed header. A frame is
+//! Every durable artifact — region images ([`crate::checkpoint`]), shard
+//! handoff images ([`crate::handoff`]) and WAL segments ([`crate::wal`]) —
+//! is a [`HEADER_LEN`]-byte header (8-byte magic, `u32` LE version)
+//! followed by **frames**; images close with a [`TRAILER`] frame and
+//! nothing after it. A frame is
 //!
 //! ```text
 //! [len: u32 LE] [crc: u32 LE] [payload: len bytes]
@@ -18,6 +20,15 @@
 //! record.
 
 use crate::PersistError;
+use std::ops::RangeInclusive;
+
+/// Bytes of the header every artifact starts with: an 8-byte magic, then
+/// the format version as a little-endian `u32`. Frames start here.
+pub const HEADER_LEN: usize = 12;
+
+/// Payload of the frame that closes an image. A file cut exactly at a
+/// frame boundary lacks it, so such a cut is still a typed truncation.
+pub const TRAILER: &[u8] = b"END";
 
 /// CRC-32 (IEEE, reflected, `0xEDB88320`) over `bytes`, starting from the
 /// conventional all-ones preset. Table-driven; the table is built once.
@@ -261,6 +272,90 @@ pub fn next_frame<'a>(
     }
     *pos = payload_end;
     Ok(Frame::Ok(payload))
+}
+
+/// Appends the artifact header: `magic`, then `version` little-endian.
+pub fn push_header(out: &mut Vec<u8>, magic: &[u8; 8], version: u32) {
+    out.extend_from_slice(magic);
+    out.extend_from_slice(&version.to_le_bytes());
+}
+
+/// Checks the header at the start of `bytes` and returns the version it
+/// names; frames follow at [`HEADER_LEN`]. Input shorter than the header
+/// is [`PersistError::Truncated`], another magic is
+/// [`PersistError::BadMagic`], and a version outside `versions` is
+/// [`PersistError::UnsupportedVersion`]. `what` names the artifact.
+pub fn read_header(
+    bytes: &[u8],
+    magic: &[u8; 8],
+    versions: RangeInclusive<u32>,
+    what: &str,
+) -> Result<u32, PersistError> {
+    let Some(header) = bytes.get(..HEADER_LEN) else {
+        return Err(PersistError::Truncated {
+            what: format!("{what}: header"),
+            offset: 0,
+            needed: HEADER_LEN,
+            available: bytes.len(),
+        });
+    };
+    let (found, version) = header.split_at(magic.len());
+    if found != magic {
+        return Err(PersistError::BadMagic {
+            what: what.to_string(),
+            found: found.to_vec(),
+        });
+    }
+    let version = u32::from_le_bytes(version.try_into().expect("4 version bytes"));
+    if !versions.contains(&version) {
+        return Err(PersistError::UnsupportedVersion {
+            what: what.to_string(),
+            found: version,
+            supported: *versions.end(),
+        });
+    }
+    Ok(version)
+}
+
+/// Reads the frame at `*pos` as [`next_frame`] does, except that a clean
+/// end of input is a [`PersistError::Truncated`]: the caller was promised
+/// another frame (by a count in the meta frame, or by the trailer rule).
+pub fn require_frame<'a>(
+    bytes: &'a [u8],
+    pos: &mut usize,
+    what: &str,
+) -> Result<&'a [u8], PersistError> {
+    match next_frame(bytes, pos, what)? {
+        Frame::Ok(p) => Ok(p),
+        Frame::End => Err(PersistError::Truncated {
+            what: format!("{what} (file ends before it)"),
+            offset: *pos,
+            needed: 8,
+            available: 0,
+        }),
+    }
+}
+
+/// Reads the [`TRAILER`] frame at `pos` and requires it to end the input.
+/// A different payload, or anything after it — raw bytes or another whole
+/// frame — is [`PersistError::Malformed`]: the CRC cannot catch bytes that
+/// were appended intact, so the structure must.
+pub fn read_trailer(bytes: &[u8], mut pos: usize, what: &str) -> Result<(), PersistError> {
+    let trailer = require_frame(bytes, &mut pos, &format!("{what}: trailer frame"))?;
+    if trailer != TRAILER {
+        return Err(PersistError::Malformed {
+            what: format!("{what}: trailer is {trailer:02x?}, expected \"END\""),
+        });
+    }
+    if pos != bytes.len() {
+        return Err(PersistError::Malformed {
+            what: format!(
+                "{what}: {} byte(s) after the trailer frame",
+                bytes.len() - pos
+            ),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

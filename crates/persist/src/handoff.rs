@@ -6,11 +6,12 @@
 //! workload class — not a physical memory image: the source and target may
 //! run different worker counts, table geometries, or checkpoint histories,
 //! so a region-level image (the [`crate::delta`] form) would splice the
-//! wrong layout. What a handoff needs from the durability layer is the
-//! *framing discipline* deltas established: magic + version header, CRC-32
-//! frames, typed refusals for every way bytes can lie, and a recorded
-//! content digest so the installer can prove byte-for-byte fidelity
-//! end-to-end.
+//! wrong layout. The body is therefore its own — per-class key sets and
+//! dedupe records, not regions — but the envelope is the shared one from
+//! [`crate::frame`]: magic + version header, CRC-32 frames, an `END`
+//! trailer with nothing after it, and typed refusals for every way bytes
+//! can lie. Each section also records a content digest so the installer
+//! can prove byte-for-byte fidelity end-to-end.
 //!
 //! # Format (version 2; version 1 still decodes)
 //!
@@ -20,7 +21,7 @@
 //!                    section count, dedupe-record count (v2)
 //! frame: section ×N — class name, content digest, key count, keys i64 ×K
 //! frame: dedupe ×M  — client id, epoch, seq, opaque outcome bytes (v2)
-//! frame: trailer   — literal "END"
+//! frame: trailer   — literal "END", and nothing after it
 //! ```
 //!
 //! Version 2 adds the source's per-client **dedupe outcome cache** for the
@@ -41,7 +42,10 @@
 //! string, not a file: it travels inside one wire frame, and the target's
 //! own WAL + checkpoint cadence make it durable on install.
 
-use crate::frame::{next_frame, push_frame, Dec, Enc, Frame};
+use crate::frame::{
+    push_frame, push_header, read_header, read_trailer, require_frame, Dec, Enc, HEADER_LEN,
+    TRAILER,
+};
 use crate::PersistError;
 use fol_vm::Word;
 
@@ -50,8 +54,6 @@ pub const HANDOFF_MAGIC: &[u8; 8] = b"FOLHOFF\0";
 /// The handoff format version this build writes. Version 1 (no dedupe
 /// records) is still decoded.
 pub const HANDOFF_VERSION: u32 = 2;
-
-const TRAILER: &[u8] = b"END";
 
 /// One workload class's slice of the moving shard.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -109,8 +111,7 @@ impl HandoffImage {
     /// Serializes the image (magic, version, CRC-framed payload).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(HANDOFF_MAGIC);
-        out.extend_from_slice(&HANDOFF_VERSION.to_le_bytes());
+        push_header(&mut out, HANDOFF_MAGIC, HANDOFF_VERSION);
 
         let mut meta = Enc::new();
         meta.u32(self.shard);
@@ -152,41 +153,9 @@ impl HandoffImage {
     /// the serving layer's digest function.
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
         let what = "handoff image";
-        if bytes.len() < HANDOFF_MAGIC.len() + 4 {
-            return Err(PersistError::Truncated {
-                what: what.into(),
-                offset: 0,
-                needed: HANDOFF_MAGIC.len() + 4,
-                available: bytes.len(),
-            });
-        }
-        if &bytes[..8] != HANDOFF_MAGIC {
-            return Err(PersistError::BadMagic {
-                what: what.into(),
-                found: bytes[..8].to_vec(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version == 0 || version > HANDOFF_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                what: what.into(),
-                found: version,
-                supported: HANDOFF_VERSION,
-            });
-        }
-        let mut pos = 12;
-
-        let meta = match next_frame(bytes, &mut pos, "handoff meta")? {
-            Frame::Ok(p) => p,
-            Frame::End => {
-                return Err(PersistError::Truncated {
-                    what: "handoff meta frame".into(),
-                    offset: pos,
-                    needed: 8,
-                    available: 0,
-                })
-            }
-        };
+        let version = read_header(bytes, HANDOFF_MAGIC, 1..=HANDOFF_VERSION, what)?;
+        let mut pos = HEADER_LEN;
+        let meta = require_frame(bytes, &mut pos, "handoff meta frame")?;
         let mut d = Dec::new(meta);
         let shard = d.u32("handoff.shard")?;
         let shards = d.u32("handoff.shards")?;
@@ -206,18 +175,8 @@ impl HandoffImage {
         }
 
         let mut sections = Vec::with_capacity(n_sections.min(64));
-        for i in 0..n_sections {
-            let payload = match next_frame(bytes, &mut pos, "handoff section")? {
-                Frame::Ok(p) => p,
-                Frame::End => {
-                    return Err(PersistError::Truncated {
-                        what: format!("handoff section {i} of {n_sections}"),
-                        offset: pos,
-                        needed: 8,
-                        available: 0,
-                    })
-                }
-            };
+        for _ in 0..n_sections {
+            let payload = require_frame(bytes, &mut pos, "handoff section")?;
             let mut d = Dec::new(payload);
             let class = d.str("section.class")?.to_string();
             let digest = d.u64("section.digest")?;
@@ -235,18 +194,8 @@ impl HandoffImage {
         }
 
         let mut dedupe = Vec::with_capacity(n_dedupe.min(1 << 16));
-        for i in 0..n_dedupe {
-            let payload = match next_frame(bytes, &mut pos, "handoff dedupe")? {
-                Frame::Ok(p) => p,
-                Frame::End => {
-                    return Err(PersistError::Truncated {
-                        what: format!("handoff dedupe record {i} of {n_dedupe}"),
-                        offset: pos,
-                        needed: 8,
-                        available: 0,
-                    })
-                }
-            };
+        for _ in 0..n_dedupe {
+            let payload = require_frame(bytes, &mut pos, "handoff dedupe record")?;
             let mut d = Dec::new(payload);
             let client_id = d.u64("dedupe.client_id")?;
             let epoch = d.u64("dedupe.epoch")?;
@@ -265,23 +214,7 @@ impl HandoffImage {
             });
         }
 
-        match next_frame(bytes, &mut pos, "handoff trailer")? {
-            Frame::Ok(p) if p == TRAILER => {}
-            Frame::Ok(_) => {
-                return Err(PersistError::Malformed {
-                    what: "handoff image: trailer frame is not END".into(),
-                })
-            }
-            Frame::End => {
-                return Err(PersistError::Truncated {
-                    what: "handoff trailer".into(),
-                    offset: pos,
-                    needed: 8,
-                    available: 0,
-                })
-            }
-        }
-
+        read_trailer(bytes, pos, what)?;
         Ok(HandoffImage {
             shard,
             shards,
@@ -377,8 +310,7 @@ mod tests {
     fn version_one_images_still_decode() {
         let img = image();
         let mut bytes = Vec::new();
-        bytes.extend_from_slice(HANDOFF_MAGIC);
-        bytes.extend_from_slice(&1u32.to_le_bytes());
+        push_header(&mut bytes, HANDOFF_MAGIC, 1);
         let mut meta = Enc::new();
         meta.u32(img.shard);
         meta.u32(img.shards);
@@ -424,6 +356,20 @@ mod tests {
         assert!(matches!(
             HandoffImage::decode(&flipped),
             Err(PersistError::CrcMismatch { .. }) | Err(PersistError::Malformed { .. })
+        ));
+        // Nothing may follow the trailer: neither raw bytes nor another
+        // whole frame, whose CRC would hold.
+        let mut trailing = bytes.clone();
+        trailing.extend_from_slice(b"xyz");
+        assert!(matches!(
+            HandoffImage::decode(&trailing),
+            Err(PersistError::Malformed { .. })
+        ));
+        let mut extra_frame = bytes.clone();
+        push_frame(&mut extra_frame, b"extra");
+        assert!(matches!(
+            HandoffImage::decode(&extra_frame),
+            Err(PersistError::Malformed { .. })
         ));
         // Wrong magic and wrong version are their own refusals.
         let mut bad_magic = bytes.clone();

@@ -6,23 +6,25 @@
 //! turns the round boundary — exactly where FOL machine state is consistent
 //! and replayable — into an on-disk quantum.
 //!
-//! * **[`checkpoint`]** — a versioned, CRC-framed serialization of a
-//!   [`fol_vm::Snapshot`] plus tracked-region checksums, recovery counters
-//!   and the applied-request set, committed with the write-to-temp +
-//!   `fsync` + atomic-rename discipline so a reader never observes a
-//!   half-written checkpoint under its final name.
+//! * **[`frame`]** — the shared envelope: CRC-32, length-prefixed frames,
+//!   the magic + version header every artifact starts with and the `END`
+//!   trailer that closes an image, each defect a distinct typed refusal.
+//! * **[`checkpoint`]** — the one region-image codec: a versioned,
+//!   CRC-framed serialization of a [`fol_vm::Snapshot`] plus tracked-region
+//!   checksums, host counters and the applied-request set, committed with
+//!   the write-to-temp + `fsync` + atomic-rename discipline so a reader
+//!   never observes a half-written image under its final name. A full
+//!   [`Checkpoint`] and a [`DeltaCheckpoint`] are the same [`Image`] type,
+//!   differing only in the parent link.
+//! * **[`delta`]** — incremental images: only the regions whose integrity
+//!   digest changed since the parent generation, chained by parent id +
+//!   parent state digest, and [`materialize`] to replay a chain onto its
+//!   full image; every K deltas a full image is cut.
 //! * **[`wal`]** — a segmented append-only log of opaque records, each
 //!   CRC-framed, with a configurable [`wal::FsyncPolicy`]. Replay
 //!   distinguishes a *torn tail* (the expected signature of a crash mid-
 //!   append, surfaced typed so the caller can treat it as the crash
 //!   frontier) from corruption anywhere else (refused outright).
-//! * **[`Checkpointer`]** — a [`fol_core::recover::DurabilityHook`] that
-//!   writes a checkpoint every N committed transactions and remembers
-//!   ladder progress, so a killed process resumes mid-ladder from the last
-//!   durable round instead of replaying from scratch.
-//! * **[`delta`]** — incremental checkpoints: only the regions whose
-//!   integrity digest changed since the parent generation, chained by
-//!   parent id + parent state digest; every K deltas a full image is cut.
 //! * **[`planner`]** — the [`RecoveryPlanner`]: walks generations newest
 //!   first, verifies every chain link (CRC, parent digest, end-to-end
 //!   materialization), and falls back link-by-link with a typed
@@ -33,9 +35,12 @@
 //!   directory-fsync crash safety and typed refusal when pruning would
 //!   orphan the only loadable full image.
 //! * **[`handoff`]** — shard-handoff images: the CRC-framed, digest-carrying
-//!   transfer format a cluster rebalance ships between processes, following
-//!   the same magic/version/frame discipline as delta checkpoints but over
-//!   *logical* per-class key sets, which are layout-independent.
+//!   transfer format a cluster rebalance ships between processes, in the
+//!   shared envelope but over *logical* per-class key sets, which are
+//!   layout-independent, rather than regions.
+//!
+//! The WAL plus the generation chain is the only way state reaches disk;
+//! the crate depends on `fol-vm` alone.
 //!
 //! Everything that can be wrong with stored bytes is a typed
 //! [`PersistError`] — truncation, bit-flips, version skew and structural
@@ -53,12 +58,12 @@ pub mod handoff;
 pub mod planner;
 pub mod wal;
 
-pub use checkpoint::{latest_checkpoint, Checkpoint, Checkpointer, ScanNote};
+pub use checkpoint::{Checkpoint, Full, Image, ImageKind};
 pub use compact::{CompactRefusal, CompactionReport, Compactor, LogRecord};
-pub use delta::{materialize, state_digest, DeltaCheckpoint};
+pub use delta::{materialize, DeltaCheckpoint, Parent};
 pub use frame::crc32;
 pub use handoff::{HandoffDedupe, HandoffImage, HandoffSection};
-pub use planner::{RecoveryPlan, RecoveryPlanner, SkipReason, SkippedGeneration};
+pub use planner::{RecoveryPlan, RecoveryPlanner, ScanNote, SkipReason, SkippedGeneration};
 pub use wal::{FsyncPolicy, Replay, TornTail, Wal, WalRecord};
 
 use std::fmt;

@@ -4,14 +4,14 @@
 //! "choose the newest generation whose **entire chain** down to a full
 //! image loads, link-verifies, and materializes to the state it certifies".
 //! The planner walks generations newest-first; for each candidate head it
-//! follows `parent_seq` edges, checking every link three ways:
+//! follows parent edges, checking every link three ways:
 //!
 //! 1. **Load** — the file decodes (CRC, magic, version, structure) and
 //!    passes its per-file `verify`. A torn delta or bit-flipped image is a
 //!    typed [`SkipReason::Refused`].
 //! 2. **Edge** — the parent generation exists on disk
 //!    ([`SkipReason::MissingParent`] otherwise) and its state digest equals
-//!    the child's recorded `parent_digest`
+//!    the child's recorded parent digest
 //!    ([`SkipReason::ParentDigestMismatch`] otherwise — the chain would
 //!    splice onto the wrong image).
 //! 3. **Materialization** — overlaying the chain onto its base reproduces
@@ -24,13 +24,57 @@
 //! no further than the oldest retained full image's frontier (see
 //! [`crate::compact`]): an older image simply means a wider WAL replay.
 
-use crate::checkpoint::{Checkpoint, ScanNote};
-use crate::delta::{materialize, DeltaCheckpoint};
+use crate::checkpoint::{Checkpoint, Full, ImageKind};
+use crate::delta::{materialize, DeltaCheckpoint, Parent};
 use crate::PersistError;
 use std::collections::HashMap;
 use std::fs;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
+
+/// Why [`scan_generations`] stepped over a directory entry without
+/// attempting to load it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ScanNote {
+    /// The directory entry itself could not be read (racing deletion,
+    /// permissions). Carries the rendered I/O error.
+    Unreadable {
+        /// Where the entry sat.
+        dir: PathBuf,
+        /// The rendered `std::io::Error`.
+        error: String,
+    },
+    /// The name matched the generation pattern but the entry is not a
+    /// regular file — a subdirectory or special file squatting on a
+    /// generation name is never opened.
+    NotAFile {
+        /// The offending path.
+        path: PathBuf,
+    },
+    /// A `.ckpt` or `.delta` file whose name is not `{prefix}-{seq}` for
+    /// the scanned prefix — another worker's generation, or a foreign
+    /// artifact. Left alone.
+    ForeignName {
+        /// The foreign path.
+        path: PathBuf,
+    },
+}
+
+impl std::fmt::Display for ScanNote {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ScanNote::Unreadable { dir, error } => {
+                write!(f, "unreadable entry in {}: {error}", dir.display())
+            }
+            ScanNote::NotAFile { path } => {
+                write!(f, "not a regular file: {}", path.display())
+            }
+            ScanNote::ForeignName { path } => {
+                write!(f, "foreign generation name: {}", path.display())
+            }
+        }
+    }
+}
 
 /// What kind of artifact a generation file holds.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -55,8 +99,8 @@ pub struct Generation {
 
 /// Lists every `{prefix}-{seq}.ckpt` / `{prefix}-{seq}.delta` generation in
 /// `dir`, **newest first** (full images before deltas at equal seq), plus
-/// typed notes for entries stepped over without being read — the same
-/// never-fail-the-scan discipline as [`crate::latest_checkpoint`]. A
+/// typed notes for entries stepped over without being read: one junk inode
+/// must never hide every recoverable generation behind an error. A
 /// missing directory is an empty scan.
 pub fn scan_generations(
     dir: &Path,
@@ -82,12 +126,13 @@ pub fn scan_generations(
             }
         };
         let name = entry.file_name().to_string_lossy().into_owned();
-        let kind = if name.ends_with(".ckpt") {
+        let extension = name.rsplit_once('.').map_or("", |(_, ext)| ext);
+        let kind = if extension == Full::EXTENSION {
             GenerationKind::Full
-        } else if name.ends_with(".delta") {
+        } else if extension == Parent::EXTENSION {
             GenerationKind::Delta
         } else {
-            continue; // WAL segments, rung files, markers: legitimately here.
+            continue; // WAL segments, markers, temp files: legitimately here.
         };
         let Some(stem) = name
             .strip_prefix(&wanted)
@@ -295,13 +340,13 @@ impl RecoveryPlanner {
                         // seq, full images first (scan order provides this);
                         // the first that loads is the parent.
                         let candidates: Vec<&Generation> =
-                            gens.iter().filter(|g| g.seq == d.parent_seq).collect();
+                            gens.iter().filter(|g| g.seq == d.parent.seq).collect();
                         if candidates.is_empty() {
                             plan.skipped.push(SkippedGeneration {
                                 seq: head.seq,
                                 path: head.path.clone(),
                                 reason: SkipReason::MissingParent {
-                                    parent_seq: d.parent_seq,
+                                    parent_seq: d.parent.seq,
                                 },
                             });
                             continue 'heads;
@@ -334,13 +379,13 @@ impl RecoveryPlanner {
                             });
                             continue 'heads;
                         };
-                        if parent_digest != d.parent_digest {
+                        if parent_digest != d.parent.digest {
                             plan.skipped.push(SkippedGeneration {
                                 seq: head.seq,
                                 path: head.path.clone(),
                                 reason: SkipReason::ParentDigestMismatch {
-                                    parent_seq: d.parent_seq,
-                                    expected: d.parent_digest,
+                                    parent_seq: d.parent.seq,
+                                    expected: d.parent.digest,
                                     actual: parent_digest,
                                 },
                             });
@@ -375,11 +420,6 @@ impl RecoveryPlanner {
         Ok(plan)
     }
 }
-
-// `state_digest` is re-exported for planner consumers that need to compute
-// a parent digest without constructing a delta (e.g. serving-layer cadence
-// bookkeeping).
-pub use crate::delta::state_digest as generation_state_digest;
 
 #[cfg(test)]
 mod tests {
@@ -613,6 +653,66 @@ mod tests {
         );
         assert_eq!(gens[1].kind, GenerationKind::Delta);
         assert_eq!(notes.len(), 1, "unparseable seq is a typed note: {notes:?}");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Junk next to a real chain: every entry the scan cannot classify is
+    /// stepped over with a typed note, a generation name it can classify
+    /// but not load is a typed skip, and the newest real generation still
+    /// restores.
+    #[test]
+    fn scan_steps_over_junk_entries_and_the_newest_real_generation_restores() {
+        let (dir, m, _, _) = build_chain("junk");
+        let full1 = dir.join(Checkpoint::file_name("w0", 1));
+        assert!(
+            !full1.with_extension("tmp").exists(),
+            "an atomic write leaves no temp residue"
+        );
+        // A directory squatting on a newer generation name.
+        let squatter = dir.join(Checkpoint::file_name("w0", 9));
+        fs::create_dir_all(&squatter).unwrap();
+        // Another worker's image, and a generation id that is not a number.
+        let other_worker = dir.join(Checkpoint::file_name("w1", 7));
+        fs::write(&other_worker, b"junk").unwrap();
+        let not_a_number = dir.join("w0-latest.ckpt");
+        fs::write(&not_a_number, b"junk").unwrap();
+        // The temp file of an interrupted write, and a WAL segment.
+        fs::write(
+            dir.join(Checkpoint::file_name("w0", 8))
+                .with_extension("tmp"),
+            b"torn",
+        )
+        .unwrap();
+        fs::write(dir.join("requests-000000000001.wal"), b"junk").unwrap();
+        // An empty file under a newer generation name: opened, refused.
+        let empty = dir.join(DeltaCheckpoint::file_name("w0", 5));
+        fs::write(&empty, b"").unwrap();
+
+        let (gens, notes) = scan_generations(&dir, "w0").unwrap();
+        let seqs: Vec<u64> = gens.iter().map(|g| g.seq).collect();
+        assert_eq!(seqs, vec![5, 3, 2, 1], "only generation names are listed");
+        assert_eq!(notes.len(), 3, "{notes:?}");
+        assert!(notes.contains(&ScanNote::NotAFile { path: squatter }));
+        assert!(notes.contains(&ScanNote::ForeignName { path: other_worker }));
+        assert!(notes.contains(&ScanNote::ForeignName { path: not_a_number }));
+
+        let plan = RecoveryPlanner::new(&dir, "w0").plan().unwrap();
+        assert_eq!(plan.notes, notes);
+        assert_eq!(plan.skipped.len(), 1, "{:?}", plan.skipped);
+        assert!(
+            matches!(
+                &plan.skipped[0].reason,
+                SkipReason::Refused {
+                    at,
+                    error: PersistError::Truncated { .. },
+                } if at == &empty
+            ),
+            "{:?}",
+            plan.skipped[0].reason
+        );
+        let ckpt = plan.checkpoint.expect("the real chain is intact");
+        assert_eq!(ckpt.seq, 3);
+        assert!(ckpt.snapshot.matches(m.mem()));
         fs::remove_dir_all(&dir).ok();
     }
 }

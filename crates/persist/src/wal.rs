@@ -48,7 +48,7 @@
 //! only, not power loss; the chaos suite runs this tier because SIGKILL
 //! does not lose page-cache writes).
 
-use crate::frame::{next_frame, push_frame, Frame};
+use crate::frame::{next_frame, push_frame, push_header, read_header, Frame, HEADER_LEN};
 use crate::PersistError;
 use std::fs;
 use std::io::Write as _;
@@ -187,7 +187,7 @@ impl Wal {
     /// stable storage when this returns; under `Batch` it is durable after
     /// the next [`Wal::commit`]; under `Off`, after the OS flushes it.
     pub fn append(&mut self, payload: &[u8]) -> Result<(), PersistError> {
-        if self.seg_len > WAL_MAGIC.len() as u64 + 4 && self.seg_len >= self.segment_bytes {
+        if self.seg_len > HEADER_LEN as u64 && self.seg_len >= self.segment_bytes {
             self.rotate()?;
         }
         let mut framed = Vec::with_capacity(payload.len() + 8);
@@ -220,7 +220,7 @@ impl Wal {
         if payloads.is_empty() {
             return Ok(());
         }
-        if self.seg_len > WAL_MAGIC.len() as u64 + 4 && self.seg_len >= self.segment_bytes {
+        if self.seg_len > HEADER_LEN as u64 && self.seg_len >= self.segment_bytes {
             self.rotate()?;
         }
         let mut framed = Vec::with_capacity(payloads.iter().map(|p| p.as_ref().len() + 8).sum());
@@ -314,9 +314,8 @@ fn create_segment(
     let path = dir.join(segment_file_name(prefix, index));
     let mut file = fs::File::create(&path)
         .map_err(|e| PersistError::io(format!("create {}", path.display()), e))?;
-    let mut header = Vec::with_capacity(12);
-    header.extend_from_slice(WAL_MAGIC);
-    header.extend_from_slice(&WAL_VERSION.to_le_bytes());
+    let mut header = Vec::with_capacity(HEADER_LEN);
+    push_header(&mut header, WAL_MAGIC, WAL_VERSION);
     file.write_all(&header)
         .map_err(|e| PersistError::io(format!("write header {}", path.display()), e))?;
     if policy != FsyncPolicy::Off {
@@ -385,42 +384,22 @@ pub fn replay(dir: &Path, prefix: &str) -> Result<Replay, PersistError> {
             fs::read(path).map_err(|e| PersistError::io(format!("read {}", path.display()), e))?;
         let what = format!("wal segment {}", path.display());
 
-        // Header. A short header is a tear only where a tear is possible:
-        // the last segment (killed during creation).
-        let header = WAL_MAGIC.len() + 4;
-        if bytes.len() < header {
-            let err = PersistError::Truncated {
-                what: format!("{what}: header"),
-                offset: 0,
-                needed: header,
-                available: bytes.len(),
-            };
-            if is_last {
+        // A short header is a tear only where a tear is possible: the last
+        // segment (killed during creation).
+        match read_header(&bytes, WAL_MAGIC, WAL_VERSION..=WAL_VERSION, &what) {
+            Ok(_) => {}
+            Err(error @ PersistError::Truncated { .. }) if is_last => {
                 out.torn_tail = Some(TornTail {
                     segment: *index,
                     offset: bytes.len(),
-                    error: err,
+                    error,
                 });
                 return Ok(out);
             }
-            return Err(err);
-        }
-        if &bytes[..WAL_MAGIC.len()] != WAL_MAGIC {
-            return Err(PersistError::BadMagic {
-                what,
-                found: bytes[..WAL_MAGIC.len()].to_vec(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-        if version != WAL_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                what,
-                found: version,
-                supported: WAL_VERSION,
-            });
+            Err(error) => return Err(error),
         }
 
-        let mut pos = header;
+        let mut pos = HEADER_LEN;
         let mut index_in_segment = 0u64;
         loop {
             match next_frame(&bytes, &mut pos, &what) {

@@ -32,7 +32,10 @@ use crate::ServerConfig;
 use fol_core::recover::GroupError;
 use fol_hash::chaining::{self, ChainTable};
 use fol_hash::open_addressing as oa;
-use fol_persist::{wal, Checkpoint, Compactor, DeltaCheckpoint, RecoveryPlanner, SkipReason};
+use fol_persist::{
+    wal, Checkpoint, Compactor, DeltaCheckpoint, Image, ImageKind, PersistError, RecoveryPlanner,
+    SkipReason,
+};
 use fol_tree::bst::{self, Bst};
 use fol_vm::integrity::TrackedRegion;
 use fol_vm::{CostModel, Machine, Region, Snapshot, Word};
@@ -115,6 +118,21 @@ struct WorkerDur {
     /// replayer is exactly-once, and diffed against the newest durable
     /// checkpoint on respawn to find what must be redone.
     applied_all: BTreeSet<u64>,
+}
+
+impl WorkerDur {
+    /// Commits one generation file under this worker's prefix, fsynced only
+    /// when the policy asks for it.
+    fn write_generation<K: ImageKind>(&self, image: &Image<K>) -> Result<(), PersistError> {
+        let path = self
+            .dir
+            .join(Image::<K>::file_name(&self.prefix, image.seq));
+        if self.sync {
+            image.write(&path)
+        } else {
+            image.write_unsynced(&path)
+        }
+    }
 }
 
 fn counter_of(ckpt: &Checkpoint, name: &str) -> usize {
@@ -375,38 +393,11 @@ impl Worker {
                 None => true,
                 Some(_) => dur.deltas_since_full + 1 >= dur.full_every,
             };
-            if full {
+            let written = if full {
                 let regions: Vec<Region> =
                     self.m.tracked_regions().iter().map(|t| t.region).collect();
                 let ckpt = Checkpoint::capture(&self.m, &regions, seq, counters, applied);
-                let path = dur.dir.join(Checkpoint::file_name(&dur.prefix, seq));
-                let written = if dur.sync {
-                    ckpt.write(&path)
-                } else {
-                    ckpt.write_unsynced(&path)
-                };
-                match written {
-                    Ok(()) => {
-                        dur.parent = Some((seq, ckpt.checksums.clone()));
-                        dur.deltas_since_full = 0;
-                        self.shared
-                            .stats
-                            .checkpoints_written
-                            .fetch_add(1, Ordering::Relaxed);
-                        compact_after = true;
-                    }
-                    Err(_) => {
-                        // Typed refusal happens at load time; at write time
-                        // the worker keeps serving (the previous generation
-                        // still stands) and the failure is counted. The
-                        // parent baseline is untouched, so the next delta
-                        // still chains onto a file that exists.
-                        self.shared
-                            .stats
-                            .checkpoints_refused
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
+                dur.write_generation(&ckpt).map(|()| ckpt.checksums)
             } else {
                 let (parent_seq, parent_sums) = dur
                     .parent
@@ -420,27 +411,30 @@ impl Worker {
                     counters,
                     applied,
                 );
-                let path = dur.dir.join(DeltaCheckpoint::file_name(&dur.prefix, seq));
-                let written = if dur.sync {
-                    delta.write(&path)
-                } else {
-                    delta.write_unsynced(&path)
-                };
-                match written {
-                    Ok(()) => {
-                        dur.parent = Some((seq, delta.checksums.clone()));
+                dur.write_generation(&delta).map(|()| delta.checksums)
+            };
+            let stats = &self.shared.stats;
+            match written {
+                Ok(checksums) => {
+                    dur.parent = Some((seq, checksums));
+                    if full {
+                        dur.deltas_since_full = 0;
+                        stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
+                        compact_after = true;
+                    } else {
                         dur.deltas_since_full += 1;
-                        self.shared
-                            .stats
+                        stats
                             .delta_checkpoints_written
                             .fetch_add(1, Ordering::Relaxed);
                     }
-                    Err(_) => {
-                        self.shared
-                            .stats
-                            .checkpoints_refused
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
+                }
+                Err(_) => {
+                    // Typed refusal happens at load time; at write time the
+                    // worker keeps serving (the previous generation still
+                    // stands) and the failure is counted. The parent
+                    // baseline is untouched, so the next delta still chains
+                    // onto a file that exists.
+                    stats.checkpoints_refused.fetch_add(1, Ordering::Relaxed);
                 }
             }
         }

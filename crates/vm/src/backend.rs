@@ -58,16 +58,6 @@ impl BackendKind {
             BackendKind::Avx2 => "avx2",
         }
     }
-
-    /// Parses the [`BackendKind::as_str`] form back (case-insensitive).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "sim" => Some(BackendKind::Sim),
-            "scalar" => Some(BackendKind::Scalar),
-            "avx2" => Some(BackendKind::Avx2),
-            _ => None,
-        }
-    }
 }
 
 impl std::fmt::Display for BackendKind {
@@ -629,15 +619,15 @@ mod tests {
     }
 
     #[test]
-    fn kind_name_round_trip() {
-        for kind in [BackendKind::Sim, BackendKind::Scalar, BackendKind::Avx2] {
-            assert_eq!(BackendKind::parse(kind.as_str()), Some(kind));
-            assert_eq!(
-                BackendKind::parse(&kind.to_string().to_uppercase()),
-                Some(kind)
-            );
+    fn kind_names_and_default() {
+        for (kind, name) in [
+            (BackendKind::Sim, "sim"),
+            (BackendKind::Scalar, "scalar"),
+            (BackendKind::Avx2, "avx2"),
+        ] {
+            assert_eq!(kind.as_str(), name);
+            assert_eq!(kind.to_string(), name);
         }
-        assert_eq!(BackendKind::parse("vliw"), None);
         assert_eq!(BackendKind::default(), BackendKind::Sim);
     }
 

@@ -18,17 +18,12 @@
 //!   oldest one plus the log.
 //! * **A torn log tail is the accepted crash frontier**, surfaced in the
 //!   [`fol_serve::RestartReport`], never an error.
-//! * **Ladder progress is durable.** A process killed mid-escalation
-//!   resumes at the persisted rung, not at the bottom.
 //!
 //! Each cell writes a small JSON summary to `target/crash/<cell>.json`
 //! (override with `$CRASH_ARTIFACT_DIR`) so CI can attach the artifacts.
 //! Tmpdirs are removed on drop; set `FOL_KEEP_CRASH_DIRS=1` to keep them
 //! for a post-mortem.
 
-use fol_core::recover::{run_transaction_durable, ExecMode, RetryPolicy};
-use fol_core::FolError;
-use fol_persist::checkpoint::Checkpointer;
 use fol_persist::frame::{next_frame, Frame};
 use fol_persist::wal;
 use fol_persist::{Compactor, LogRecord};
@@ -36,7 +31,7 @@ use fol_serve::{
     decode_record, worker_prefix, DurRecord, DurabilityConfig, FsyncPolicy, Request, ServeError,
     Server, ServerConfig, SkipReason, WorkloadClass, REQUEST_LOG_PREFIX,
 };
-use fol_vm::{CostModel, Machine, Word};
+use fol_vm::Word;
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
@@ -247,7 +242,6 @@ fn child_entrypoint() {
     let dir = PathBuf::from(std::env::var("FOL_CRASH_DIR").expect("FOL_CRASH_DIR"));
     match role.as_str() {
         "serve-insert" => child_serve_insert(&dir),
-        "ladder" => child_ladder(&dir),
         other => panic!("unknown crash role {other:?}"),
     }
 }
@@ -289,38 +283,6 @@ fn child_serve_insert(dir: &Path) {
         }
     }
     panic!("the parent was supposed to SIGKILL this child long before 10k inserts");
-}
-
-/// Climbs the retry ladder under a [`Checkpointer`]: fails the first two
-/// rungs, then — with rung 2 already persisted by `on_attempt` — signals
-/// the parent and hangs for the kill.
-fn child_ladder(dir: &Path) {
-    let mut m = Machine::new(CostModel::unit());
-    let region = m.alloc(8, "cell");
-    m.track_region(region);
-    let mut ck = Checkpointer::new(dir, "ladder");
-    let mut attempt = 0usize;
-    let _ = run_transaction_durable(
-        &mut m,
-        &RetryPolicy::default(),
-        &mut ck,
-        |_, _| -> Result<(), FolError> {
-            attempt += 1;
-            if attempt <= 2 {
-                return Err(FolError::NoSurvivors {
-                    iteration: 0,
-                    live: 1,
-                });
-            }
-            // The hook wrote `ladder.rung` = 2 before this body ran; freeze
-            // here so the parent's SIGKILL lands mid-attempt.
-            std::fs::write(dir.join("rung2-armed"), b"armed").expect("arm signal");
-            #[allow(clippy::empty_loop)]
-            loop {
-                std::thread::sleep(Duration::from_millis(50));
-            }
-        },
-    );
 }
 
 // ------------------------------------------------------------------ cells
@@ -541,60 +503,6 @@ fn torn_checkpoint_is_refused_and_recovery_falls_back() {
             ),
             ("replayed", restart.replayed.to_string()),
             ("acked_lost", "0".into()),
-            ("passed", "true".into()),
-        ],
-    );
-}
-
-/// SIGKILL between ladder rungs: the persisted rung file makes escalation
-/// progress durable, so the restarted run begins at the rung the dead
-/// process had reached (`VerifiedReplay`, index 2) instead of re-failing
-/// the bottom of the ladder — and a clean commit clears the rung file.
-#[test]
-fn sigkill_mid_ladder_resumes_at_the_persisted_rung() {
-    let tmp = TempDir::new("ladder");
-    let child = spawn_child("ladder", tmp.path(), &[]);
-    wait_until("the child to reach rung 2", Duration::from_secs(60), || {
-        tmp.path().join("rung2-armed").exists()
-    });
-    kill(child);
-    assert!(
-        tmp.path().join("ladder.rung").exists(),
-        "the rung file is the durable ladder cursor"
-    );
-
-    let mut m = Machine::new(CostModel::unit());
-    let region = m.alloc(8, "cell");
-    m.track_region(region);
-    let mut ck = Checkpointer::new(tmp.path(), "ladder");
-    let mut seen: Vec<ExecMode> = Vec::new();
-    let (_, report) =
-        run_transaction_durable(&mut m, &RetryPolicy::default(), &mut ck, |_, mode| {
-            seen.push(mode);
-            Ok(())
-        })
-        .expect("the resumed run commits");
-    // VerifiedReplay re-executes the body for its 2-of-3 replay voting, so
-    // the body may run more than once — but every run must be at the
-    // resumed rung, and the supervisor must book exactly one attempt.
-    assert!(
-        !seen.is_empty()
-            && seen
-                .iter()
-                .all(|m| matches!(m, ExecMode::VerifiedReplay { .. })),
-        "resume must start at the persisted rung, got {seen:?}"
-    );
-    assert_eq!(report.attempts, 1, "no re-failing of already-burned rungs");
-    assert_eq!(ck.checkpoints_written(), 1, "commit checkpointed");
-    assert!(
-        !tmp.path().join("ladder.rung").exists(),
-        "a committed ladder leaves no cursor behind"
-    );
-    write_cell_report(
-        "sigkill_mid_ladder",
-        &[
-            ("resumed_mode", format!("{:?}", format!("{:?}", seen[0]))),
-            ("attempts", report.attempts.to_string()),
             ("passed", "true".into()),
         ],
     );
