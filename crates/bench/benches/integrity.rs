@@ -5,8 +5,10 @@
 //!   * `baseline`         — no tracked regions, ELS audit off: the machine
 //!     exactly as it priced before the integrity layer existed.
 //!   * `checksums`        — the work area checksum-tracked, audit off: every
-//!     scatter/store pays the incremental digest update, and commit pays one
-//!     full scrub.
+//!     scatter/store pays the incremental region and block digest update,
+//!     and commit pays the footprint scrub (here every block: 4096 targets
+//!     over 1024 cells touch them all) plus folding the write set into the
+//!     committed image.
 //!   * `checksums+audit`  — tracking plus the per-round ELS gather audit;
 //!     informational (the audit can be switched off per policy).
 //!
@@ -16,17 +18,26 @@
 //! *persistent* ELS violation survives before a sampled round convicts it —
 //! so the artifact exposes the traffic-vs-latency trade the knob buys.
 //!
+//! A fifth, informational section sweeps **tracked size at a fixed batch**:
+//! a chaining table grows from 256 to 16384 buckets (capacity scaled alike,
+//! so the tracked words grow 64×) while every transaction inserts 64 keys.
+//! The bracket scrubs only the blocks a batch touches, so per-batch time
+//! should stay near flat; the row reports the largest table's time over the
+//! smallest's.
+//!
 //! The run asserts the tentpole's pricing claim — checksum upkeep must stay
 //! within 10% of baseline — and writes a JSON artifact for CI. The audit rows
-//! are reported but not gated: full-rate auditing doubles the gather traffic
-//! by design.
+//! and the sweep are reported but not gated: full-rate auditing doubles the
+//! gather traffic by design, and the sweep is a trend, not a threshold.
 
 use fol_bench::harness::bench;
-use fol_bench::workloads::duplicated_targets;
+use fol_bench::workloads::{duplicated_targets, uniform_keys};
 use fol_core::error::Validation;
 use fol_core::recover::{txn_apply_rounds, ExecMode, RetryPolicy};
-use fol_vm::{Addr, CostModel, ElsAuditor, Machine};
+use fol_hash::chaining::{txn_insert_all, ChainTable};
+use fol_vm::{Addr, CostModel, ElsAuditor, Machine, Word};
 use std::hint::black_box;
+use std::time::Instant;
 
 const N: usize = 4096;
 const DOMAIN: usize = 1024;
@@ -92,6 +103,32 @@ fn detection_latency(rate: u64, seeds: &[u64]) -> (f64, f64) {
         total_rounds as f64 / seeds.len() as f64,
         total_audited as f64 / total_seen as f64,
     )
+}
+
+/// Mean microseconds per 64-key chaining transaction on a table of
+/// `buckets` buckets and `64 × buckets` nodes: 20 warm-up batches, then 200
+/// timed ones; best of three fresh tables.
+fn chain_batch_us(buckets: usize) -> f64 {
+    const BATCH: usize = 64;
+    const WARM: usize = 20;
+    const TIMED: usize = 200;
+    let policy = RetryPolicy::default();
+    (0..3u64)
+        .map(|rep| {
+            let mut m = Machine::new(CostModel::unit());
+            let mut t = ChainTable::alloc(&mut m, buckets, 64 * buckets);
+            let keys = uniform_keys((WARM + TIMED) * BATCH, Word::MAX >> 8, 7 + rep);
+            let mut batches = keys.chunks(BATCH);
+            for batch in batches.by_ref().take(WARM) {
+                txn_insert_all(&mut m, &mut t, batch, &policy).expect("no faults injected");
+            }
+            let start = Instant::now();
+            for batch in batches {
+                txn_insert_all(&mut m, &mut t, batch, &policy).expect("no faults injected");
+            }
+            start.elapsed().as_secs_f64() * 1e6 / TIMED as f64
+        })
+        .fold(f64::INFINITY, f64::min)
 }
 
 fn main() {
@@ -161,6 +198,22 @@ fn main() {
         "1-in-16 must audit fewer rounds than 1-in-1"
     );
 
+    // Tracked-size sweep at batch 64 (informational).
+    let mut sweep: Vec<(usize, usize, f64)> = Vec::new();
+    for buckets in [256usize, 1024, 4096, 16384] {
+        let tracked_words = 2 * buckets + 2 * 64 * buckets;
+        let us = chain_batch_us(buckets);
+        println!(
+            "chain txn, batch 64, {buckets:>5} buckets ({tracked_words:>8} tracked words): {us:>8.1} us/batch"
+        );
+        sweep.push((buckets, tracked_words, us));
+    }
+    let flatness = sweep[sweep.len() - 1].2 / sweep[0].2;
+    println!(
+        "tracked words x{:.0}: per-batch time x{flatness:.2}",
+        sweep[sweep.len() - 1].1 as f64 / sweep[0].1 as f64
+    );
+
     // JSON artifact for CI (hand-rolled; the workspace is dependency-free).
     let mut body = format!(
         "{{\"bench\":\"integrity\",{},\"rows\":[",
@@ -186,7 +239,16 @@ fn main() {
             "{{\"rate\":{rate},\"ns_per_iter\":{ns:.1},\"detection_latency_rounds\":{latency:.2},\"audited_fraction\":{fraction:.4}}}"
         ));
     }
-    body.push_str("]}");
+    body.push_str("],\"tracked_size_sweep\":{\"batch\":64,\"rows\":[");
+    for (i, (buckets, words, us)) in sweep.iter().enumerate() {
+        if i > 0 {
+            body.push(',');
+        }
+        body.push_str(&format!(
+            "{{\"buckets\":{buckets},\"tracked_words\":{words},\"us_per_batch\":{us:.2}}}"
+        ));
+    }
+    body.push_str(&format!("],\"largest_over_smallest\":{flatness:.4}}}}}"));
     let dir = std::env::var("BENCH_ARTIFACT_DIR").unwrap_or_else(|_| "target/bench".into());
     let _ = std::fs::create_dir_all(&dir);
     let path = format!("{dir}/integrity.json");

@@ -1,9 +1,13 @@
 //! Coalescing pricing: what does the serving layer's batch scheduler buy?
 //!
-//! The FOL method amortizes per-transaction overhead (journaling, checksum
-//! re-tracking, the commit scrub) and per-round vector start-up over the
-//! index vector's length, so 256 one-key transactions pay ~256× the fixed
-//! cost that one 256-key transaction pays once. Two sections:
+//! The FOL method amortizes per-transaction overhead (the supervisor's
+//! bracket, journaling, the footprint scrub, the post-condition) and
+//! per-round vector start-up over the index vector's length, so 256
+//! one-key transactions pay ~256× the fixed cost that one 256-key
+//! transaction pays once. A pass sweeps the batch, not the structure: the
+//! bracket scrubs only the blocks a transaction touched, so what is
+//! amortized is per-transaction and per-round start-up, not a scan of the
+//! table. Two sections:
 //!
 //! * **Machine-level** (gated): 256 chaining-insert requests of size
 //!   s ∈ {1, 8, 64}, executed one-txn-per-request vs coalesced into a

@@ -51,9 +51,7 @@ use crate::decompose::try_fol1_machine_observed;
 use crate::error::{validate_decomposition, FolError, Validation};
 use crate::parallel::{try_apply_rounds, try_par_apply_rounds};
 use crate::Decomposition;
-use fol_vm::{
-    BackendKind, CmpOp, ConflictPolicy, IntegrityError, LaneSet, Machine, Region, Snapshot, Word,
-};
+use fol_vm::{BackendKind, CmpOp, ConflictPolicy, IntegrityError, LaneSet, Machine, Region, Word};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -431,7 +429,8 @@ pub struct RecoveryReport {
     /// Silent-corruption detections: attempts that died with a typed
     /// [`FolError::Integrity`] plus post-attempt scrubs that caught a
     /// tracked work area diverging from its checksum (bit-rot). Each
-    /// detection was repaired (snapshot restore) or escalated — never
+    /// detection was repaired (restore from the committed image) or
+    /// escalated — never
     /// passed through.
     pub corruption_detected: usize,
     /// Sub-transaction executions spent inside [`ExecMode::VerifiedReplay`]
@@ -703,6 +702,21 @@ fn derive_seed(seed: u64, attempt: usize) -> u64 {
 /// fatal: the attempt is rolled back and the supervisor returns
 /// [`RecoveryError::Watchdog`] without trying further rungs.
 ///
+/// # Integrity
+///
+/// When `m` tracks regions, an attempt commits only after
+/// [`fol_vm::Machine::scrub_footprint`] verified every tracked block it
+/// stored to or read, so a committed result never depends on a rotted
+/// word. A failed attempt runs the full [`fol_vm::Machine::scrub`] and
+/// repairs mismatching blocks from the machine's committed image, so on
+/// exhaustion tracked memory equals that image byte for byte: the pre-call
+/// state, with rot that predates the call repaired rather than adopted.
+/// Rot outside a committing attempt's footprint is left alone — never
+/// resynced over, never copied into the image — and stays a mismatch that
+/// [`fol_vm::Machine::scrub`] reports until an idle scrub or the next
+/// transaction whose footprint reaches its block repairs it. The bracket
+/// costs what the attempt touched, not what is tracked.
+///
 /// # Panics
 /// Panics when a transaction is already open on `m` — the supervisor owns
 /// the transaction for the duration of the run, and nesting is a caller bug.
@@ -722,21 +736,16 @@ where
     let base_plan = m.fault_plan().cloned();
     let faults_before = m.fault_log().len();
     let attempts = policy.max_attempts.max(1);
-    // Integrity bracket. The auditor is enabled for the run (and restored on
-    // exit) so workload hooks judge every round; the tracked regions are
-    // snapshotted up front because bit-rot bypasses the journal — a rollback
-    // restores every journaled store but not a decayed word, so the only
-    // repair for scrub-detected rot is this snapshot. Digests are resynced
-    // first so pre-existing divergence is not charged to this run.
+    // Integrity. The auditor is enabled for the run (and restored on exit)
+    // so workload hooks judge every round. Nothing is resynced or copied up
+    // front: each attempt's commit is certified by the footprint scrub over
+    // the blocks it stored to or read, and a failed attempt's repair source
+    // is the machine's committed image, which rot never reaches.
     let audit_was_on = m.els_auditor().is_some();
     if policy.audit_rate > 0 {
         m.set_els_audit_rate(policy.audit_rate, policy.audit_seed);
     }
-    let tracked: Vec<Region> = m.tracked_regions().iter().map(|t| t.region).collect();
-    let integrity_snapshot = (!tracked.is_empty()).then(|| {
-        m.resync_integrity();
-        Snapshot::capture(m.mem(), &tracked)
-    });
+    let tracking = !m.tracked_regions().is_empty();
     let mut report = RecoveryReport {
         attempts: 0,
         rounds_replayed: 0,
@@ -824,8 +833,9 @@ where
                         if digests.contains(&digest) {
                             // Majority found. Rot that struck *before* the
                             // first replay would be shared by both voters,
-                            // so scrub before certifying.
-                            verdict = Some(match m.scrub() {
+                            // so scrub what this execution touched before
+                            // certifying.
+                            verdict = Some(match m.scrub_footprint() {
                                 Ok(()) => {
                                     m.commit_txn()
                                         .expect("run_transaction: commit of the open transaction");
@@ -865,10 +875,10 @@ where
             m.begin_txn()
                 .expect("run_transaction: transaction state already checked");
             match body(m, mode) {
-                // Pre-commit scrub: rot that struck this attempt's tracked
-                // work areas is caught before the result is certified. Free
-                // when nothing is tracked.
-                Ok(r) => match m.scrub() {
+                // Pre-commit footprint scrub: rot in any tracked block this
+                // attempt stored to or read is caught before the result is
+                // certified. Free when nothing is tracked.
+                Ok(r) => match m.scrub_footprint() {
                     Ok(()) => {
                         m.commit_txn()
                             .expect("run_transaction: commit of the open transaction");
@@ -911,18 +921,17 @@ where
                 watchdog_tripped = matches!(e, FolError::Stalled { .. });
                 report.errors.push(e);
                 // Repair: a rollback cannot heal rot (it bypasses the
-                // journal), so when the tracked regions have decayed,
-                // restore the pre-run snapshot and resync — the exhaustion
-                // contract (memory back to its pre-call state, byte-exact)
-                // holds even under resident corruption.
-                if let Some(snap) = &integrity_snapshot {
-                    if m.scrub().is_err() {
-                        if !integrity_err {
-                            report.corruption_detected += 1;
-                        }
-                        snap.restore(m.mem_mut());
-                        m.resync_integrity();
+                // journal), so when the tracked regions have decayed, the
+                // rotted blocks are restored from the committed image — the
+                // exhaustion contract (tracked memory back to its pre-call
+                // committed state, byte-exact) holds even under resident
+                // corruption, and rot that predates the call is repaired,
+                // never adopted.
+                if tracking && m.scrub().is_err() {
+                    if !integrity_err {
+                        report.corruption_detected += 1;
                     }
+                    m.repair_from_image();
                 }
                 if watchdog_tripped {
                     break;

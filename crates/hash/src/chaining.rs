@@ -20,6 +20,7 @@ use fol_core::recover::{
     RecoveryReport, RetryPolicy,
 };
 use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
+use std::collections::HashMap;
 
 /// Nil chain pointer.
 pub const NIL: Word = -1;
@@ -276,8 +277,9 @@ fn insert_via_decomposition(
 
 /// Like [`all_keys`] but refuses to panic on a corrupted table: a wild head
 /// or next pointer (outside the arena) or a chain cycle returns `None`
-/// instead. Used as the transactional post-condition reader, where a torn
-/// amalgam may have produced an arbitrary pointer.
+/// instead. The whole-table reference oracle the footprint-scoped
+/// post-condition ([`insert_landed_exactly`]) is tested against.
+#[cfg(test)]
 fn checked_all_keys(m: &Machine, table: &ChainTable) -> Option<Vec<Word>> {
     let mut keys = Vec::new();
     for b in 0..table.buckets() {
@@ -300,9 +302,93 @@ fn checked_all_keys(m: &Machine, table: &ChainTable) -> Option<Vec<Word>> {
     Some(keys)
 }
 
+/// The post-condition of one insert attempt of `keys` whose nodes were
+/// reserved from node `first`, checked from the open transaction's journal
+/// at a cost proportional to the batch:
+///
+/// 1. every journaled head outside the batch's buckets, and every journaled
+///    arena word outside the new nodes, still holds its pre-image;
+/// 2. from each batch bucket's head the chain passes through exactly that
+///    bucket's new nodes — each once, each key hashing to the bucket — and
+///    then reaches the head the bucket had before the attempt (its
+///    journaled pre-image);
+/// 3. the keys visited are exactly the batch's multiset.
+///
+/// The work area is unconstrained: labels left there are scratch, not
+/// contents. Equivalence with the
+/// whole-table check ([`checked_all_keys`] against the old contents plus
+/// `keys`): words no store reached are unchanged, so by (1) every untouched
+/// bucket keeps its chain and every old node its key and link; by (2) a
+/// batch bucket's chain is its new nodes spliced in front of its old chain;
+/// so the table's multiset is the old one plus (3)'s. The check also
+/// refuses states the whole-table walk accepts (a key linked into another
+/// bucket, a node spliced past an old one). On acceptance every word
+/// it read was stored by the attempt, hence inside the footprint the
+/// pre-commit scrub verifies.
+fn insert_landed_exactly(m: &Machine, table: &ChainTable, keys: &[Word], first: usize) -> bool {
+    let Some(journal) = m.txn_journal() else {
+        return false;
+    };
+    let mem = m.mem();
+    let buckets = table.buckets() as Word;
+    let mut per_bucket: HashMap<usize, usize> = HashMap::new();
+    for &k in keys {
+        *per_bucket.entry(hash_mod(k, buckets) as usize).or_default() += 1;
+    }
+    let new_nodes = table.arena.base() + 2 * first..table.arena.base() + 2 * (first + keys.len());
+    for addr in journal.addrs() {
+        let must_keep = if table.heads.contains(addr) {
+            !per_bucket.contains_key(&(addr - table.heads.base()))
+        } else {
+            table.arena.contains(addr) && !new_nodes.contains(&addr)
+        };
+        if must_keep && journal.pre_image(addr) != Some(mem.read(addr)) {
+            return false;
+        }
+    }
+    let mut visited = vec![false; keys.len()];
+    let mut landed = Vec::with_capacity(keys.len());
+    for (&b, &count) in &per_bucket {
+        let head = table.heads.at(b);
+        let old_head = journal.pre_image(head).unwrap_or_else(|| mem.read(head));
+        let mut p = mem.read(head);
+        for _ in 0..count {
+            // A new node's offset, not yet visited, keyed into bucket `b`.
+            let node = usize::try_from(p)
+                .ok()
+                .filter(|&p| p % 2 == 0)
+                .map(|p| p / 2);
+            let Some(i) = node
+                .and_then(|n| n.checked_sub(first))
+                .filter(|&i| i < keys.len())
+            else {
+                return false;
+            };
+            if std::mem::replace(&mut visited[i], true) {
+                return false;
+            }
+            let key = mem.read(table.arena.at(2 * (first + i)));
+            if hash_mod(key, buckets) as usize != b {
+                return false;
+            }
+            landed.push(key);
+            p = mem.read(table.arena.at(2 * (first + i) + 1));
+        }
+        if p != old_head {
+            return false;
+        }
+    }
+    let mut want = keys.to_vec();
+    want.sort_unstable();
+    landed.sort_unstable();
+    landed == want
+}
+
 /// Transactional multiple insertion: every attempt runs inside a machine
 /// transaction and is checked end-to-end against the scalar reference
-/// semantics (the stored multiset must equal the old contents plus `keys`).
+/// semantics (the stored multiset must equal the old contents plus `keys`)
+/// by a post-condition that reads only what the attempt wrote
+/// ([`insert_landed_exactly`]).
 /// A failed attempt — decomposition error, budget exhaustion, or a
 /// post-condition divergence such as a dropped lane in a payload scatter —
 /// is rolled back byte-exact (including `used_nodes`) and retried under the
@@ -332,13 +418,10 @@ pub fn txn_insert_all(
     );
     // Checksum-track the table's storage (and the FOL work area): decayed
     // heads or chain words are caught by the supervisor's scrub, and every
-    // label round is judged by the ELS auditor.
+    // label round is judged by the ELS auditor. A no-op once tracked.
     m.track_region(table.heads);
     m.track_region(table.arena);
     m.track_region(table.work);
-    let mut expected = all_keys(m, table);
-    expected.extend_from_slice(keys);
-    expected.sort_unstable();
 
     let saved_used = table.used_nodes;
     let validation = policy.validation;
@@ -359,7 +442,7 @@ pub fn txn_insert_all(
                 0
             }
         };
-        if checked_all_keys(m, table).as_ref() != Some(&expected) {
+        if !insert_landed_exactly(m, table, keys, saved_used) {
             return Err(FolError::PostConditionFailed {
                 what: "chaining insert contents",
             });
@@ -856,5 +939,190 @@ mod tests {
         let mut expect = keys;
         expect.sort_unstable();
         assert_eq!(all_keys(&m, &t), expect);
+    }
+
+    /// One attempt's post-state judged by both post-conditions: runs the
+    /// vector insert of `keys` inside a transaction, lets `corrupt` edit the
+    /// post-state through the store path, and returns `(footprint check,
+    /// whole-table check)` — or `None` when the attempt itself failed. The
+    /// transaction is rolled back and rot repaired, so calls chain.
+    fn verdicts(
+        m: &mut Machine,
+        t: &mut ChainTable,
+        keys: &[Word],
+        corrupt: impl FnOnce(&mut Machine, &ChainTable, usize),
+    ) -> Option<(bool, bool)> {
+        let mut expected = all_keys(m, t);
+        expected.extend_from_slice(keys);
+        expected.sort_unstable();
+        let first = t.used_nodes;
+        m.begin_txn().unwrap();
+        let ran = try_vectorized_insert_all(m, t, keys);
+        let out = ran.ok().map(|_| {
+            corrupt(m, t, first);
+            let new = insert_landed_exactly(m, t, keys, first);
+            let old = checked_all_keys(m, t).as_ref() == Some(&expected);
+            (new, old)
+        });
+        m.abort_txn().unwrap();
+        m.repair_from_image();
+        t.used_nodes = first;
+        out
+    }
+
+    /// A table of 13 buckets holding 20 keys, tracked, and the next batch.
+    fn loaded_table(m: &mut Machine) -> (ChainTable, Vec<Word>) {
+        let mut t = ChainTable::alloc(m, 13, 64);
+        let pre: Vec<Word> = (0..20).map(|i| i * 7 + 3).collect();
+        scalar_insert_all(m, &mut t, &pre);
+        m.track_region(t.heads);
+        m.track_region(t.arena);
+        m.track_region(t.work);
+        // Buckets 1, 2, 3 (twice) and 5: never bucket 0, 4 or 6.
+        (t, vec![14, 15, 16, 29, 18])
+    }
+
+    #[test]
+    fn footprint_check_accepts_only_what_the_whole_table_check_accepts() {
+        let mut m = Machine::new(CostModel::unit());
+        let (mut t, keys) = loaded_table(&mut m);
+        let head_of = |m: &Machine, t: &ChainTable, b: usize| m.mem().read(t.heads.at(b));
+        type Edit = Box<dyn Fn(&mut Machine, &ChainTable, usize)>;
+        let cases: Vec<(&str, Edit)> = vec![
+            ("clean", Box::new(|_, _, _| {})),
+            (
+                "skipped new node",
+                Box::new(move |m, t, _| {
+                    let p = head_of(m, t, 5) as usize;
+                    let next = m.mem().read(t.arena.at(p + 1));
+                    m.s_write(t.heads.at(5), next);
+                }),
+            ),
+            (
+                "wild next",
+                Box::new(move |m, t, _| {
+                    let p = head_of(m, t, 2) as usize;
+                    m.s_write(t.arena.at(p + 1), 10_000);
+                }),
+            ),
+            (
+                "node spliced into an untouched bucket",
+                Box::new(move |m, t, _| {
+                    let p = head_of(m, t, 5);
+                    let next = m.mem().read(t.arena.at(p as usize + 1));
+                    let other = head_of(m, t, 4);
+                    m.s_write(t.heads.at(5), next);
+                    m.s_write(t.arena.at(p as usize + 1), other);
+                    m.s_write(t.heads.at(4), p);
+                }),
+            ),
+            (
+                "changed word outside the footprint",
+                Box::new(move |m, t, _| {
+                    let p = head_of(m, t, 6) as usize;
+                    m.s_write(t.arena.at(p), 999);
+                }),
+            ),
+            (
+                "new keys swapped across buckets",
+                Box::new(move |m, t, _| {
+                    let (p, q) = (head_of(m, t, 1) as usize, head_of(m, t, 2) as usize);
+                    let (kp, kq) = (m.mem().read(t.arena.at(p)), m.mem().read(t.arena.at(q)));
+                    m.s_write(t.arena.at(p), kq);
+                    m.s_write(t.arena.at(q), kp);
+                }),
+            ),
+            (
+                "cycle through new nodes",
+                Box::new(move |m, t, _| {
+                    let p = head_of(m, t, 3);
+                    m.s_write(t.arena.at(p as usize + 1), p);
+                }),
+            ),
+        ];
+        for (name, edit) in cases {
+            let (new, old) = verdicts(&mut m, &mut t, &keys, edit).expect("healthy attempt");
+            assert!(
+                !new || old,
+                "{name}: footprint check accepted what the oracle refuses"
+            );
+            if name == "clean" {
+                assert!(new, "the clean post-state is accepted");
+            } else {
+                assert!(!new, "{name}: corrupted post-state accepted");
+            }
+        }
+        // Random store-path edits of heads and arena words.
+        let mut s = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        for _ in 0..400 {
+            let (r, w) = (next(), next());
+            let edit = move |m: &mut Machine, t: &ChainTable, _: usize| {
+                let region = if r % 2 == 0 { t.heads } else { t.arena };
+                let addr = region.at((r >> 8) as usize % region.len());
+                let value = match w % 3 {
+                    0 => NIL,
+                    1 => (w >> 8) as Word % t.arena.len() as Word,
+                    _ => m.mem().read(addr),
+                };
+                m.s_write(addr, value);
+            };
+            let (new, old) = verdicts(&mut m, &mut t, &keys, edit).expect("healthy attempt");
+            assert!(
+                !new || old,
+                "random edit {r:#x}/{w:#x} accepted by the footprint check only"
+            );
+        }
+    }
+
+    #[test]
+    fn footprint_and_whole_table_checks_agree_on_faulted_post_states() {
+        use fol_vm::{AmalgamMode, FaultPlan};
+        let mut judged = 0;
+        for seed in [3u64, 17, 2026] {
+            let plans = [
+                FaultPlan::dropped_lanes(seed, 8000),
+                FaultPlan::torn_writes(seed, 16000, AmalgamMode::Xor),
+                FaultPlan::gather_flips(seed, 4000),
+                FaultPlan::benign(seed).with_stale_reads(8000),
+                FaultPlan::benign(seed).with_torn_gathers(8000),
+                FaultPlan::bit_rot(seed, 600),
+                FaultPlan::bit_rot(seed, 300).with_gather_flips(2000),
+            ];
+            for plan in plans {
+                let rot = plan.rot_rate_at(1) > 0;
+                let mut m = Machine::new(CostModel::unit());
+                let (mut t, _) = loaded_table(&mut m);
+                m.set_fault_plan(Some(plan));
+                for round in 0..12u64 {
+                    let keys: Vec<Word> =
+                        (0..6).map(|i| (round as Word * 31 + i * 5) % 90).collect();
+                    let mut rotted = false;
+                    let Some((new, old)) = verdicts(&mut m, &mut t, &keys, |m, _, _| {
+                        rotted = m.scrub().is_err();
+                    }) else {
+                        continue;
+                    };
+                    judged += 1;
+                    assert!(
+                        !new || old || (rot && rotted),
+                        "footprint check accepted a faulted post-state the oracle refuses"
+                    );
+                    assert!(
+                        new || !old,
+                        "footprint check refused a post-state the oracle accepts (an extra retry)"
+                    );
+                }
+            }
+        }
+        assert!(
+            judged > 50,
+            "too few post-states survived the faults: {judged}"
+        );
     }
 }

@@ -271,10 +271,64 @@ fn default_budget(table: Region, keys: &[Word]) -> usize {
     2 * table.len() + keys.len()
 }
 
+/// The post-condition of one insert attempt, checked from the open
+/// transaction's journal at a cost proportional to the batch: every
+/// journaled slot either keeps its pre-image or went from [`UNENTERED`] to
+/// a batch key, the changed slots hold exactly `keys`, and each key is
+/// found by its probe walk, which reads only the slots it probes.
+///
+/// Equivalence with the whole-table check ([`whole_table_accepts`]): slots
+/// no store reached are unchanged, so the stored multiset is the old one
+/// plus exactly `keys`, and the probe walks are the same walks. The check
+/// is stricter only where the old one was blind, such as a reused
+/// tombstone (insertion never writes a slot it probed while occupied). On
+/// acceptance every slot it read was
+/// stored to or probed by the attempt, hence inside the footprint the
+/// pre-commit scrub verifies — no copy of the table is made.
+fn insert_landed_exactly(m: &Machine, table: Region, keys: &[Word], probe: ProbeStrategy) -> bool {
+    let Some(journal) = m.txn_journal() else {
+        return false;
+    };
+    let mem = m.mem();
+    let mut entered = Vec::with_capacity(keys.len());
+    for addr in journal.addrs().filter(|&a| table.contains(a)) {
+        let now = mem.read(addr);
+        match journal.pre_image(addr) {
+            Some(pre) if pre == now => {}
+            Some(UNENTERED) => entered.push(now),
+            _ => return false,
+        }
+    }
+    let mut want = keys.to_vec();
+    want.sort_unstable();
+    entered.sort_unstable();
+    // The probe walks read the table in place: a view, not a copy.
+    let slots = &mem.words()[table.base()..table.base() + table.len()];
+    entered == want && keys.iter().all(|&k| contains(slots, k, probe))
+}
+
+/// The whole-table reference oracle the footprint-scoped post-condition
+/// ([`insert_landed_exactly`]) is tested against: the stored multiset of
+/// `post` equals `before` plus `keys`, and every key is reachable along its
+/// probe chain.
+#[cfg(test)]
+fn whole_table_accepts(
+    before: &[Word],
+    post: &[Word],
+    keys: &[Word],
+    probe: ProbeStrategy,
+) -> bool {
+    let mut expected = stored_keys(before);
+    expected.extend_from_slice(keys);
+    expected.sort_unstable();
+    stored_keys(post) == expected && keys.iter().all(|&k| contains(post, k, probe))
+}
+
 /// Transactional multiple insertion: every attempt runs inside a machine
 /// transaction, bounded by an iteration budget, and checked end-to-end —
 /// the stored multiset must equal the old contents plus `keys` and every
-/// key must be reachable along its probe chain. A failed attempt rolls
+/// key must be reachable along its probe chain ([`insert_landed_exactly`],
+/// which reads only what the attempt touched). A failed attempt rolls
 /// back byte-exact and escalates along the [`RetryPolicy`] ladder:
 /// `Vector` → `ForcedSequential` (one key at a time, so a masked scatter
 /// never carries two competing values and cannot tear) → `ScalarTail`
@@ -294,11 +348,8 @@ pub fn txn_insert_all(
     validate_keys(keys, table.len() as Word, probe);
     // Checksum-track the table so resident bit-rot in stored keys is caught
     // by the supervisor's pre-commit scrub, never certified as a clean
-    // insert.
+    // insert. A no-op once tracked.
     m.track_region(table);
-    let mut expected = stored_keys(&m.mem().read_region(table));
-    expected.extend_from_slice(keys);
-    expected.sort_unstable();
     let budget = default_budget(table, keys);
 
     run_transaction(m, policy, |m, mode| {
@@ -327,8 +378,7 @@ pub fn txn_insert_all(
             }
             ExecMode::ScalarTail => scalar_insert_all(m, table, keys, probe),
         };
-        let snap = m.mem().read_region(table);
-        if stored_keys(&snap) != expected || keys.iter().any(|&k| !contains(&snap, k, probe)) {
+        if !insert_landed_exactly(m, table, keys, probe) {
             return Err(FolError::PostConditionFailed {
                 what: "open addressing stored keys",
             });
@@ -1045,5 +1095,167 @@ mod tests {
             ConflictPolicy::Arbitrary(1),
         );
         assert_eq!(stored_keys(&snap).len(), 33);
+    }
+
+    /// One attempt's post-state judged by both post-conditions: runs the
+    /// vector insert of `keys` inside a transaction, lets `corrupt` edit the
+    /// post-state through the store path, and returns `(footprint check,
+    /// whole-table check)` — or `None` when the attempt itself failed. The
+    /// transaction is rolled back and rot repaired, so calls chain.
+    fn verdicts(
+        m: &mut Machine,
+        table: Region,
+        keys: &[Word],
+        corrupt: impl FnOnce(&mut Machine),
+    ) -> Option<(bool, bool)> {
+        let probe = ProbeStrategy::KeyDependent;
+        let before = m.mem().read_region(table);
+        m.begin_txn().unwrap();
+        let ran = try_vectorized_insert_all(m, table, keys, probe, default_budget(table, keys));
+        let out = ran.ok().map(|_| {
+            corrupt(m);
+            let new = insert_landed_exactly(m, table, keys, probe);
+            let old = whole_table_accepts(&before, &m.mem().read_region(table), keys, probe);
+            (new, old)
+        });
+        m.abort_txn().unwrap();
+        m.repair_from_image();
+        out
+    }
+
+    /// A 67-slot table holding 20 keys and one tombstone (slot 40), tracked.
+    fn loaded_table(m: &mut Machine) -> Region {
+        let probe = ProbeStrategy::KeyDependent;
+        let table = m.alloc(67, "table");
+        init_table(m, table);
+        let pre: Vec<Word> = (0..20).map(|i| i * 11 + 2).chain([40]).collect();
+        vectorized_insert_all(m, table, &pre, probe);
+        assert_eq!(vectorized_delete_all(m, table, &[40], probe), vec![true]);
+        m.track_region(table);
+        table
+    }
+
+    #[test]
+    fn footprint_check_accepts_only_what_the_whole_table_check_accepts() {
+        let mut m = machine();
+        let table = loaded_table(&mut m);
+        let probe = ProbeStrategy::KeyDependent;
+        // 107 hashes to the tombstone's slot 40.
+        let keys = vec![107, 300, 301];
+        let slot_of = move |m: &Machine, k: Word| {
+            (0..67)
+                .find(|&i| m.mem().read(table.at(i)) == k)
+                .expect("stored")
+        };
+        type Edit = Box<dyn Fn(&mut Machine)>;
+        let cases: Vec<(&str, Edit)> = vec![
+            ("clean", Box::new(|_| {})),
+            (
+                "overwritten stored key",
+                Box::new(move |m| {
+                    let victim = slot_of(m, 13);
+                    m.s_write(table.at(victim), 300);
+                }),
+            ),
+            (
+                "reused tombstone",
+                Box::new(move |m| {
+                    let landed = slot_of(m, 107);
+                    m.s_write(table.at(landed), UNENTERED);
+                    m.s_write(table.at(40), 107);
+                }),
+            ),
+            (
+                "key entered off its probe chain",
+                Box::new(move |m| {
+                    let landed = slot_of(m, 301);
+                    let free = (0..67)
+                        .rev()
+                        .find(|&i| m.mem().read(table.at(i)) == UNENTERED)
+                        .expect("free slot");
+                    m.s_write(table.at(landed), UNENTERED);
+                    m.s_write(table.at(free), 301);
+                }),
+            ),
+            (
+                "dropped key",
+                Box::new(move |m| {
+                    let landed = slot_of(m, 300);
+                    m.s_write(table.at(landed), UNENTERED);
+                }),
+            ),
+        ];
+        for (name, edit) in cases {
+            let (new, old) = verdicts(&mut m, table, &keys, edit).expect("healthy attempt");
+            assert!(
+                !new || old,
+                "{name}: footprint check accepted what the oracle refuses"
+            );
+            assert_eq!(new, name == "clean", "{name}");
+        }
+        assert!(
+            contains(&m.mem().read_region(table), 13, probe),
+            "rolled back"
+        );
+        // Random store-path edits of any slot.
+        let mut s = 0x2545_F491_4F6C_DD1Du64;
+        for _ in 0..400 {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            let addr = table.at((s >> 8) as usize % 67);
+            let value = [UNENTERED, TOMBSTONE, 107, 300, 301, 13][(s % 6) as usize];
+            let (new, old) = verdicts(&mut m, table, &keys, |m| m.s_write(addr, value))
+                .expect("healthy attempt");
+            assert!(
+                !new || old,
+                "random edit {s:#x} accepted by the footprint check only"
+            );
+        }
+    }
+
+    #[test]
+    fn footprint_and_whole_table_checks_agree_on_faulted_post_states() {
+        use fol_vm::{AmalgamMode, FaultPlan};
+        let mut judged = 0;
+        for seed in [3u64, 17, 2026] {
+            let plans = [
+                FaultPlan::dropped_lanes(seed, 8000),
+                FaultPlan::torn_writes(seed, 16000, AmalgamMode::Or),
+                FaultPlan::gather_flips(seed, 4000),
+                FaultPlan::benign(seed).with_stale_reads(8000),
+                FaultPlan::benign(seed).with_torn_gathers(8000),
+                FaultPlan::bit_rot(seed, 600),
+                FaultPlan::bit_rot(seed, 300).with_gather_flips(2000),
+            ];
+            for plan in plans {
+                let rot = plan.rot_rate_at(1) > 0;
+                let mut m = machine();
+                let table = loaded_table(&mut m);
+                m.set_fault_plan(Some(plan));
+                for round in 0..12 {
+                    let keys: Vec<Word> = (0..8).map(|i| 500 + round * 40 + i * 3).collect();
+                    let mut rotted = false;
+                    let Some((new, old)) = verdicts(&mut m, table, &keys, |m| {
+                        rotted = m.scrub().is_err();
+                    }) else {
+                        continue;
+                    };
+                    judged += 1;
+                    assert!(
+                        !new || old || (rot && rotted),
+                        "footprint check accepted a faulted post-state the oracle refuses"
+                    );
+                    assert!(
+                        new || !old,
+                        "footprint check refused a post-state the oracle accepts (an extra retry)"
+                    );
+                }
+            }
+        }
+        assert!(
+            judged > 50,
+            "too few post-states survived the faults: {judged}"
+        );
     }
 }

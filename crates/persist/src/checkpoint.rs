@@ -120,10 +120,11 @@ impl ImageKind for Full {
 pub type Checkpoint = Image<Full>;
 
 impl Checkpoint {
-    /// Captures the current contents of `regions` on `m`, together with
-    /// freshly recomputed digests of the machine's tracked regions — ground
-    /// truth of memory at this instant, independent of the incremental
-    /// sums (which rot can silently stale).
+    /// Captures the committed contents of `regions` on `m` (cut from the
+    /// machine's committed image, so rot its scrubs have not reached yet
+    /// never reaches disk; live memory for a region outside every tracked
+    /// one), together with digests of the tracked regions recomputed from
+    /// that image — independent of the incremental sums.
     pub fn capture(
         m: &Machine,
         regions: &[Region],
@@ -131,22 +132,13 @@ impl Checkpoint {
         counters: Vec<(String, u64)>,
         applied: Vec<u64>,
     ) -> Self {
-        let checksums = m
-            .tracked_regions()
-            .iter()
-            .map(|t| TrackedRegion {
-                name: t.name.clone(),
-                region: t.region,
-                sum: digest_words(t.region.base(), &m.mem().read_region(t.region)),
-            })
-            .collect();
         Image {
             seq,
             parent: Full,
             counters,
             applied,
-            snapshot: Snapshot::capture(m.mem(), regions),
-            checksums,
+            snapshot: m.committed_snapshot(regions),
+            checksums: committed_checksums(m, |_| true),
         }
     }
 
@@ -158,6 +150,30 @@ impl Checkpoint {
         self.snapshot.restore(m.mem_mut());
         m.resync_integrity();
     }
+}
+
+/// The tracked regions of `m` as a checksum set, each digest recomputed
+/// from the committed image when `fresh` picks the region and copied from
+/// the incremental sum otherwise.
+pub(crate) fn committed_checksums(
+    m: &Machine,
+    fresh: impl Fn(&TrackedRegion) -> bool,
+) -> Vec<TrackedRegion> {
+    m.tracked_regions()
+        .iter()
+        .map(|t| TrackedRegion {
+            name: t.name.clone(),
+            region: t.region,
+            sum: if fresh(t) {
+                let words = m
+                    .committed_words(t.region)
+                    .expect("tracked regions have an image");
+                digest_words(t.region.base(), words)
+            } else {
+                t.sum
+            },
+        })
+        .collect()
 }
 
 /// The state digest of a checksum set: XOR of the per-region digests. Two

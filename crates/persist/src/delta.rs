@@ -35,7 +35,7 @@
 //! poison the chain — the scrubber repairs the live machine, the chain
 //! keeps certifying committed state.
 
-use crate::checkpoint::{state_digest, Checkpoint, Full, Image, ImageKind};
+use crate::checkpoint::{committed_checksums, state_digest, Checkpoint, Full, Image, ImageKind};
 use crate::frame::{Dec, Enc};
 use crate::PersistError;
 use fol_vm::integrity::{digest_words, TrackedRegion};
@@ -90,7 +90,7 @@ impl DeltaCheckpoint {
     /// Captures the regions of `m` that are dirty relative to `parent_sums`
     /// (the parent generation's checksum set), using the incremental
     /// digests — O(tracked regions) to *decide*, and only the dirty
-    /// regions are rescanned and serialized.
+    /// regions are cut from the committed image, digested and serialized.
     pub fn capture(
         m: &Machine,
         seq: u64,
@@ -100,28 +100,10 @@ impl DeltaCheckpoint {
         applied: Vec<u64>,
     ) -> Self {
         let dirty = m.dirty_regions_since(parent_sums);
-        let checksums = m
-            .tracked_regions()
-            .iter()
-            .map(|t| {
-                let sum = if dirty.contains(&t.region) {
-                    digest_words(t.region.base(), &m.mem().read_region(t.region))
-                } else {
-                    // Clean ⇒ the parent recorded this exact digest (that is
-                    // the cleanliness predicate); inherit it verbatim.
-                    parent_sums
-                        .iter()
-                        .find(|p| p.region == t.region)
-                        .map(|p| p.sum)
-                        .unwrap_or(t.sum)
-                };
-                TrackedRegion {
-                    name: t.name.clone(),
-                    region: t.region,
-                    sum,
-                }
-            })
-            .collect();
+        // Clean ⇒ the parent recorded this exact digest (that is the
+        // cleanliness predicate), so the incremental sum is inherited; dirty
+        // regions are digested from the committed image they are cut from.
+        let checksums = committed_checksums(m, |t| dirty.contains(&t.region));
         Image {
             seq,
             parent: Parent {
@@ -130,7 +112,7 @@ impl DeltaCheckpoint {
             },
             counters,
             applied,
-            snapshot: Snapshot::capture(m.mem(), &dirty),
+            snapshot: m.committed_snapshot(&dirty),
             checksums,
         }
     }

@@ -18,13 +18,14 @@
 //!   linger so a lone request is never stranded), and per-request results
 //!   are demultiplexed back to their callers;
 //! * a **machine pool**: worker threads each owning a [`fol_vm::Machine`]
-//!   with tracked (checksummed) regions, a committed [`fol_vm::Snapshot`],
+//!   with tracked (checksummed) regions, the machine's committed image,
 //!   and the full recovery ladder via [`fol_core::recover::RetryPolicy`];
 //!   a panicking worker is respawned from its committed state;
-//! * **idle-time integrity**: when its lanes are empty, a worker scrubs one
-//!   tracked region per tick and repairs detected bit-rot from the
-//!   committed snapshot — corruption landing *between* bursts is caught
-//!   before the next burst can legitimize it.
+//! * **idle-time integrity**: when its lanes are empty, a worker scrubs a
+//!   bounded slice of tracked blocks per tick and repairs detected bit-rot
+//!   from the committed image. A batch that runs first cannot adopt the
+//!   rot either: its commit is certified by a scrub of every block it
+//!   touched, and rot elsewhere never reaches its result or the image.
 //!
 //! ## Quickstart
 //!

@@ -1,5 +1,5 @@
 //! The `MachinePool`: worker threads, class affinity, batch execution,
-//! committed snapshots, and panic respawn.
+//! idle scrubbing, and panic respawn.
 //!
 //! Each worker owns a whole [`Machine`] (machines are single-threaded by
 //! design — the pool parallelizes across machines, not within one), plus
@@ -13,11 +13,13 @@
 //!   writes;
 //! * **control** requests route to the owning worker of their class.
 //!
-//! After every successful mutating batch a worker recaptures its *committed
-//! snapshot* — the rollback target for both the idle scrub (resident rot)
-//! and the respawn path (a worker that panics mid-batch is replaced by a
-//! fresh machine, rebuilt with the identical allocation sequence and
-//! restored from the snapshot).
+//! A worker takes no per-batch copy of its state: the machine's own
+//! *committed image* (every tracked word as of the last commit, advanced by
+//! each commit at the cost of its write set) is the repair source for the
+//! idle scrub (resident rot), the source of checkpoint images, and the
+//! respawn path's restore target (a worker that panics mid-batch is
+//! replaced by a fresh machine, rebuilt with the identical allocation
+//! sequence and restored from the condemned machine's image).
 
 use crate::durability::{
     classify_record, decode_record, encode_complete, worker_prefix, DurRecord, REQUEST_LOG_PREFIX,
@@ -38,7 +40,7 @@ use fol_persist::{
 };
 use fol_tree::bst::{self, Bst};
 use fol_vm::integrity::TrackedRegion;
-use fol_vm::{CostModel, Machine, Region, Snapshot, Word};
+use fol_vm::{CostModel, Machine, Region, Word};
 use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -77,7 +79,6 @@ pub(crate) struct Worker {
     chain: ChainTable,
     oa_table: Option<Region>,
     bst: Option<Bst>,
-    committed: Snapshot,
     committed_chain_used: usize,
     committed_bst_used: usize,
     scrub: ScrubCursor,
@@ -144,7 +145,7 @@ fn counter_of(ckpt: &Checkpoint, name: &str) -> usize {
 
 /// Builds a worker's machine and structures. Deterministic: the respawn
 /// path relies on an identical allocation sequence yielding identical
-/// region addresses, so the committed snapshot restores into the rebuilt
+/// region addresses, so the committed image restores into the rebuilt
 /// machine unchanged.
 fn build_machine(
     cfg: &ServerConfig,
@@ -161,7 +162,7 @@ fn build_machine(
     let bst = (owner_of(WorkloadClass::Bst, cfg.workers) == id)
         .then(|| Bst::alloc(&mut m, cfg.bst_capacity));
     // Track everything up front so the idle scrub covers the whole worker
-    // even before the first transaction (which re-tracks idempotently).
+    // even before the first transaction (re-tracking is a no-op).
     m.track_region(chain.heads);
     m.track_region(chain.arena);
     m.track_region(chain.work);
@@ -175,16 +176,15 @@ fn build_machine(
     (m, chain, oa_table, bst)
 }
 
-fn capture_committed(m: &Machine) -> Snapshot {
-    let regions: Vec<Region> = m.tracked_regions().iter().map(|t| t.region).collect();
-    Snapshot::capture(m.mem(), &regions)
+fn tracked(m: &Machine) -> Vec<Region> {
+    m.tracked_regions().iter().map(|t| t.region).collect()
 }
 
 impl Worker {
     /// Builds a worker. `restored` is the newest durable checkpoint the
     /// startup scan found for this worker's prefix (restored into the fresh
-    /// machine before the first committed snapshot is taken), or `None` for
-    /// a cold start.
+    /// machine, which adopts it as its committed image), or `None` for a
+    /// cold start.
     pub(crate) fn new(
         cfg: Arc<ServerConfig>,
         shared: Arc<Shared>,
@@ -223,7 +223,6 @@ impl Worker {
                 .checkpoints_restored
                 .fetch_add(1, Ordering::Relaxed);
         }
-        let committed = capture_committed(&m);
         // Publish the (possibly checkpoint-restored) shard's content digest
         // before serving anything, so a digest request racing startup sees
         // restored keys rather than a stale zero.
@@ -253,7 +252,6 @@ impl Worker {
             chain,
             oa_table,
             bst,
-            committed,
             scrub: ScrubCursor::default(),
             dur,
         }
@@ -267,11 +265,9 @@ impl Worker {
                 Ok(batch) => self.execute(batch),
                 Err(true) => break,
                 Err(false) => {
-                    let repaired =
-                        self.scrub
-                            .slice(&mut self.m, &self.committed, &self.shared.stats);
+                    let repaired = self.scrub.slice(&mut self.m, &self.shared.stats);
                     if !repaired {
-                        self.shared.park(self.cfg.idle_tick);
+                        self.shared.park(&self.lanes, self.cfg.idle_tick);
                     }
                 }
             }
@@ -281,7 +277,7 @@ impl Worker {
 
     /// Runs one batch under a panic guard. On a clean return, per-request
     /// outcomes are demultiplexed to their callers and (for mutating kinds)
-    /// the committed snapshot is advanced. On a panic the whole machine is
+    /// the committed host-side counters are advanced. On a panic the whole machine is
     /// condemned: every request in the batch gets a typed
     /// [`ServeError::WorkerLost`] and the worker respawns from the last
     /// committed state.
@@ -295,17 +291,9 @@ impl Worker {
                 let mutating = matches!(kind, Kind::ChainInsert | Kind::OaInsert | Kind::BstInsert);
                 if mutating {
                     // Failed groups rolled back; what remains is committed
-                    // state. Rot injected via Control is deliberately NOT
-                    // recaptured (the snapshot must predate corruption).
-                    self.committed = capture_committed(&self.m);
+                    // state (the machine's image advanced with each commit).
                     self.committed_chain_used = self.chain.used_nodes;
                     self.committed_bst_used = self.bst.as_ref().map_or(0, |b| b.used);
-                    if kind == Kind::ChainInsert {
-                        // Republish this shard's digest before the batch's
-                        // callers are acknowledged (digest-after-ack
-                        // consistency for the voting layer).
-                        self.publish_chain_shard();
-                    }
                 }
                 if self.dur.is_some() {
                     // Completion records, then the batch-boundary fsync,
@@ -366,7 +354,7 @@ impl Worker {
         }
     }
 
-    /// Writes a durable generation of the (just-recaptured) committed state
+    /// Writes a durable generation of the committed state
     /// every `checkpoint_every` mutating commits. Most cadence ticks write a
     /// **delta** checkpoint — only the regions whose incremental digest
     /// moved since the parent generation — and every `full_image_every`-th
@@ -394,9 +382,7 @@ impl Worker {
                 Some(_) => dur.deltas_since_full + 1 >= dur.full_every,
             };
             let written = if full {
-                let regions: Vec<Region> =
-                    self.m.tracked_regions().iter().map(|t| t.region).collect();
-                let ckpt = Checkpoint::capture(&self.m, &regions, seq, counters, applied);
+                let ckpt = Checkpoint::capture(&self.m, &tracked(&self.m), seq, counters, applied);
                 dur.write_generation(&ckpt).map(|()| ckpt.checksums)
             } else {
                 let (parent_seq, parent_sums) = dur
@@ -484,8 +470,25 @@ impl Worker {
                     Request::ChainInsert { keys } => keys,
                     _ => unreachable!("lane routing"),
                 });
-                chaining::txn_insert_groups(&mut self.m, &mut self.chain, &groups, &self.cfg.policy)
-                    .into_iter()
+                let outs = chaining::txn_insert_groups(
+                    &mut self.m,
+                    &mut self.chain,
+                    &groups,
+                    &self.cfg.policy,
+                );
+                // Publish the landed keys before the batch's callers are
+                // acknowledged (digest-after-ack consistency for the voting
+                // layer). Each transaction's post-condition certified that
+                // the shard now holds exactly these keys plus what it held
+                // before, so appending them is the whole republish.
+                let landed: Vec<Word> = groups
+                    .iter()
+                    .zip(&outs)
+                    .filter(|(_, r)| r.is_ok())
+                    .flat_map(|(g, _)| g.iter().copied())
+                    .collect();
+                self.shared.append_chain_shard(self.id, &landed);
+                outs.into_iter()
                     .map(|r| match r {
                         Ok(rounds) => Ok(Response::ChainInserted { rounds }),
                         Err(e) => Err(serve_error(e)),
@@ -646,9 +649,11 @@ impl Worker {
         keys
     }
 
-    /// Recomputes this shard's chaining content digest from machine state
-    /// and publishes it to the shared cells, where the chain control owner
-    /// combines all shards to answer [`Request::Digest`].
+    /// Recomputes this shard's chaining contents from machine state with a
+    /// whole-table walk and publishes them to the shared cells, where the
+    /// chain control owner combines all shards to answer
+    /// [`Request::Digest`]. Start and respawn only; a batch appends what it
+    /// landed instead.
     fn publish_chain_shard(&self) {
         let keys = chaining::all_keys(&self.m, &self.chain);
         self.shared.publish_chain_shard(self.id, keys);
@@ -658,9 +663,10 @@ impl Worker {
     /// loadable checkpoint on disk, rebuilds from the newest **durable**
     /// image and redoes this worker's post-checkpoint commits from the
     /// request log — the respawned state is one a restart would also reach.
-    /// Otherwise (cold, or refused history) falls back to the in-memory
-    /// committed snapshot: rebuild with the identical allocation sequence,
-    /// restore, resync the integrity layer, reset host-side counters.
+    /// Otherwise (cold, or refused history) falls back to the condemned
+    /// machine's committed image: rebuild with the identical allocation
+    /// sequence, restore, resync the integrity layer, reset host-side
+    /// counters.
     fn respawn(&mut self) {
         if self.try_durable_respawn() {
             self.shared
@@ -668,8 +674,9 @@ impl Worker {
                 .durable_respawns
                 .fetch_add(1, Ordering::Relaxed);
         } else {
+            let committed = self.m.committed_snapshot(&tracked(&self.m));
             let (mut m, mut chain, oa_table, mut bst) = build_machine(&self.cfg, self.id);
-            self.committed.restore(m.mem_mut());
+            committed.restore(m.mem_mut());
             m.resync_integrity();
             chain.used_nodes = self.committed_chain_used;
             if let Some(b) = &mut bst {
@@ -687,7 +694,7 @@ impl Worker {
     }
 
     /// The durable half of [`Worker::respawn`]. Returns `false` (caller
-    /// falls back to the in-memory snapshot) when durability is off, no
+    /// falls back to the in-memory committed image) when durability is off, no
     /// generation chain verifies, the log cannot be read back, or any
     /// redone request is missing its admission record.
     fn try_durable_respawn(&mut self) -> bool {
@@ -755,7 +762,6 @@ impl Worker {
         for (_, request) in &redo {
             self.redo(request);
         }
-        self.committed = capture_committed(&self.m);
         self.committed_chain_used = self.chain.used_nodes;
         self.committed_bst_used = self.bst.as_ref().map_or(0, |b| b.used);
         if let Some(dur) = &mut self.dur {
@@ -807,7 +813,10 @@ impl Worker {
         }
     }
 
-    fn dumps(&self) -> Vec<ClassDump> {
+    fn dumps(&mut self) -> Vec<ClassDump> {
+        // Rot the idle scrub has not reached yet is repaired first, so the
+        // dump is the committed state.
+        self.m.repair_from_image();
         let mut out = vec![ClassDump {
             class: WorkloadClass::Chain,
             worker: self.id,

@@ -163,7 +163,7 @@ pub struct StatsSnapshot {
     pub scrub_slices: u64,
     /// Resident corruption events detected by the idle scrub.
     pub rot_detected: u64,
-    /// Corruption events repaired from the committed snapshot.
+    /// Corruption events repaired from the committed image.
     pub rot_repaired: u64,
     /// Records appended to the write-ahead request log (admissions plus
     /// completions). Zero when the server runs without durability.
@@ -181,7 +181,7 @@ pub struct StatsSnapshot {
     pub checkpoints_refused: u64,
     /// Panic respawns that rebuilt from the newest durable checkpoint plus
     /// a log redo (the remainder of [`StatsSnapshot::respawns`] fell back
-    /// to the in-memory committed snapshot).
+    /// to the condemned machine's committed image).
     pub durable_respawns: u64,
     /// Delta (incremental) checkpoints written by pool workers — the
     /// remainder of the cadence ticks wrote full images, counted in
@@ -300,16 +300,29 @@ impl Shared {
         }
     }
 
-    /// Publishes worker `id`'s chaining-shard contents. Called with the
-    /// post-commit shard keys before the batch's callers are acknowledged,
-    /// so any acknowledged insert is visible to a later
-    /// [`Shared::chain_digest`] or [`Shared::chain_keys`].
+    /// Publishes worker `id`'s whole chaining-shard contents (at start,
+    /// restore and respawn).
     pub(crate) fn publish_chain_shard(&self, id: usize, keys: Vec<fol_vm::Word>) {
         let mut g = self
             .chain_shards
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         g[id] = keys;
+    }
+
+    /// Appends the keys one batch landed to worker `id`'s published cell.
+    /// Called before the batch's callers are acknowledged, so any
+    /// acknowledged insert is visible to a later [`Shared::chain_digest`]
+    /// or [`Shared::chain_keys`].
+    pub(crate) fn append_chain_shard(&self, id: usize, keys: &[fol_vm::Word]) {
+        if keys.is_empty() {
+            return;
+        }
+        let mut g = self
+            .chain_shards
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        g[id].extend_from_slice(keys);
     }
 
     /// The whole chaining table's logical content digest: the commutative
@@ -597,12 +610,25 @@ impl Shared {
         Err(false)
     }
 
-    /// Parks the calling worker until new work may exist or `tick` passes.
-    pub(crate) fn park(&self, tick: Duration) {
+    /// Parks the calling worker until new work may exist: a submission's
+    /// notification, the earliest linger deadline among the lanes it
+    /// serves, or `tick`, whichever comes first. The lanes are re-checked
+    /// under the queue lock first, so a submission that landed after the
+    /// worker's last [`Shared::next_batch`] is never slept through.
+    pub(crate) fn park(&self, lanes_served: &[usize], tick: Duration) {
         let g = self.lock();
+        let now = Instant::now();
+        if g.shutdown || lanes_served.iter().any(|&l| self.lane_ready(&g, l, now)) {
+            return;
+        }
+        let wait = lanes_served
+            .iter()
+            .flat_map(|&l| g.lanes[l].iter())
+            .map(|p| self.max_wait.saturating_sub(now.duration_since(p.enqueued)))
+            .fold(tick, Duration::min);
         let _ = self
             .work_cv
-            .wait_timeout(g, tick)
+            .wait_timeout(g, wait)
             .unwrap_or_else(PoisonError::into_inner);
     }
 }
@@ -702,6 +728,48 @@ mod tests {
             .expect("flushed by drain");
         assert_eq!(b.items.len(), 1);
         assert_eq!(s.next_batch(&[LANE_CHAIN_INSERT]), Err(true), "drained");
+    }
+
+    #[test]
+    fn park_never_sleeps_through_a_submission_or_its_linger_deadline() {
+        let tick = Duration::from_secs(5);
+        // Ready at once (zero linger): the submission lands between the
+        // empty drain and the park, whose notification nobody heard.
+        let s = shared();
+        assert!(s.next_batch(&[LANE_CHAIN_INSERT]).is_err());
+        let _t = s
+            .submit(
+                Request::ChainInsert { keys: vec![1] },
+                Priority::Normal,
+                None,
+            )
+            .unwrap();
+        let start = Instant::now();
+        s.park(&[LANE_CHAIN_INSERT], tick);
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            start.elapsed()
+        );
+        // Lingering: park wakes at the lane's linger deadline, not the tick.
+        let s = Shared::new(4, 8, Duration::from_millis(30), None, 1);
+        assert!(s.next_batch(&[LANE_CHAIN_INSERT]).is_err());
+        let _t = s
+            .submit(
+                Request::ChainInsert { keys: vec![1] },
+                Priority::Normal,
+                None,
+            )
+            .unwrap();
+        let start = Instant::now();
+        while s.next_batch(&[LANE_CHAIN_INSERT]).is_err() {
+            s.park(&[LANE_CHAIN_INSERT], tick);
+        }
+        assert!(
+            start.elapsed() < Duration::from_millis(500),
+            "{:?}",
+            start.elapsed()
+        );
     }
 
     impl PartialEq for Batch {

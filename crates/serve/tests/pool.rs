@@ -107,7 +107,7 @@ fn poison_pill_respawns_worker_from_committed_state() {
         Ok(Response::OaLookedUp {
             found: vec![true, true, false]
         }),
-        "open-addressing contents survived the panic via the committed snapshot"
+        "open-addressing contents survived the panic via the committed image"
     );
     let stats = server.stats();
     assert_eq!(stats.respawns, 1);

@@ -8,13 +8,22 @@
 //! memory layer itself rather than bolted onto each workload:
 //!
 //! * **Incremental checksums** — the machine keeps one 64-bit XOR-of-hashes
-//!   digest per *tracked* region ([`crate::Machine::track_region`]),
-//!   updated on every instruction-level store in O(1). Because the digest
-//!   is an XOR over `mix(addr, word)` terms, a store updates it as
-//!   `sum ^= mix(a, old) ^ mix(a, new)` with no rescan. Bit-rot bypasses
-//!   the store path by construction, so the incremental digest silently
-//!   goes stale — which is exactly what [`crate::Machine::scrub`] detects
-//!   by recomputing digests from memory and comparing.
+//!   digest per *tracked* region ([`crate::Machine::track_region`]), and
+//!   beside it one digest per [`BLOCK_WORDS`]-word block, both updated on
+//!   every instruction-level store in O(1). Because a digest is an XOR over
+//!   `mix(addr, word)` terms, a store updates it as
+//!   `sum ^= mix(a, old) ^ mix(a, new)` with no rescan, and the region
+//!   digest is always the XOR of its block digests. Bit-rot bypasses the
+//!   store path by construction, so the incremental digests silently go
+//!   stale — which is exactly what [`crate::Machine::scrub`] (every block)
+//!   and [`crate::Machine::scrub_footprint`] (only the blocks the open
+//!   transaction stored to or read) detect by recomputing digests from
+//!   memory and comparing.
+//! * **The committed image** — the machine also keeps a copy of every
+//!   tracked word as of the last commit. Repair
+//!   ([`crate::Machine::repair_from_image`], [`crate::Machine::scrub_blocks`])
+//!   restores rotted blocks from it, and checkpoint images are cut from it,
+//!   so a word rot changed is never adopted as committed state.
 //! * **The ELS auditor** ([`ElsAuditor`]) — a round-boundary referee for
 //!   FOL's scatter→gather handshake. Before a label scatter, the executor
 //!   notes the set of competing labels per target address; at the paired
@@ -33,6 +42,15 @@ use crate::fault::hash3;
 use crate::memory::{Addr, Region};
 use crate::vreg::Word;
 use std::collections::HashMap;
+
+/// Words per integrity block: the unit of the block digests, of the
+/// footprint a transaction records and of repair from the committed image.
+/// A transaction's scattered stores touch up to one block per key, so the
+/// footprint scrub costs `O(keys × BLOCK_WORDS)` whatever the structure's
+/// size; small blocks keep that term below the FOL body it guards, while
+/// the per-block bookkeeping (one digest, one footprint bit) stays
+/// negligible against the words themselves.
+pub const BLOCK_WORDS: usize = 32;
 
 /// One term of a region digest: a seeded avalanche of `(addr, word)`.
 /// Position-dependent, so swapping two cells' contents changes the digest.
@@ -62,11 +80,13 @@ pub enum IntegrityError {
     ChecksumMismatch {
         /// Name of the allocation the region belongs to.
         region: String,
-        /// Base address of the tracked region.
+        /// Base address of the checked range: the tracked region for a
+        /// full [`crate::Machine::scrub`], one block for a footprint scrub.
         base: Addr,
-        /// Length of the tracked region in words.
+        /// Length of the checked range in words.
         len: usize,
-        /// The incrementally maintained digest (what memory *should* hold).
+        /// The incrementally maintained digest of the range (what memory
+        /// *should* hold).
         expected: u64,
         /// The digest recomputed from memory (what it actually holds).
         actual: u64,
@@ -313,8 +333,86 @@ pub struct TrackedRegion {
     pub name: String,
     /// The tracked region.
     pub region: Region,
-    /// The incremental XOR-of-[`mix`] digest.
+    /// The incremental XOR-of-[`mix`] digest (the XOR of the region's
+    /// block digests).
     pub sum: u64,
+}
+
+/// What one bounded scrub pass ([`crate::Machine::scrub_blocks`]) did.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BlockScrub {
+    /// Blocks verified.
+    pub checked: usize,
+    /// Blocks whose digest mismatched and were restored from the
+    /// committed image.
+    pub repaired: usize,
+    /// The cursor to resume from on the next pass.
+    pub next: usize,
+}
+
+/// The private half of a tracked region: its block digests, its committed
+/// image, and the footprint bits of the open transaction.
+#[derive(Clone, Debug)]
+pub(crate) struct RegionGuard {
+    /// One XOR-of-[`mix`] digest per [`BLOCK_WORDS`]-word block.
+    pub(crate) blocks: Vec<u64>,
+    /// Every word of the region as of the last commit.
+    pub(crate) image: Vec<Word>,
+    /// One bit per block: set while the open transaction's footprint
+    /// holds the block.
+    pub(crate) touched: Vec<u64>,
+}
+
+impl RegionGuard {
+    /// Digests and images `words`, the current contents of a region
+    /// based at `base`.
+    pub(crate) fn new(base: Addr, words: &[Word]) -> Self {
+        let blocks = block_digests(base, words);
+        let touched = vec![0; blocks.len().div_ceil(64)];
+        Self {
+            blocks,
+            image: words.to_vec(),
+            touched,
+        }
+    }
+
+    /// The region digest: the XOR of the block digests.
+    pub(crate) fn sum(&self) -> u64 {
+        self.blocks.iter().fold(0, |acc, &b| acc ^ b)
+    }
+
+    /// Adds block `b` to the footprint.
+    #[inline]
+    pub(crate) fn touch(&mut self, b: usize) {
+        self.touched[b / 64] |= 1u64 << (b % 64);
+    }
+
+    /// The footprint's blocks, ascending.
+    pub(crate) fn touched_blocks(&self) -> impl Iterator<Item = usize> + '_ {
+        self.touched.iter().enumerate().flat_map(|(w, &bits)| {
+            let mut rest = bits;
+            std::iter::from_fn(move || {
+                let i = (rest != 0).then(|| rest.trailing_zeros() as usize)?;
+                rest &= rest - 1;
+                Some(w * 64 + i)
+            })
+        })
+    }
+}
+
+/// The word range of block `b` in a region of `len` words.
+#[inline]
+pub(crate) fn block_range(b: usize, len: usize) -> std::ops::Range<usize> {
+    b * BLOCK_WORDS..((b + 1) * BLOCK_WORDS).min(len)
+}
+
+/// The block digests of `words`, a region based at `base`.
+pub(crate) fn block_digests(base: Addr, words: &[Word]) -> Vec<u64> {
+    words
+        .chunks(BLOCK_WORDS)
+        .enumerate()
+        .map(|(b, chunk)| digest_words(base + b * BLOCK_WORDS, chunk))
+        .collect()
 }
 
 #[cfg(test)]

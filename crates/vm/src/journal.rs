@@ -8,7 +8,8 @@
 //! first write (later writes to the same address keep the original
 //! pre-image). [`crate::Machine::abort_txn`] replays the pre-images,
 //! restoring memory byte-exact to its state at `begin_txn`;
-//! [`crate::Machine::commit_txn`] discards them.
+//! [`crate::Machine::commit_txn`] discards them after folding each address's
+//! last stored word into the machine's committed image.
 //!
 //! The journal is a *logical undo log of first writes*, the privatize-then-
 //! reconcile structure of restartable parallel updates: the cost of an
@@ -138,11 +139,13 @@ impl Snapshot {
 ///
 /// Records, for every address stored to while the transaction is open, the
 /// word that was there *before the first store* — everything needed to
-/// restore memory byte-exact, and nothing more.
+/// restore memory byte-exact — and the word the *last* store wrote, which
+/// is what a commit folds into the machine's committed image.
 #[derive(Clone, Debug, Default)]
 pub struct WriteJournal {
-    /// Pre-image per touched address (first write wins).
-    pre: AddrMap<Word>,
+    /// `(pre-image, last stored word)` per touched address (the pre-image
+    /// is the first write's).
+    pre: AddrMap<(Word, Word)>,
     /// Touched addresses in first-write order, for deterministic iteration.
     order: Vec<Addr>,
     /// Total intercepted stores, including repeats to journaled addresses.
@@ -155,13 +158,22 @@ impl WriteJournal {
         Self::default()
     }
 
-    /// Records the pre-image of `addr` if this is its first write.
-    /// Called by the machine on every intercepted store.
-    pub(crate) fn note(&mut self, addr: Addr, pre_image: Word) {
+    /// Records the pre-image of `addr` if this is its first write, and
+    /// `stored` as its latest word; true on the first write. Called by the
+    /// machine on every intercepted store.
+    pub(crate) fn note(&mut self, addr: Addr, pre_image: Word, stored: Word) -> bool {
+        use std::collections::hash_map::Entry;
         self.writes += 1;
-        if let std::collections::hash_map::Entry::Vacant(e) = self.pre.entry(addr) {
-            e.insert(pre_image);
-            self.order.push(addr);
+        match self.pre.entry(addr) {
+            Entry::Vacant(e) => {
+                e.insert((pre_image, stored));
+                self.order.push(addr);
+                true
+            }
+            Entry::Occupied(mut e) => {
+                e.get_mut().1 = stored;
+                false
+            }
         }
     }
 
@@ -173,7 +185,7 @@ impl WriteJournal {
         // address appears once), but the conventional direction for an undo
         // log.
         for &addr in self.order.iter().rev() {
-            mem.write(addr, self.pre[&addr]);
+            mem.write(addr, self.pre[&addr].0);
         }
     }
 
@@ -182,7 +194,15 @@ impl WriteJournal {
     /// machine can roll back through its checksum-maintaining store path
     /// instead of writing behind the integrity layer's back.
     pub fn entries_rev(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        self.order.iter().rev().map(move |&a| (a, self.pre[&a]))
+        self.order.iter().rev().map(move |&a| (a, self.pre[&a].0))
+    }
+
+    /// The journaled `(addr, last stored word)` pairs, in no particular
+    /// order — what [`crate::Machine::commit_txn`] copies into the committed
+    /// image. The stored word, not memory, is the source: rot that struck a
+    /// journaled word after its store never reaches the image.
+    pub(crate) fn entries_stored(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
+        self.pre.iter().map(|(&a, &(_, stored))| (a, stored))
     }
 
     /// Number of distinct addresses journaled.
@@ -203,7 +223,7 @@ impl WriteJournal {
 
     /// The journaled pre-image of `addr`, if it was written.
     pub fn pre_image(&self, addr: Addr) -> Option<Word> {
-        self.pre.get(&addr).copied()
+        self.pre.get(&addr).map(|&(pre, _)| pre)
     }
 
     /// Journaled addresses in first-write order.
@@ -256,15 +276,22 @@ mod tests {
     #[test]
     fn journal_records_first_write_pre_image_only() {
         let mut j = WriteJournal::new();
-        j.note(5, 100);
-        j.note(5, 777); // second write: pre-image must stay 100
-        j.note(3, -1);
+        j.note(5, 100, 777);
+        j.note(5, 777, 8); // second write: pre-image must stay 100
+        j.note(3, -1, 0);
         assert_eq!(j.len(), 2);
         assert_eq!(j.writes(), 3);
         assert_eq!(j.pre_image(5), Some(100));
         assert_eq!(j.pre_image(3), Some(-1));
         assert_eq!(j.pre_image(4), None);
         assert_eq!(j.addrs().collect::<Vec<_>>(), vec![5, 3]);
+        let mut stored: Vec<_> = j.entries_stored().collect();
+        stored.sort_unstable();
+        assert_eq!(
+            stored,
+            vec![(3, 0), (5, 8)],
+            "the latest stored word is kept for the commit"
+        );
     }
 
     #[test]
@@ -273,9 +300,9 @@ mod tests {
         let r = mem.alloc(4, "r");
         mem.write_region(r, &[1, 2, 3, 4]);
         let mut j = WriteJournal::new();
-        j.note(r.at(1), 2);
+        j.note(r.at(1), 2, 99);
         mem.write(r.at(1), 99);
-        j.note(r.at(3), 4);
+        j.note(r.at(3), 4, 98);
         mem.write(r.at(3), 98);
         j.rollback(&mut mem);
         assert_eq!(mem.read_region(r), vec![1, 2, 3, 4]);

@@ -37,9 +37,11 @@
 //!   [`Machine::abort_txn`] restores memory byte-exact, which is what lets
 //!   the recovery supervisor in `fol-core` retry a faulted FOL round
 //!   instead of surfacing a torn result,
-//! * an **integrity layer** ([`integrity`]): per-[`Region`] incremental
-//!   checksums ([`Machine::track_region`] / [`Machine::scrub`]) that catch
-//!   resident bit-rot, and an [`ElsAuditor`] that validates each FOL round's
+//! * an **integrity layer** ([`integrity`]): per-[`Region`] and per-block
+//!   incremental checksums ([`Machine::track_region`] / [`Machine::scrub`],
+//!   and [`Machine::scrub_footprint`] over what an open transaction
+//!   touched) that catch resident bit-rot, a committed image that repairs
+//!   it, and an [`ElsAuditor`] that validates each FOL round's
 //!   gathered labels against the labels actually scattered — so a read-side
 //!   lie (gather bit-flip, stale read, torn gather) or decayed work area
 //!   surfaces as a typed [`IntegrityError`] at the round boundary instead of
@@ -88,7 +90,9 @@ pub use conflict::{AdversaryState, ConflictPolicy};
 pub use cost::{CostModel, OpKind, Stats};
 pub use fault::{AmalgamMode, FaultEvent, FaultLog, FaultPlan};
 pub use health::{LaneHealthRegistry, LaneSet, LANE_COUNT};
-pub use integrity::{digest_words, ElsAuditor, IntegrityError, TrackedRegion};
+pub use integrity::{
+    digest_words, BlockScrub, ElsAuditor, IntegrityError, TrackedRegion, BLOCK_WORDS,
+};
 pub use journal::{Snapshot, TxnError, WriteJournal};
 pub use machine::{AluOp, CmpOp, Machine, MachineTrap};
 pub use memory::{Addr, Memory, Region, SliceError};

@@ -16,8 +16,11 @@ use crate::conflict::{AdversaryState, ConflictPolicy};
 use crate::cost::{CostModel, OpKind, Stats};
 use crate::fault::{FaultEvent, FaultLog, FaultPlan};
 use crate::health::{LaneHealthRegistry, LaneSet, LANE_COUNT};
-use crate::integrity::{digest_words, mix, ElsAuditor, IntegrityError, TrackedRegion};
-use crate::journal::{TxnError, WriteJournal};
+use crate::integrity::{
+    block_range, digest_words, mix, BlockScrub, ElsAuditor, IntegrityError, RegionGuard,
+    TrackedRegion, BLOCK_WORDS,
+};
+use crate::journal::{Snapshot, TxnError, WriteJournal};
 use crate::memory::{Addr, Memory, Region};
 use crate::trace::Tracer;
 use crate::vreg::{Mask, VReg, Word};
@@ -135,6 +138,19 @@ impl CmpOp {
     }
 }
 
+/// What a tracked word change owes beyond its digests.
+#[derive(Clone, Copy)]
+enum Upkeep {
+    /// An address's first store inside a transaction: its block joins the
+    /// footprint.
+    Footprint,
+    /// A store outside a transaction: the committed image takes the word.
+    Image,
+    /// A repeated store inside a transaction (its block is already in the
+    /// footprint), or a rollback to a pre-image (the image is left alone).
+    DigestsOnly,
+}
+
 /// The simulated vector machine.
 pub struct Machine {
     mem: Memory,
@@ -160,6 +176,10 @@ pub struct Machine {
     /// Checksummed regions: incremental digests maintained by every
     /// instruction-level store, verified by [`Machine::scrub`].
     tracked: Vec<TrackedRegion>,
+    /// Per tracked region (same index): block digests, committed image
+    /// and the open transaction's footprint bits (every tracked block it
+    /// stored to or read).
+    guards: Vec<RegionGuard>,
     /// The ELS auditor, when round auditing is enabled
     /// ([`Machine::set_els_audit`]); `None` costs nothing on the hot paths.
     auditor: Option<ElsAuditor>,
@@ -197,6 +217,7 @@ impl Machine {
             health: LaneHealthRegistry::new(),
             probe_region: None,
             tracked: Vec::new(),
+            guards: Vec::new(),
             auditor: None,
             gather_seq: 0,
             stale_shadow: std::collections::HashMap::new(),
@@ -485,9 +506,22 @@ impl Machine {
     }
 
     /// Closes the open transaction keeping all writes, returning the
-    /// journal (useful for write-set statistics).
+    /// journal (useful for write-set statistics). The committed image
+    /// receives every journaled word's last stored value — a cost
+    /// proportional to the write set, not to the tracked regions.
     pub fn commit_txn(&mut self) -> Result<WriteJournal, TxnError> {
-        self.journal.take().ok_or(TxnError::NoTransaction)
+        let j = self.journal.take().ok_or(TxnError::NoTransaction)?;
+        if !self.tracked.is_empty() {
+            for (addr, w) in j.entries_stored() {
+                for (t, g) in self.tracked.iter().zip(&mut self.guards) {
+                    if t.region.contains(addr) {
+                        g.image[addr - t.region.base()] = w;
+                    }
+                }
+            }
+        }
+        self.clear_footprint();
+        Ok(j)
     }
 
     /// Closes the open transaction restoring every journaled pre-image —
@@ -503,17 +537,14 @@ impl Machine {
             // digests stay in sync with the restored pre-images. Rot that
             // struck during the transaction is *not* absorbed: its term
             // stays folded into the digest, so a post-abort scrub still
-            // reports the corruption.
+            // reports the corruption. The committed image is untouched.
             for (addr, pre) in j.entries_rev() {
                 let old = self.mem.read(addr);
-                for t in &mut self.tracked {
-                    if t.region.contains(addr) {
-                        t.sum ^= mix(addr, old) ^ mix(addr, pre);
-                    }
-                }
+                self.update_digests(addr, old, pre, Upkeep::DigestsOnly);
                 self.mem.write(addr, pre);
             }
         }
+        self.clear_footprint();
         // A rollback corroborates the fault log: lanes it has implicated
         // since their scores last decayed out get bumped towards quarantine.
         self.health.note_rollback(self.scatter_seq);
@@ -534,13 +565,13 @@ impl Machine {
                 .is_some_and(FaultPlan::needs_stale_shadow);
         if needs_old {
             let old = self.mem.read(addr);
-            if let Some(j) = &mut self.journal {
-                j.note(addr, old);
-            }
-            for t in &mut self.tracked {
-                if t.region.contains(addr) {
-                    t.sum ^= mix(addr, old) ^ mix(addr, w);
-                }
+            let upkeep = match self.journal.as_mut().map(|j| j.note(addr, old, w)) {
+                Some(true) => Upkeep::Footprint,
+                Some(false) => Upkeep::DigestsOnly,
+                None => Upkeep::Image,
+            };
+            if !self.tracked.is_empty() {
+                self.update_digests(addr, old, w, upkeep);
             }
             if self
                 .fault_plan
@@ -553,35 +584,155 @@ impl Machine {
         self.mem.write(addr, w);
     }
 
+    /// Folds one word change at `addr` into the region and block digests
+    /// of every tracked region holding it, plus the `upkeep` the change
+    /// owes beyond the digests.
+    #[inline]
+    fn update_digests(&mut self, addr: Addr, old: Word, new: Word, upkeep: Upkeep) {
+        let d = mix(addr, old) ^ mix(addr, new);
+        for (t, g) in self.tracked.iter_mut().zip(&mut self.guards) {
+            if !t.region.contains(addr) {
+                continue;
+            }
+            let off = addr - t.region.base();
+            let b = off / BLOCK_WORDS;
+            t.sum ^= d;
+            g.blocks[b] ^= d;
+            match upkeep {
+                Upkeep::Footprint => g.touch(b),
+                Upkeep::Image => g.image[off] = new,
+                Upkeep::DigestsOnly => {}
+            }
+        }
+    }
+
+    /// True when reads must join a footprint: a transaction is open and
+    /// something is tracked.
+    #[inline]
+    fn recording(&self) -> bool {
+        self.journal.is_some() && !self.tracked.is_empty()
+    }
+
+    /// Adds the tracked blocks overlapping `[lo, lo + len)` to the open
+    /// transaction's footprint.
+    fn note_read_span(&mut self, lo: Addr, len: usize) {
+        if len == 0 || !self.recording() {
+            return;
+        }
+        for (t, g) in self.tracked.iter().zip(&mut self.guards) {
+            let r = t.region;
+            let (a, b) = (lo.max(r.base()), (lo + len).min(r.base() + r.len()));
+            if a < b {
+                for blk in (a - r.base()) / BLOCK_WORDS..=(b - 1 - r.base()) / BLOCK_WORDS {
+                    g.touch(blk);
+                }
+            }
+        }
+    }
+
+    /// Adds the tracked blocks a gather of `idx` from `region` read to the
+    /// footprint. A dense gather — at least as many indices as the region
+    /// spans blocks — marks the whole span instead of each index: a
+    /// superset, so the footprint scrub checks a little more, never less.
+    fn note_gather(&mut self, region: Region, idx: &[Word]) {
+        if !self.recording() {
+            return;
+        }
+        if idx.len() >= region.len().div_ceil(BLOCK_WORDS) {
+            self.note_read_span(region.base(), region.len());
+            return;
+        }
+        for (t, g) in self.tracked.iter().zip(&mut self.guards) {
+            for &i in idx {
+                // Gathers bounds-check their indices first, so this is exact.
+                let addr = region.base() + i as usize;
+                if t.region.contains(addr) {
+                    g.touch((addr - t.region.base()) / BLOCK_WORDS);
+                }
+            }
+        }
+    }
+
+    fn clear_footprint(&mut self) {
+        for g in &mut self.guards {
+            g.touched.fill(0);
+        }
+    }
+
+    /// The open transaction's footprint as `(tracked index, block)` pairs.
+    fn footprint(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.guards
+            .iter()
+            .enumerate()
+            .flat_map(|(i, g)| g.touched_blocks().map(move |b| (i, b)))
+    }
+
+    /// The digest memory holds for block `b` of tracked region `i`.
+    fn block_digest_of_memory(&self, i: usize, b: usize) -> u64 {
+        let r = self.tracked[i].region;
+        let range = block_range(b, r.len());
+        let base = r.base() + range.start;
+        digest_words(base, &self.mem.words()[base..base + range.len()])
+    }
+
+    /// Restores block `b` of tracked region `i` from the committed image
+    /// and recomputes its digest.
+    fn repair_block(&mut self, i: usize, b: usize) {
+        let r = self.tracked[i].region;
+        let range = block_range(b, r.len());
+        let base = r.base() + range.start;
+        let g = &mut self.guards[i];
+        let words = &g.image[range.clone()];
+        self.mem.words_mut()[base..base + range.len()].copy_from_slice(words);
+        let fresh = digest_words(base, words);
+        self.tracked[i].sum ^= g.blocks[b] ^ fresh;
+        g.blocks[b] = fresh;
+    }
+
     // ------------------------------------------------------------------
     // Integrity: checksummed regions, scrub, ELS audit
     // ------------------------------------------------------------------
 
-    /// Starts (or refreshes) checksum tracking for `region`: the machine
-    /// maintains an incremental digest of its contents on every
-    /// instruction-level store, in O(1) per store. Tracking a region also
-    /// exposes it to the fault plan's bit-rot — resident decay strikes the
-    /// memory the integrity layer claims to protect, which is exactly the
-    /// adversary [`Machine::scrub`] exists to catch.
+    /// Starts checksum tracking for `region`: the machine maintains an
+    /// incremental digest of its contents, and one per
+    /// [`BLOCK_WORDS`]-word block, on every instruction-level store in
+    /// O(1) per store, and copies the current contents into its committed
+    /// image. Tracking a region also exposes it to the fault plan's bit-rot
+    /// — resident decay strikes the memory the integrity layer claims to
+    /// protect, which is exactly the adversary [`Machine::scrub`] exists to
+    /// catch.
     ///
-    /// Re-tracking an already-tracked region resynchronizes its digest to
-    /// the current memory contents. Like journaling, integrity upkeep is a
-    /// recovery mechanism, not a simulated instruction: no cycles are
-    /// charged (its real cost is priced by the `integrity` bench).
+    /// Re-tracking an already-tracked region recomputes nothing: a rescan
+    /// would adopt whatever memory holds, rot included. Like journaling,
+    /// integrity upkeep is a recovery mechanism, not a simulated
+    /// instruction: no cycles are charged (its real cost is priced by the
+    /// `integrity` bench).
+    ///
+    /// # Panics
+    /// Panics inside a transaction: tracking happens between transactions,
+    /// so the committed image never holds an uncommitted word.
     pub fn track_region(&mut self, region: Region) {
-        let name = self.mem.name_of(region).unwrap_or("(untitled)").to_string();
-        let sum = digest_words(region.base(), &self.mem.read_region(region));
-        if let Some(t) = self.tracked.iter_mut().find(|t| t.region == region) {
-            t.sum = sum;
-            t.name = name;
-        } else {
-            self.tracked.push(TrackedRegion { name, region, sum });
+        assert!(
+            !self.in_txn(),
+            "track_region: regions are tracked between transactions"
+        );
+        if self.tracked.iter().any(|t| t.region == region) {
+            return;
         }
+        let name = self.mem.name_of(region).unwrap_or("(untitled)").to_string();
+        let guard = RegionGuard::new(
+            region.base(),
+            &self.mem.words()[region.base()..region.base() + region.len()],
+        );
+        let sum = guard.sum();
+        self.tracked.push(TrackedRegion { name, region, sum });
+        self.guards.push(guard);
     }
 
-    /// Stops tracking every region (digests are discarded).
+    /// Stops tracking every region (digests and images are discarded).
     pub fn untrack_all(&mut self) {
         self.tracked.clear();
+        self.guards.clear();
     }
 
     /// The tracked regions whose contents have (detectably) changed since
@@ -619,20 +770,47 @@ impl Machine {
             .map(|t| t.sum)
     }
 
-    /// Walks every tracked region, recomputing its digest from memory and
-    /// comparing against the incrementally maintained one. A divergence
-    /// means something wrote to memory behind the store path — bit-rot, by
-    /// construction — and is reported as a typed
+    /// Walks every block of every tracked region, recomputing its digest
+    /// from memory and comparing against the incrementally maintained one.
+    /// A divergence means something wrote to memory behind the store path —
+    /// bit-rot, by construction — and is reported as a typed
     /// [`IntegrityError::ChecksumMismatch`] naming the region.
     pub fn scrub(&self) -> Result<(), IntegrityError> {
-        for t in &self.tracked {
-            let actual = digest_words(t.region.base(), &self.mem.read_region(t.region));
-            if actual != t.sum {
+        for (i, (t, g)) in self.tracked.iter().zip(&self.guards).enumerate() {
+            let clean =
+                (0..g.blocks.len()).all(|b| self.block_digest_of_memory(i, b) == g.blocks[b]);
+            if !clean {
                 return Err(IntegrityError::ChecksumMismatch {
                     region: t.name.clone(),
                     base: t.region.base(),
                     len: t.region.len(),
                     expected: t.sum,
+                    actual: digest_words(t.region.base(), &self.mem.read_region(t.region)),
+                });
+            }
+        }
+        Ok(())
+    }
+
+    /// Verifies only the open transaction's footprint: every tracked block
+    /// it stored to or read (through `gather`, `vload`, `s_read` and their
+    /// variants). What an attempt commits depends on nothing else, so this
+    /// is the pre-commit check at a cost proportional to the attempt, not
+    /// to the tracked regions. Rot elsewhere is left for [`Machine::scrub`]
+    /// (or the next transaction whose footprint reaches it). The error
+    /// names the first mismatching block. `Ok` outside a transaction.
+    pub fn scrub_footprint(&self) -> Result<(), IntegrityError> {
+        for (i, b) in self.footprint() {
+            let actual = self.block_digest_of_memory(i, b);
+            let expected = self.guards[i].blocks[b];
+            if actual != expected {
+                let t = &self.tracked[i];
+                let range = block_range(b, t.region.len());
+                return Err(IntegrityError::ChecksumMismatch {
+                    region: t.name.clone(),
+                    base: t.region.base() + range.start,
+                    len: range.len(),
+                    expected,
                     actual,
                 });
             }
@@ -640,13 +818,112 @@ impl Machine {
         Ok(())
     }
 
-    /// Resynchronizes every tracked digest to the current memory contents —
-    /// the accept-what-is step after an external repair (e.g. a supervisor
-    /// restoring a snapshot over rotted cells).
-    pub fn resync_integrity(&mut self) {
-        for t in &mut self.tracked {
-            t.sum = digest_words(t.region.base(), &self.mem.read_region(t.region));
+    /// Blocks in the open transaction's footprint (0 outside one).
+    #[cfg(test)]
+    fn footprint_blocks(&self) -> usize {
+        self.footprint().count()
+    }
+
+    /// Restores every block whose digest mismatches from the committed
+    /// image and recomputes its digest; returns the number of blocks
+    /// repaired. Afterwards [`Machine::scrub`] is clean and every tracked
+    /// word equals the committed image.
+    ///
+    /// # Panics
+    /// Panics inside a transaction (the image lags the open transaction's
+    /// stores, so restoring from it would undo them).
+    pub fn repair_from_image(&mut self) -> usize {
+        let total: usize = self.guards.iter().map(|g| g.blocks.len()).sum();
+        self.scrub_blocks(0, total).repaired
+    }
+
+    /// One bounded scrub pass: verifies `count` blocks starting at
+    /// `cursor` (an index into every tracked block, region after region,
+    /// wrapping) and repairs each mismatching one from the committed image.
+    /// The idle scrubber's unit of work — bounded, so a burst that arrives
+    /// mid-pass never waits for a whole region.
+    ///
+    /// # Panics
+    /// Panics inside a transaction, like [`Machine::repair_from_image`].
+    pub fn scrub_blocks(&mut self, cursor: usize, count: usize) -> BlockScrub {
+        assert!(
+            !self.in_txn(),
+            "scrub_blocks: repair runs between transactions"
+        );
+        let total: usize = self.guards.iter().map(|g| g.blocks.len()).sum();
+        let mut out = BlockScrub::default();
+        if total == 0 {
+            return out;
         }
+        let mut pos = cursor % total;
+        for _ in 0..count.min(total) {
+            let (mut i, mut b) = (0, pos);
+            while b >= self.guards[i].blocks.len() {
+                b -= self.guards[i].blocks.len();
+                i += 1;
+            }
+            out.checked += 1;
+            if self.block_digest_of_memory(i, b) != self.guards[i].blocks[b] {
+                self.repair_block(i, b);
+                out.repaired += 1;
+            }
+            pos = (pos + 1) % total;
+        }
+        out.next = pos;
+        out
+    }
+
+    /// Resynchronizes every tracked digest, and the committed image, to the
+    /// current memory contents — the accept-what-is step after an external
+    /// restore (a checkpoint or snapshot written over the regions).
+    ///
+    /// # Panics
+    /// Panics inside a transaction: the image must never hold an
+    /// uncommitted word.
+    pub fn resync_integrity(&mut self) {
+        assert!(
+            !self.in_txn(),
+            "resync_integrity: the committed image is refreshed between transactions"
+        );
+        for (t, g) in self.tracked.iter_mut().zip(&mut self.guards) {
+            let r = t.region;
+            *g = RegionGuard::new(r.base(), &self.mem.words()[r.base()..r.base() + r.len()]);
+            t.sum = g.sum();
+        }
+    }
+
+    /// The committed image of `region` — its words as of the last commit
+    /// (or the last store outside a transaction) — when it lies inside a
+    /// tracked region; `None` otherwise.
+    pub fn committed_words(&self, region: Region) -> Option<&[Word]> {
+        self.tracked
+            .iter()
+            .zip(&self.guards)
+            .find(|(t, _)| {
+                t.region.contains(region.base())
+                    && region.base() + region.len() <= t.region.base() + t.region.len()
+            })
+            .map(|(t, g)| {
+                let off = region.base() - t.region.base();
+                &g.image[off..off + region.len()]
+            })
+    }
+
+    /// A [`Snapshot`] of `regions` cut from the committed image (live
+    /// memory for a region outside every tracked one). Rot the footprint
+    /// scrub has not reached yet is not in it.
+    pub fn committed_snapshot(&self, regions: &[Region]) -> Snapshot {
+        Snapshot::from_parts(
+            regions
+                .iter()
+                .map(|&r| {
+                    let words = self
+                        .committed_words(r)
+                        .map_or_else(|| self.mem.read_region(r), <[Word]>::to_vec);
+                    (r, words)
+                })
+                .collect(),
+        )
     }
 
     /// A digest of current memory *contents* for replay voting: recomputed
@@ -880,6 +1157,7 @@ impl Machine {
     pub fn vload(&mut self, region: Region, offset: usize, n: usize) -> VReg {
         let r = self.checked_slice("vload", region, offset, n);
         self.charge_vector(OpKind::VLoad, n);
+        self.note_read_span(r.base(), r.len());
         VReg::from_vec(self.mem.read_region(r))
     }
 
@@ -945,9 +1223,11 @@ impl Machine {
             assert!(last < region.len(), "strided load overruns {region:?}");
         }
         self.charge_vector(OpKind::VLoad, n);
-        (0..n)
-            .map(|i| self.mem.read(region.base() + offset + i * stride))
-            .collect()
+        let base = region.base() + offset;
+        for i in 0..n {
+            self.note_read_span(base + i * stride, 1);
+        }
+        (0..n).map(|i| self.mem.read(base + i * stride)).collect()
     }
 
     /// Strided store: writes `v` to `region[offset]`, `region[offset+stride]`, …
@@ -991,10 +1271,13 @@ impl Machine {
                 // over the region's word window (bounds reported exactly
                 // like the addressed path).
                 let words = &self.mem.words()[region.base()..region.base() + region.len()];
-                return VReg::from_vec(self.engine.gather(words, region, idx.as_slice()));
+                let out = VReg::from_vec(self.engine.gather(words, region, idx.as_slice()));
+                self.note_gather(region, idx.as_slice());
+                return out;
             }
         };
         let addrs: Vec<Addr> = idx.iter().map(|i| Self::region_addr(region, i)).collect();
+        self.note_gather(region, idx.as_slice());
         let mut out: Vec<Word> = addrs.iter().map(|&a| self.mem.read(a)).collect();
         let truth = out.clone();
         for lane in 0..out.len() {
@@ -1517,6 +1800,7 @@ impl Machine {
     #[track_caller]
     pub fn s_read(&mut self, addr: Addr) -> Word {
         self.charge_scalar(OpKind::SLoad, 1);
+        self.note_read_span(addr, 1);
         self.mem.read(addr)
     }
 
@@ -1532,6 +1816,7 @@ impl Machine {
     #[track_caller]
     pub fn s_read_seq(&mut self, addr: Addr) -> Word {
         self.charge_scalar(OpKind::SLoadSeq, 1);
+        self.note_read_span(addr, 1);
         self.mem.read(addr)
     }
 
@@ -2637,5 +2922,115 @@ mod tests {
         let e0 = n.content_digest();
         n.mem_mut().write(s.at(1), 9);
         assert_ne!(n.content_digest(), e0);
+    }
+
+    /// A region of `blocks` integrity blocks holding `0, 1, 2, …`, tracked.
+    fn tracked_ramp(m: &mut Machine, blocks: usize) -> Region {
+        let r = m.alloc(blocks * BLOCK_WORDS, "ramp");
+        m.mem_mut()
+            .write_region(r, &(0..r.len() as Word).collect::<Vec<_>>());
+        m.track_region(r);
+        r
+    }
+
+    #[test]
+    fn region_digest_is_the_xor_of_block_digests_on_every_store_path() {
+        let mut m = machine();
+        let r = tracked_ramp(&mut m, 4);
+        let idx = m.vimm(&[1, 40, 100, 127]);
+        let val = m.vimm(&[-1, -2, -3, -4]);
+        m.scatter(r, &idx, &val);
+        m.begin_txn().unwrap();
+        m.s_write(r.at(70), 9);
+        m.commit_txn().unwrap();
+        m.begin_txn().unwrap();
+        m.s_write(r.at(5), 11);
+        m.abort_txn().unwrap();
+        let g = &m.guards[0];
+        let from_blocks = crate::integrity::block_digests(r.base(), &m.mem().read_region(r));
+        assert_eq!(g.blocks, from_blocks, "block digests track every store");
+        assert_eq!(m.checksum_of(r), Some(g.sum()));
+        assert_eq!(g.image, m.mem().read_region(r), "image = committed memory");
+    }
+
+    #[test]
+    fn footprint_holds_stored_and_read_blocks_only() {
+        let mut m = machine();
+        let r = tracked_ramp(&mut m, 8);
+        m.begin_txn().unwrap();
+        m.s_write(r.at(3), 7); // block 0
+        let idx = m.vimm(&[2 * BLOCK_WORDS as Word + 1]);
+        let _ = m.gather(r, &idx); // block 2
+        let _ = m.vload(r, 5 * BLOCK_WORDS, 2); // block 5
+        let _ = m.s_read(r.at(7 * BLOCK_WORDS)); // block 7
+        assert_eq!(m.footprint_blocks(), 4);
+        // Rot outside the footprint is not the footprint scrub's business…
+        let w = m.mem().read(r.at(4 * BLOCK_WORDS));
+        m.mem_mut().write(r.at(4 * BLOCK_WORDS), w ^ 1);
+        assert!(m.scrub_footprint().is_ok());
+        // …rot in a block the attempt only read is.
+        let w = m.mem().read(r.at(2 * BLOCK_WORDS + 9));
+        m.mem_mut().write(r.at(2 * BLOCK_WORDS + 9), w ^ 1);
+        match m.scrub_footprint() {
+            Err(IntegrityError::ChecksumMismatch { base, len, .. }) => {
+                assert_eq!((base, len), (r.at(2 * BLOCK_WORDS), BLOCK_WORDS));
+            }
+            other => panic!("footprint scrub must name block 2: {other:?}"),
+        }
+        m.commit_txn().unwrap();
+        assert_eq!(m.footprint_blocks(), 0, "commit clears the footprint");
+        assert!(m.scrub().is_err(), "the full scrub sees both rotted blocks");
+        assert_eq!(m.repair_from_image(), 2);
+        assert!(m.scrub().is_ok());
+        let mut want: Vec<Word> = (0..r.len() as Word).collect();
+        want[3] = 7;
+        assert_eq!(
+            m.mem().read_region(r),
+            want,
+            "repair restores committed words"
+        );
+    }
+
+    #[test]
+    fn retracking_and_commit_never_adopt_rot() {
+        let mut m = machine();
+        let r = tracked_ramp(&mut m, 2);
+        let w = m.mem().read(r.at(1));
+        m.mem_mut().write(r.at(1), w ^ 4); // rot before the transaction
+        m.track_region(r); // re-tracking recomputes nothing
+        assert!(m.scrub().is_err());
+        m.begin_txn().unwrap();
+        m.s_write(r.at(40), 5);
+        // Rot strikes the stored word after its store: the commit folds the
+        // stored word, not memory, into the image.
+        m.mem_mut().write(r.at(40), 6);
+        m.commit_txn().unwrap();
+        assert_eq!(m.committed_words(r).unwrap()[1], 1);
+        assert_eq!(m.committed_words(r).unwrap()[40], 5);
+        let snap = m.committed_snapshot(&[r]);
+        assert_eq!(snap.parts()[0].1[40], 5, "snapshots are cut from the image");
+        assert_eq!(m.repair_from_image(), 2);
+        assert_eq!(m.mem().read(r.at(1)), 1);
+        assert_eq!(m.mem().read(r.at(40)), 5);
+    }
+
+    #[test]
+    fn bounded_scrub_passes_wrap_and_repair() {
+        let mut m = machine();
+        let a = tracked_ramp(&mut m, 3);
+        let b = m.alloc(BLOCK_WORDS + 1, "b");
+        m.track_region(b); // 2 blocks: 5 in total
+        let w = m.mem().read(b.at(BLOCK_WORDS));
+        m.mem_mut().write(b.at(BLOCK_WORDS), w ^ 1);
+        let first = m.scrub_blocks(0, 4);
+        assert_eq!((first.checked, first.repaired, first.next), (4, 0, 4));
+        let second = m.scrub_blocks(first.next, 4);
+        assert_eq!((second.checked, second.repaired), (4, 1));
+        assert_eq!(second.next, 3, "the cursor wraps over every tracked block");
+        assert!(m.scrub().is_ok());
+        assert_eq!(
+            m.mem().read_region(a),
+            (0..a.len() as Word).collect::<Vec<_>>()
+        );
     }
 }

@@ -796,7 +796,8 @@ fn corruption_cells_are_oracle_equal_or_typed() {
 
 /// Bit-rot exhaustion regime: rot strikes the tracked work areas behind the
 /// journal's back, so a plain rollback cannot satisfy the exhaustion
-/// contract — the supervisor's snapshot repair must. With only the `Vector`
+/// contract — the supervisor's repair from the machine's committed image
+/// must. With only the `Vector`
 /// rung available, every attempt must fail *typed* (auditor or scrub), and
 /// the workload's memory must still read back byte-exact.
 #[test]

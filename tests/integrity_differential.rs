@@ -6,12 +6,12 @@
 //! The detectors share no code: snapshots compare words, checksums compare
 //! XOR-of-`mix` digests maintained incrementally on the store path. If they
 //! ever disagree about whether a tracked region diverged, one of them is
-//! lying, and the recovery ladder's repair decisions (restore + resync) are
-//! built on sand. These tests sweep both the scatter-fault and the
+//! lying, and the recovery ladder's repair decisions (restore from the
+//! committed image) are built on sand. These tests sweep both the scatter-fault and the
 //! corruption matrices and then probe the disagreement cases directly.
 
 use fol_core::recover::RetryPolicy;
-use fol_hash::chaining::{txn_insert_all as txn_chain_insert, ChainTable};
+use fol_hash::chaining::{all_keys, txn_insert_all as txn_chain_insert, ChainTable};
 use fol_sort::dist_count::txn_sort;
 use fol_vm::{digest_words, AmalgamMode, CostModel, FaultPlan, Machine, Region, Snapshot, Word};
 
@@ -56,7 +56,9 @@ fn keys_for(seed: u64, n: usize, modulus: Word) -> Vec<Word> {
 ///
 /// 1. `scrub()` is clean — whatever the transaction outcome, the machine is
 ///    never left holding undetected divergence (commit requires a clean
-///    scrub; abort restores the snapshot and resyncs).
+///    footprint scrub, and on these tables every tracked block lies in the
+///    insert's footprint; a failed attempt repairs rotted blocks from the
+///    committed image).
 /// 2. Recomputing each tracked region's digest from memory via the public
 ///    [`digest_words`] reproduces `checksum_of` exactly — the incremental
 ///    sum maintained across every scatter/store equals the from-scratch sum.
@@ -172,4 +174,32 @@ fn resync_accepts_divergence_that_snapshots_still_see() {
         vec![a.base() + 3],
         "the snapshot must still remember the original bytes"
     );
+}
+
+/// A transaction must not adopt rot that struck before it: neither the
+/// supervisor's bracket nor the insert's region tracking may re-baseline
+/// digests over the flipped key (which would leave the scrub clean and the
+/// table holding `10` twice). The rotted block is either inside the batch's
+/// footprint (the attempt fails its footprint scrub and is repaired from the
+/// committed image before the retry) or outside it (left as a mismatch for
+/// the scrub below); either way a full scrub and repair leave the keys
+/// exact.
+#[test]
+fn a_transaction_never_adopts_rot_that_struck_before_it() {
+    let mut m = Machine::new(CostModel::unit());
+    let mut t = ChainTable::alloc(&mut m, 11, 32);
+    let policy = RetryPolicy::default();
+    txn_chain_insert(&mut m, &mut t, &[10, 11, 12, 13], &policy).expect("clean insert");
+    let key_of_node_1 = t.arena.at(2);
+    let w = m.mem().read(key_of_node_1);
+    m.mem_mut().write(key_of_node_1, w ^ 1); // 11 rots into 10
+    txn_chain_insert(&mut m, &mut t, &[20], &policy).expect("insert after rot");
+    if m.scrub().is_err() {
+        m.repair_from_image();
+    }
+    assert!(
+        m.scrub().is_ok(),
+        "repair leaves the machine checksum-clean"
+    );
+    assert_eq!(all_keys(&m, &t), vec![10, 11, 12, 13, 20]);
 }
