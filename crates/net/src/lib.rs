@@ -4,8 +4,8 @@
 //! index vectors the paper's method (filtering-overwritten-label, Kanada
 //! SC'91) needs to amortize its per-transaction overhead — but only for
 //! callers in the same process. This crate puts that serving layer behind a
-//! socket without surrendering any of its guarantees, and then replicates
-//! it:
+//! socket without surrendering any of its guarantees, and then shards and
+//! replicates it:
 //!
 //! * a **wire protocol** ([`wire`]) built from the same CRC-framed
 //!   vocabulary as the durable artifacts — a torn, bit-flipped, or
@@ -26,18 +26,20 @@
 //! * seeded **wire-fault injection** ([`WireFaultPlan`]) at the transport
 //!   seam — frame drops, delays, duplicates, byte flips, half-open tears —
 //!   so the whole stack is testable under a deterministic adversary;
-//! * a **replica set** ([`ReplicaSet`]): the same traffic driven to N
-//!   independent serving processes, acknowledged on majority, checked by
-//!   2-of-3 *content-digest* voting ([`fol_serve::Request::Digest`]), with
-//!   failover that evicts a replica on crash, repeated timeout, or digest
-//!   minority — and seeded-backoff half-open **rejoin** that ships an
-//!   evicted member its missing keys digest-verified before readmission;
-//! * a **sharded cluster** ([`ShardMap`], [`ClusterClient`]): a versioned,
-//!   epoch-stamped consistent-hash ring partitions the key space over
-//!   independent nodes; the router fans each batch to the owning nodes
-//!   *in parallel* and every mismatch between a request's epoch and a
-//!   node's installed map is a typed `WrongEpoch`/`NotOwner` refusal that
-//!   drives a map refresh, never a silent mis-route;
+//! * a **sharded, replicated cluster** ([`ShardMap`], [`ClusterClient`]):
+//!   a versioned, epoch-stamped consistent-hash ring partitions the key
+//!   space over independent nodes and gives each shard a replica group;
+//!   the router fans each batch to every live member of each request's
+//!   group *in parallel* and acknowledges on a majority of the group as
+//!   the map assigns it. A node that stops answering is evicted typed
+//!   ([`EvictReason::Unresponsive`]), shard-scoped *content-digest* voting
+//!   ([`fol_serve::Request::ShardDigest`]) evicts a divergent one
+//!   ([`EvictReason::DigestMinority`]), and [`ClusterClient::rejoin`]
+//!   ships an evicted node its missing keys and readmits it only on a
+//!   digest match. A replica set is a map with `replication = N`. Every
+//!   mismatch between a request's epoch and a node's installed map is a
+//!   typed `WrongEpoch`/`NotOwner` refusal that drives a map refresh,
+//!   never a silent mis-route;
 //! * a crash-safe **rebalance coordinator** ([`rebalance()`]):
 //!   freeze → drain → extract → digest-verify → install → advance, every
 //!   step idempotent, so a coordinator or node killed mid-handoff re-runs
@@ -49,7 +51,6 @@
 mod client;
 mod fault;
 pub mod rebalance;
-mod replica;
 mod server;
 pub mod shard;
 pub mod wire;
@@ -57,9 +58,8 @@ pub mod wire;
 pub use client::{NetClient, NetClientConfig};
 pub use fault::{FaultDecision, WireFaultPlan};
 pub use rebalance::{abort_rebalance, rebalance, MovedShard, RebalanceReport};
-pub use replica::{EvictReason, ReplicaSet, ReplicaSetConfig, ReplicaStatus};
 pub use server::{NetServer, NetServerConfig};
-pub use shard::{ClusterClient, ShardMap};
+pub use shard::{ClusterClient, EvictReason, NodeStatus, RejoinError, ShardMap};
 
 use fol_persist::PersistError;
 use fol_serve::ServeError;
@@ -106,11 +106,14 @@ pub enum NetError {
         /// How many attempts were made before giving up.
         attempts: u32,
     },
-    /// Fewer replicas than the required quorum are still live.
+    /// A replica group could not reach its quorum (a majority of the group
+    /// as the map assigns it): fewer members are live than the quorum, too
+    /// few answered `Ok`, or too few digest votes agree. Some members may
+    /// have applied the request.
     NoQuorum {
-        /// Live members.
+        /// Live members, `Ok` answers, or agreeing votes, whichever fell short.
         live: usize,
-        /// Members needed.
+        /// The group's quorum.
         need: usize,
     },
 }

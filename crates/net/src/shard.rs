@@ -1,5 +1,5 @@
 //! The cluster shard map: a consistent-hash ring with virtual nodes, and
-//! the epoch-stamped router clients use to reach the owner of every key.
+//! the epoch-stamped router clients use to reach every key's replica group.
 //!
 //! The key space is partitioned into a **fixed** number of shards by
 //! [`shard_of`] (re-exported from `fol-serve`, so router, gate and
@@ -255,21 +255,137 @@ fn assign(nodes: &[String], shards: u32, vnodes: u32, replication: u32) -> Vec<V
 }
 
 /// How many attempts [`ClusterClient::call_many`] makes per request across
-/// map refreshes before giving up with the last typed error.
+/// map refreshes before giving up with the last typed refusal.
 const ROUTE_ATTEMPTS: usize = 3;
 
-/// A map-aware cluster client: routes each request's key to the owning
-/// replica group, fans writes to every live replica, returns the primary's
-/// outcome, refreshes the map and retries on typed `WrongEpoch`/`NotOwner`
-/// refusals, and evicts (strikes out) unresponsive or digest-minority
-/// nodes — scoped: an eviction removes one node from its groups, the rest
-/// of the cluster keeps serving.
+/// One node's pipelined batch: each request with its routing shard.
+type Tagged = Vec<(Request, u32)>;
+
+/// The classes a rejoin catches up and digest-checks.
+const CLASSES: [WorkloadClass; 3] = [
+    WorkloadClass::Chain,
+    WorkloadClass::OpenAddr,
+    WorkloadClass::Bst,
+];
+
+/// Why a node was evicted from the client's replica groups.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum EvictReason {
+    /// Every answer of the node's last `max_strikes` exchanges was a
+    /// transport failure (crash, partition, or persistent timeouts).
+    Unresponsive {
+        /// The final failure, rendered.
+        last: String,
+    },
+    /// The node's shard digest disagreed with its group's majority.
+    DigestMinority {
+        /// What the node answered.
+        got: (u64, u64),
+        /// What the majority agreed on.
+        majority: (u64, u64),
+    },
+}
+
+/// One node's standing in a [`ClusterClient`]'s view.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct NodeStatus {
+    /// The node's address.
+    pub addr: String,
+    /// Consecutive all-transport-failure exchanges (reset by any answer).
+    pub strikes: u32,
+    /// Set while the node is evicted.
+    pub evicted: Option<EvictReason>,
+}
+
+/// Why [`ClusterClient::rejoin`] refused to readmit a node. The node stays
+/// evicted; every refusal is safe to retry once its cause is gone.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RejoinError {
+    /// The address is not a node of the client's map.
+    NotMember,
+    /// A probe, fetch or catch-up call failed.
+    Net(NetError),
+    /// No other live member of `shard`'s group is left to catch up from.
+    NoDonor {
+        /// The shard without a donor.
+        shard: u32,
+    },
+    /// The node holds keys the donor lacks: it acknowledged (or invented)
+    /// writes the majority never saw. Split-brain evidence, not lag.
+    Ahead {
+        /// The shard that diverged.
+        shard: u32,
+        /// The class that diverged.
+        class: WorkloadClass,
+        /// Keys the node holds beyond the donor's.
+        extra: usize,
+    },
+    /// The node lacks keys but was evicted for divergent content; merging
+    /// keys into it would launder the divergence, so its content must
+    /// converge out of band first.
+    Diverged {
+        /// The shard that diverged.
+        shard: u32,
+        /// The class that diverged.
+        class: WorkloadClass,
+        /// Keys the node lacks.
+        missing: usize,
+    },
+    /// After catch-up the node's digest still differs from the donor's.
+    DigestMismatch {
+        /// The shard that differs.
+        shard: u32,
+        /// The class that differs.
+        class: WorkloadClass,
+        /// The donor's `(digest, count)`.
+        donor: (u64, u64),
+        /// The node's `(digest, count)`.
+        node: (u64, u64),
+    },
+}
+
+impl std::fmt::Display for RejoinError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RejoinError::Net(e) => write!(f, "rejoin call failed: {e}"),
+            refusal => write!(f, "rejoin refused: {refusal:?}"),
+        }
+    }
+}
+
+impl std::error::Error for RejoinError {}
+
+impl From<NetError> for RejoinError {
+    fn from(e: NetError) -> Self {
+        RejoinError::Net(e)
+    }
+}
+
+/// The map-aware cluster client, and the one way to replicate: a replica
+/// set is a [`ShardMap`] with `replication = N`.
+///
+/// * **Quorum.** A request's quorum is a majority of its shard's replica
+///   group as the map assigns it; evictions never lower it.
+/// * **Answer.** Each request goes to every non-evicted member of its
+///   group. The caller gets the first `Ok` in group order once a quorum
+///   answered `Ok`; else an error a quorum returned identically; else
+///   [`NetError::NoQuorum`]. A group with fewer live members than its
+///   quorum is refused `NoQuorum` without being sent.
+/// * **Re-route.** Only a request every member refused with a typed
+///   `WrongEpoch`/`NotOwner` (so nothing applied it) is re-sent, after a
+///   map refresh; every other outcome is final, and ambiguous ones were
+///   already retried inside [`NetClient`] under their own sequence number.
+/// * **Strikes.** A node whose whole exchange failed in transport draws a
+///   strike and, at `max_strikes`, is evicted
+///   [`EvictReason::Unresponsive`]; [`ClusterClient::vote_shard_digest`]
+///   evicts [`EvictReason::DigestMinority`]; [`ClusterClient::rejoin`]
+///   readmits after a digest-verified catch-up.
 pub struct ClusterClient {
     cfg: NetClientConfig,
     map: ShardMap,
     conns: Vec<Option<NetClient>>,
     strikes: Vec<u32>,
-    evicted: Vec<bool>,
+    evicted: Vec<Option<EvictReason>>,
     max_strikes: u32,
     /// Times a typed stale-map refusal forced a refresh-and-retry.
     pub stale_epoch_retries: u64,
@@ -285,7 +401,7 @@ impl ClusterClient {
             map,
             conns: (0..n).map(|_| None).collect(),
             strikes: vec![0; n],
-            evicted: vec![false; n],
+            evicted: vec![None; n],
             max_strikes,
             stale_epoch_retries: 0,
         }
@@ -296,28 +412,32 @@ impl ClusterClient {
         &self.map
     }
 
-    /// Addresses currently struck out.
-    pub fn evicted_nodes(&self) -> Vec<String> {
+    /// Every node's address, strikes and eviction reason, in map order.
+    pub fn status(&self) -> Vec<NodeStatus> {
         self.map
             .nodes
             .iter()
             .enumerate()
-            .filter(|(i, _)| self.evicted[*i])
-            .map(|(_, a)| a.clone())
+            .map(|(i, addr)| NodeStatus {
+                addr: addr.clone(),
+                strikes: self.strikes[i],
+                evicted: self.evicted[i].clone(),
+            })
             .collect()
     }
 
     /// Adopts `map`, reconciling per-node state by address (a surviving
-    /// node keeps its connection and strike count across reindexing).
+    /// node keeps its connection, strikes and eviction across reindexing).
     pub fn install_map(&mut self, map: ShardMap) {
-        let mut conns: Vec<Option<NetClient>> = (0..map.nodes.len()).map(|_| None).collect();
-        let mut strikes = vec![0; map.nodes.len()];
-        let mut evicted = vec![false; map.nodes.len()];
+        let n = map.nodes.len();
+        let mut conns: Vec<Option<NetClient>> = (0..n).map(|_| None).collect();
+        let mut strikes = vec![0; n];
+        let mut evicted = vec![None; n];
         for (new_i, addr) in map.nodes.iter().enumerate() {
             if let Some(old_i) = self.map.nodes.iter().position(|a| a == addr) {
                 conns[new_i] = self.conns[old_i].take();
                 strikes[new_i] = self.strikes[old_i];
-                evicted[new_i] = self.evicted[old_i];
+                evicted[new_i] = self.evicted[old_i].take();
             }
         }
         self.map = map;
@@ -342,7 +462,7 @@ impl ClusterClient {
         let mut best: Option<ShardMap> = None;
         let mut last_err = None;
         for node in 0..self.map.nodes.len() {
-            if self.evicted[node] {
+            if self.evicted[node].is_some() {
                 continue;
             }
             match self.conn(node).fetch_map() {
@@ -367,10 +487,10 @@ impl ClusterClient {
         }
     }
 
-    /// The routing shard of a request: its first key. Multi-key requests
+    /// The routing shard of a request: its first key's. Multi-key requests
     /// must be pre-partitioned so all keys share a shard (debug-asserted);
-    /// keyless control requests route `NO_SHARD` to the primary of shard 0.
-    fn route(&self, request: &Request) -> (u32, usize) {
+    /// keyless control requests route [`NO_SHARD`].
+    fn route(&self, request: &Request) -> u32 {
         let keys: &[Word] = match request {
             Request::ChainInsert { keys }
             | Request::OaInsert { keys }
@@ -378,321 +498,407 @@ impl ClusterClient {
             | Request::BstInsert { keys } => keys,
             _ => &[],
         };
-        match keys.first() {
-            Some(&k) => {
-                let shard = self.map.shard_of_key(k);
-                debug_assert!(
-                    keys.iter().all(|&k| self.map.shard_of_key(k) == shard),
-                    "a routed request's keys must share one shard"
-                );
-                (shard, self.map.owner(shard))
-            }
-            None => (NO_SHARD, self.map.owner(0)),
+        let Some(&first) = keys.first() else {
+            return NO_SHARD;
+        };
+        let shard = self.map.shard_of_key(first);
+        debug_assert!(
+            keys.iter().all(|&k| self.map.shard_of_key(k) == shard),
+            "a routed request's keys must share one shard"
+        );
+        shard
+    }
+
+    /// A majority of `shard`'s replica group as the map assigns it. A
+    /// keyless control request needs its one answer.
+    fn quorum(&self, shard: u32) -> usize {
+        if shard == NO_SHARD {
+            1
+        } else {
+            self.map.replicas(shard).len() / 2 + 1
         }
     }
 
-    /// Routes and executes a batch: requests are grouped per owning
-    /// primary, fanned to every live replica of their shard's group, and
-    /// answered with the primary's outcome once a majority of the group
-    /// acknowledged. Typed `WrongEpoch`/`NotOwner` refusals trigger a map
-    /// refresh and re-route (up to 3 attempts); an all-dead node draws a
-    /// strike and, past `max_strikes`, is evicted from its groups.
-    ///
-    /// The per-node exchanges of one attempt run **concurrently** (one
-    /// scoped worker per involved node, each owning that node's
-    /// connection): sharding's whole throughput case is that independent
-    /// nodes mutate in parallel, and a router that visits them one after
-    /// another would serialize the cluster back into a single pipe. A
-    /// node serving several groups still sees its batches pipelined on
-    /// its one connection, in group order.
-    pub fn call_many(&mut self, requests: &[Request]) -> Vec<Result<Response, NetError>> {
-        struct Group {
-            primary: usize,
-            idxs: Vec<usize>,
-            tagged: Vec<(Request, u32)>,
-            members: Vec<usize>,
-            quorum: usize,
+    /// The non-evicted members of `shard`'s group, in group order. A
+    /// keyless request goes to the first live member of shard 0's group.
+    fn live_group(&self, shard: u32) -> Vec<usize> {
+        let group = self.map.replicas(if shard == NO_SHARD { 0 } else { shard });
+        let live = group
+            .iter()
+            .map(|&n| n as usize)
+            .filter(|&n| self.evicted[n].is_none());
+        if shard == NO_SHARD {
+            live.take(1).collect()
+        } else {
+            live.collect()
         }
+    }
+
+    /// Routes and executes a batch under the rules in the type docs.
+    ///
+    /// Each node receives one pipelined batch per attempt: every request
+    /// whose live group contains it. The per-node exchanges run
+    /// **concurrently** (one scoped worker per node, each owning that
+    /// node's connection): sharding's whole throughput case is that
+    /// independent nodes mutate in parallel, and a router that visited
+    /// them one after another would serialize the cluster into one pipe.
+    pub fn call_many(&mut self, requests: &[Request]) -> Vec<Result<Response, NetError>> {
         let mut out: Vec<Option<Result<Response, NetError>>> = vec![None; requests.len()];
-        for _attempt in 0..ROUTE_ATTEMPTS {
-            // Group unresolved requests by primary owner under the current map.
-            let mut by_primary: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (i, r) in requests.iter().enumerate() {
+        for attempt in 0..ROUTE_ATTEMPTS {
+            // (request index, shard, live group) of every request to send.
+            let mut routed: Vec<(usize, u32, Vec<usize>)> = Vec::new();
+            for (i, request) in requests.iter().enumerate() {
                 if out[i].is_some() {
                     continue;
                 }
-                let (_, primary) = self.route(r);
-                match by_primary.iter_mut().find(|(p, _)| *p == primary) {
-                    Some((_, v)) => v.push(i),
-                    None => by_primary.push((primary, vec![i])),
+                let shard = self.route(request);
+                let (group, need) = (self.live_group(shard), self.quorum(shard));
+                if group.len() < need {
+                    out[i] = Some(Err(NetError::NoQuorum {
+                        live: group.len(),
+                        need,
+                    }));
+                } else {
+                    routed.push((i, shard, group));
                 }
             }
-            if by_primary.is_empty() {
+            if routed.is_empty() {
                 break;
             }
-            let epoch = self.map.epoch;
-            let mut saw_stale = false;
-            let mut groups: Vec<Group> = Vec::with_capacity(by_primary.len());
-            for (primary, idxs) in by_primary {
-                let tagged: Vec<(Request, u32)> = idxs
-                    .iter()
-                    .map(|&i| (requests[i].clone(), self.route(&requests[i]).0))
-                    .collect();
-                // Every distinct replica of every routed shard, primary first.
-                let mut members: Vec<usize> = vec![primary];
-                for (_, shard) in &tagged {
-                    if *shard == NO_SHARD {
-                        continue;
-                    }
-                    for &r in self.map.replicas(*shard) {
-                        let r = r as usize;
-                        if !members.contains(&r) && !self.evicted[r] {
-                            members.push(r);
-                        }
-                    }
-                }
-                let quorum = members.len() / 2 + 1;
-                groups.push(Group {
-                    primary,
-                    idxs,
-                    tagged,
-                    members,
-                    quorum,
-                });
-            }
-            // One worker per involved node; each runs its groups' batches
-            // on the node's own (temporarily taken) connection.
-            let mut jobs: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (g, grp) in groups.iter().enumerate() {
-                for &m in &grp.members {
-                    if self.evicted[m] {
-                        continue;
-                    }
-                    match jobs.iter_mut().find(|(n, _)| *n == m) {
-                        Some((_, v)) => v.push(g),
-                        None => jobs.push((m, vec![g])),
+            let mut batches: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (r, (_, _, group)) in routed.iter().enumerate() {
+                for &node in group {
+                    match batches.iter_mut().find(|(n, _)| *n == node) {
+                        Some((_, rs)) => rs.push(r),
+                        None => batches.push((node, vec![r])),
                     }
                 }
             }
-            for &(n, _) in &jobs {
-                self.conn(n); // ensure the connection exists before taking it
-            }
-            let mut workers: Vec<(usize, NetClient, Vec<usize>)> = jobs
-                .into_iter()
-                .map(|(n, gs)| (n, self.conns[n].take().expect("conn ensured"), gs))
+            let tagged: Vec<(usize, Tagged)> = batches
+                .iter()
+                .map(|(node, rs)| {
+                    let batch = rs
+                        .iter()
+                        .map(|&r| (requests[routed[r].0].clone(), routed[r].1))
+                        .collect();
+                    (*node, batch)
+                })
                 .collect();
-            let groups_ref = &groups;
-            // Per node: the (group index, per-request results) of every
-            // batch that node exchanged this attempt.
-            type NodeExchanges = Vec<(usize, Vec<Result<Response, NetError>>)>;
-            let exchanged: Vec<(usize, NodeExchanges)> = std::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .iter_mut()
-                    .map(|(n, client, gs)| {
-                        let n = *n;
-                        let gs = gs.clone();
-                        scope.spawn(move || {
-                            let res: Vec<_> = gs
-                                .iter()
-                                .map(|&g| {
-                                    (g, client.call_many_tagged(&groups_ref[g].tagged, epoch))
-                                })
-                                .collect();
-                            (n, res)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("cluster fan-out worker"))
-                    .collect()
-            });
-            for (n, client, _) in workers {
-                self.conns[n] = Some(client);
-            }
-            let results_of = |node: usize, g: usize| -> Option<Vec<Result<Response, NetError>>> {
-                exchanged
-                    .iter()
-                    .find(|(n, _)| *n == node)
-                    .and_then(|(_, per_g)| per_g.iter().find(|(gi, _)| *gi == g))
-                    .map(|(_, rs)| rs.clone())
-            };
-            for (g, grp) in groups.iter().enumerate() {
-                let Group {
-                    primary,
-                    idxs,
-                    members,
-                    quorum,
-                    ..
-                } = grp;
-                let (primary, quorum) = (*primary, *quorum);
-                let mut primary_results: Option<Vec<Result<Response, NetError>>> = None;
-                let mut acks = vec![0usize; idxs.len()];
-                for &m in members {
-                    let Some(results) = results_of(m, g) else {
-                        continue; // was already evicted when the attempt launched
-                    };
-                    let all_dead = !results.is_empty() && results.iter().all(|r| r.is_err());
-                    if all_dead {
-                        self.strike(m);
-                    } else {
-                        self.strikes[m] = 0;
-                    }
-                    for (k, r) in results.iter().enumerate() {
-                        if r.is_ok() {
-                            acks[k] += 1;
-                        }
-                        if matches!(
-                            r,
-                            Err(NetError::Serve(
-                                ServeError::WrongEpoch { .. } | ServeError::NotOwner { .. }
-                            ))
-                        ) {
-                            saw_stale = true;
-                        }
-                    }
-                    if m == primary {
-                        primary_results = Some(results);
-                    }
-                }
-                let primary_results = primary_results.unwrap_or_else(|| {
-                    vec![
-                        Err(NetError::NoQuorum {
-                            live: 0,
-                            need: quorum
-                        });
-                        idxs.len()
-                    ]
-                });
-                for (k, &i) in idxs.iter().enumerate() {
-                    match &primary_results[k] {
-                        Ok(resp) => {
-                            if acks[k] >= quorum {
-                                out[i] = Some(Ok(resp.clone()));
-                            } else {
-                                out[i] = Some(Err(NetError::NoQuorum {
-                                    live: acks[k],
-                                    need: quorum,
-                                }));
-                            }
-                        }
-                        Err(NetError::Serve(
-                            e @ (ServeError::WrongEpoch { .. } | ServeError::NotOwner { .. }),
-                        )) => {
-                            // Stale map: leave unresolved for the re-route,
-                            // but remember the typed refusal as the answer
-                            // of record if retries run out.
-                            if _attempt == ROUTE_ATTEMPTS - 1 {
-                                out[i] = Some(Err(NetError::Serve(e.clone())));
-                            }
-                        }
-                        Err(e) => {
-                            if _attempt == ROUTE_ATTEMPTS - 1 {
-                                out[i] = Some(Err(e.clone()));
-                            }
-                        }
-                    }
+            let exchanged = self.exchange(tagged);
+            // Each routed request's answers, in group order.
+            let mut answers: Vec<Vec<Option<Result<Response, NetError>>>> = routed
+                .iter()
+                .map(|(_, _, group)| vec![None; group.len()])
+                .collect();
+            for ((node, rs), results) in batches.iter().zip(exchanged) {
+                self.note_exchange(*node, &results);
+                for (&r, result) in rs.iter().zip(results) {
+                    let slot = routed[r].2.iter().position(|m| m == node).expect("member");
+                    answers[r][slot] = Some(result);
                 }
             }
-            let unresolved = out.iter().any(|o| o.is_none());
-            if !unresolved {
+            let mut saw_stale = false;
+            for ((i, shard, _), answers) in routed.iter().zip(answers) {
+                let answers: Vec<Result<Response, NetError>> =
+                    answers.into_iter().map(|a| a.expect("answered")).collect();
+                if attempt + 1 < ROUTE_ATTEMPTS && answers.iter().all(is_stale_refusal) {
+                    saw_stale = true; // nothing applied it: re-route
+                } else {
+                    out[*i] = Some(settle(answers, self.quorum(*shard)));
+                }
+            }
+            if !saw_stale {
                 break;
             }
-            if saw_stale {
-                self.stale_epoch_retries += 1;
-                let _ = self.refresh_map();
-            }
+            self.stale_epoch_retries += 1;
+            let _ = self.refresh_map();
         }
         out.into_iter()
-            .map(|o| {
-                o.unwrap_or(Err(NetError::Deadline {
-                    attempts: ROUTE_ATTEMPTS as u32,
-                }))
-            })
+            .map(|o| o.expect("the last attempt settles every request"))
             .collect()
     }
 
-    fn strike(&mut self, node: usize) {
+    /// Runs one pipelined batch per node concurrently, under the current
+    /// epoch, and returns each node's answers in batch order.
+    fn exchange(&mut self, batches: Vec<(usize, Tagged)>) -> Vec<Vec<Result<Response, NetError>>> {
+        let epoch = self.map.epoch;
+        let mut workers: Vec<(usize, NetClient, Tagged)> = batches
+            .into_iter()
+            .map(|(node, batch)| {
+                self.conn(node);
+                let client = self.conns[node].take().expect("conn ensured");
+                (node, client, batch)
+            })
+            .collect();
+        let answers: Vec<Vec<Result<Response, NetError>>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = workers
+                .iter_mut()
+                .map(|(_, client, batch)| {
+                    scope.spawn(move || client.call_many_tagged(batch, epoch))
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("cluster fan-out worker"))
+                .collect()
+        });
+        for (node, client, _) in workers {
+            self.conns[node] = Some(client);
+        }
+        answers
+    }
+
+    /// Strike bookkeeping for one exchange with `node`: a strike when every
+    /// answer is a transport failure, a reset on any other answer.
+    fn note_exchange(&mut self, node: usize, results: &[Result<Response, NetError>]) {
+        let dead = !results.is_empty()
+            && results.iter().all(|r| {
+                matches!(
+                    r,
+                    Err(NetError::Io { .. }
+                        | NetError::Frame(_)
+                        | NetError::PeerRefused { .. }
+                        | NetError::Deadline { .. })
+                )
+            });
+        if !dead {
+            self.strikes[node] = 0;
+            return;
+        }
         self.strikes[node] = self.strikes[node].saturating_add(1);
-        if self.max_strikes > 0 && self.strikes[node] >= self.max_strikes && !self.evicted[node] {
-            self.evicted[node] = true;
+        if self.max_strikes > 0
+            && self.strikes[node] >= self.max_strikes
+            && self.evicted[node].is_none()
+        {
+            let last = results.last().and_then(|r| r.as_ref().err());
+            self.evicted[node] = Some(EvictReason::Unresponsive {
+                last: last.map(ToString::to_string).unwrap_or_default(),
+            });
         }
     }
 
-    /// Readmits a previously struck-out node (e.g. after it restarted and
-    /// was handed the current map again).
-    pub fn readmit(&mut self, addr: &str) {
-        if let Some(i) = self.map.nodes.iter().position(|a| a == addr) {
-            self.evicted[i] = false;
-            self.strikes[i] = 0;
-            self.conns[i] = None;
+    /// One request to one node under the current epoch, tagged `shard`.
+    fn ask(&mut self, node: usize, request: Request, shard: u32) -> Result<Response, NetError> {
+        let epoch = self.map.epoch;
+        let answer = self.conn(node).call_many_tagged(&[(request, shard)], epoch);
+        self.note_exchange(node, &answer);
+        answer.into_iter().next().expect("one request, one answer")
+    }
+
+    /// `node`'s `(digest, count)` of `class` restricted to `shard`.
+    fn shard_digest(
+        &mut self,
+        node: usize,
+        class: WorkloadClass,
+        shard: u32,
+    ) -> Result<(u64, u64), NetError> {
+        let query = Request::ShardDigest {
+            class,
+            shards: self.map.shards,
+            shard,
+        };
+        match self.ask(node, query, NO_SHARD)? {
+            Response::ClassDigest { digest, count } => Ok((digest, count)),
+            other => Err(unexpected(&other)),
         }
     }
 
-    /// Shard-scoped digest voting: asks every live replica of `shard`'s
-    /// group for the class digest restricted to that shard and returns the
-    /// majority `(digest, count)`. Minority members are evicted from the
-    /// client's view — quarantining that group's divergent replica without
-    /// touching any other shard's group. Errors when no majority exists
-    /// among the answers.
+    /// `node`'s sorted keys of `class` in `shard`.
+    fn shard_keys(
+        &mut self,
+        node: usize,
+        class: WorkloadClass,
+        shard: u32,
+    ) -> Result<Vec<Word>, NetError> {
+        let query = Request::ShardKeys {
+            class,
+            shards: self.map.shards,
+            shard,
+        };
+        match self.ask(node, query, NO_SHARD)? {
+            Response::Keys { keys } => Ok(keys),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// Shard-scoped digest voting: asks every live member of `shard`'s
+    /// group for the class digest restricted to that shard. The answer a
+    /// majority of the group agrees on wins, and each member that answered
+    /// otherwise is evicted [`EvictReason::DigestMinority`] with both
+    /// digests recorded — quarantining that group's divergent replica
+    /// without touching any other group. On a one-shard map this votes on
+    /// the whole class. Errors `NoQuorum` when no answer reaches a majority.
     pub fn vote_shard_digest(
         &mut self,
         class: WorkloadClass,
         shard: u32,
     ) -> Result<(u64, u64), NetError> {
-        let members: Vec<usize> = self
-            .map
-            .replicas(shard)
-            .iter()
-            .map(|&r| r as usize)
-            .filter(|&r| !self.evicted[r])
-            .collect();
-        let epoch = self.map.epoch;
-        let shards = self.map.shards;
+        let need = self.quorum(shard);
         let mut votes: Vec<(usize, (u64, u64))> = Vec::new();
-        for m in members {
-            let req = Request::ShardDigest {
-                class,
-                shards,
-                shard,
-            };
-            if let Ok(Response::ClassDigest { digest, count }) = self
-                .conn(m)
-                .call_many_tagged(&[(req, NO_SHARD)], epoch)
-                .remove(0)
-            {
-                votes.push((m, (digest, count)));
+        for node in self.live_group(shard) {
+            if let Ok(v) = self.shard_digest(node, class, shard) {
+                votes.push((node, v));
             }
         }
-        let need = votes.len() / 2 + 1;
-        let majority = votes
+        let (majority, agree) = votes
             .iter()
-            .map(|(_, v)| *v)
-            .find(|v| votes.iter().filter(|(_, w)| w == v).count() >= need);
-        match majority {
-            Some(v) => {
-                for (m, w) in votes {
-                    if w != v {
-                        self.evicted[m] = true;
-                    }
-                }
-                Ok(v)
-            }
-            None => Err(NetError::NoQuorum {
-                live: votes.len(),
-                need,
-            }),
+            .map(|(_, v)| (*v, votes.iter().filter(|(_, w)| w == v).count()))
+            .max_by_key(|(_, n)| *n)
+            .unwrap_or_default();
+        if agree < need {
+            return Err(NetError::NoQuorum { live: agree, need });
         }
+        for (node, got) in votes {
+            if got != majority {
+                self.evicted[node] = Some(EvictReason::DigestMinority { got, majority });
+            }
+        }
+        Ok(majority)
     }
 
-    /// Drains and shuts down every reachable node (test teardown).
-    pub fn shutdown_all(&mut self) {
-        for node in 0..self.map.nodes.len() {
-            if !self.evicted[node] {
-                let _ = self.conn(node).request_shutdown();
+    /// Readmits an evicted node after a digest-verified catch-up (a no-op
+    /// for a node that is not evicted).
+    ///
+    /// 1. **Preparation.** A health probe; a node serving an older map
+    ///    epoch, or none (it restarted), is re-handed the client's map.
+    /// 2. **Catch-up.** For each shard the node replicates and each class,
+    ///    its keys are compared with a live group member's (the donor).
+    ///    Keys the donor lacks refuse ([`RejoinError::Ahead`]). Missing
+    ///    keys are shipped as one insert to an
+    ///    [`EvictReason::Unresponsive`] node and refuse a
+    ///    [`EvictReason::DigestMinority`] one ([`RejoinError::Diverged`]).
+    /// 3. **Readmission.** Only when every shard's class digests then
+    ///    equal the donor's.
+    ///
+    /// The rebalance handoff is not reused: extraction needs the donor's
+    /// shard frozen, and an installed image carries the donor's dedupe
+    /// records, whose sequence numbers name other requests here.
+    pub fn rejoin(&mut self, addr: &str) -> Result<(), RejoinError> {
+        let node = self
+            .map
+            .nodes
+            .iter()
+            .position(|a| a == addr)
+            .ok_or(RejoinError::NotMember)?;
+        let Some(reason) = self.evicted[node].clone() else {
+            return Ok(());
+        };
+        let served = self
+            .conn(node)
+            .health()?
+            .into_iter()
+            .find(|(k, _)| k == "shard_epoch")
+            .map_or(0, |(_, v)| v);
+        if served < self.map.epoch {
+            let map = self.map.clone();
+            self.conn(node).install_map(&map, node as u32)?;
+        }
+        for shard in self.map.shards_of_node(node) {
+            let donor = self
+                .map
+                .replicas(shard)
+                .iter()
+                .map(|&n| n as usize)
+                .find(|&n| n != node && self.evicted[n].is_none())
+                .ok_or(RejoinError::NoDonor { shard })?;
+            for class in CLASSES {
+                let want = self.shard_keys(donor, class, shard)?;
+                let have = self.shard_keys(node, class, shard)?;
+                let (missing, extra) = multiset_diff(&want, &have);
+                if extra > 0 {
+                    return Err(RejoinError::Ahead {
+                        shard,
+                        class,
+                        extra,
+                    });
+                }
+                if !missing.is_empty() {
+                    if let EvictReason::DigestMinority { .. } = reason {
+                        return Err(RejoinError::Diverged {
+                            shard,
+                            class,
+                            missing: missing.len(),
+                        });
+                    }
+                    let insert = match class {
+                        WorkloadClass::Chain => Request::ChainInsert { keys: missing },
+                        WorkloadClass::OpenAddr => Request::OaInsert { keys: missing },
+                        WorkloadClass::Bst => Request::BstInsert { keys: missing },
+                    };
+                    self.ask(node, insert, shard)?;
+                }
+                let want = self.shard_digest(donor, class, shard)?;
+                let got = self.shard_digest(node, class, shard)?;
+                if want != got {
+                    return Err(RejoinError::DigestMismatch {
+                        shard,
+                        class,
+                        donor: want,
+                        node: got,
+                    });
+                }
             }
         }
+        self.evicted[node] = None;
+        self.strikes[node] = 0;
+        Ok(())
     }
+}
+
+/// True for a typed refusal that proves the server applied nothing: the
+/// map was wrong, not the wire.
+fn is_stale_refusal(r: &Result<Response, NetError>) -> bool {
+    matches!(
+        r,
+        Err(NetError::Serve(
+            ServeError::WrongEpoch { .. } | ServeError::NotOwner { .. }
+        ))
+    )
+}
+
+/// One request's outcome from its group's answers (in group order): the
+/// first `Ok` once `quorum` answered `Ok`; else an error `quorum` members
+/// returned identically; else `NoQuorum`.
+fn settle(answers: Vec<Result<Response, NetError>>, quorum: usize) -> Result<Response, NetError> {
+    let oks = answers.iter().filter(|a| a.is_ok()).count();
+    if oks >= quorum {
+        return answers
+            .into_iter()
+            .find(|a| a.is_ok())
+            .expect("a quorum of oks");
+    }
+    let agreed = answers
+        .iter()
+        .find(|a| a.is_err() && answers.iter().filter(|b| b == a).count() >= quorum);
+    match agreed {
+        Some(e) => e.clone(),
+        None => Err(NetError::NoQuorum {
+            live: oks,
+            need: quorum,
+        }),
+    }
+}
+
+fn unexpected(got: &Response) -> NetError {
+    NetError::Frame(PersistError::Malformed {
+        what: format!("shard query answered with {got:?}"),
+    })
+}
+
+/// Sorted-multiset difference: keys in `donor` but not `mine` (with
+/// multiplicity), plus the count of keys `mine` holds beyond `donor`.
+fn multiset_diff(donor: &[Word], mine: &[Word]) -> (Vec<Word>, usize) {
+    let (mut missing, mut extra) = (Vec::new(), 0);
+    let mut mine = mine.iter().peekable();
+    for k in donor {
+        while mine.next_if(|&m| m < k).is_some() {
+            extra += 1;
+        }
+        if mine.next_if_eq(&k).is_none() {
+            missing.push(*k);
+        }
+    }
+    (missing, extra + mine.count())
 }
 
 #[cfg(test)]

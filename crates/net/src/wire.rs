@@ -17,8 +17,7 @@
 use crate::shard::ShardMap;
 use fol_persist::frame::{crc32, Dec, Enc};
 use fol_persist::PersistError;
-use fol_serve::{Priority, Request, Response, ServeError, WorkloadClass};
-use fol_vm::Word;
+use fol_serve::{decode_keys, encode_keys, Priority, Request, Response, ServeError};
 use std::io::Read;
 
 /// Hard bound on one frame's payload length. A length prefix past it is
@@ -43,16 +42,6 @@ const OP_MAP: u8 = 5;
 const OP_SHARD_IMAGE: u8 = 6;
 const OP_ADMIN_OK: u8 = 7;
 const OP_ADMIN_ERR: u8 = 8;
-
-const REQ_CHAIN_INSERT: u8 = 0;
-const REQ_OA_INSERT: u8 = 1;
-const REQ_OA_LOOKUP: u8 = 2;
-const REQ_BST_INSERT: u8 = 3;
-const REQ_INJECT_ROT: u8 = 4;
-const REQ_POISON_PILL: u8 = 5;
-const REQ_DIGEST: u8 = 6;
-const REQ_SHARD_DIGEST: u8 = 7;
-const REQ_SHARD_KEYS: u8 = 8;
 
 const RESP_CHAIN_INSERTED: u8 = 0;
 const RESP_OA_INSERTED: u8 = 1;
@@ -239,147 +228,6 @@ fn malformed(what: impl Into<String>) -> PersistError {
     PersistError::Malformed { what: what.into() }
 }
 
-fn class_tag(c: WorkloadClass) -> u8 {
-    match c {
-        WorkloadClass::Chain => 0,
-        WorkloadClass::OpenAddr => 1,
-        WorkloadClass::Bst => 2,
-    }
-}
-
-fn class_of_tag(t: u8) -> Result<WorkloadClass, PersistError> {
-    match t {
-        0 => Ok(WorkloadClass::Chain),
-        1 => Ok(WorkloadClass::OpenAddr),
-        2 => Ok(WorkloadClass::Bst),
-        other => Err(malformed(format!("wire: unknown class tag {other}"))),
-    }
-}
-
-fn priority_tag(p: Priority) -> u8 {
-    match p {
-        Priority::Low => 0,
-        Priority::Normal => 1,
-        Priority::High => 2,
-    }
-}
-
-fn priority_of_tag(t: u8) -> Result<Priority, PersistError> {
-    match t {
-        0 => Ok(Priority::Low),
-        1 => Ok(Priority::Normal),
-        2 => Ok(Priority::High),
-        other => Err(malformed(format!("wire: unknown priority tag {other}"))),
-    }
-}
-
-fn enc_keys(e: &mut Enc, keys: &[Word]) {
-    e.u32(keys.len() as u32);
-    for &k in keys {
-        e.i64(k);
-    }
-}
-
-fn dec_keys(d: &mut Dec<'_>, what: &str) -> Result<Vec<Word>, PersistError> {
-    let n = d.u32(what)? as usize;
-    let mut keys = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        keys.push(d.i64(what)?);
-    }
-    Ok(keys)
-}
-
-fn enc_request(e: &mut Enc, request: &Request) {
-    match request {
-        Request::ChainInsert { keys } => {
-            e.u8(REQ_CHAIN_INSERT);
-            enc_keys(e, keys);
-        }
-        Request::OaInsert { keys } => {
-            e.u8(REQ_OA_INSERT);
-            enc_keys(e, keys);
-        }
-        Request::OaLookup { keys } => {
-            e.u8(REQ_OA_LOOKUP);
-            enc_keys(e, keys);
-        }
-        Request::BstInsert { keys } => {
-            e.u8(REQ_BST_INSERT);
-            enc_keys(e, keys);
-        }
-        Request::InjectRot { class } => {
-            e.u8(REQ_INJECT_ROT);
-            e.u8(class_tag(*class));
-        }
-        Request::PoisonPill { class } => {
-            e.u8(REQ_POISON_PILL);
-            e.u8(class_tag(*class));
-        }
-        Request::Digest { class } => {
-            e.u8(REQ_DIGEST);
-            e.u8(class_tag(*class));
-        }
-        Request::ShardDigest {
-            class,
-            shards,
-            shard,
-        } => {
-            e.u8(REQ_SHARD_DIGEST);
-            e.u8(class_tag(*class));
-            e.u32(*shards);
-            e.u32(*shard);
-        }
-        Request::ShardKeys {
-            class,
-            shards,
-            shard,
-        } => {
-            e.u8(REQ_SHARD_KEYS);
-            e.u8(class_tag(*class));
-            e.u32(*shards);
-            e.u32(*shard);
-        }
-    }
-}
-
-fn dec_request(d: &mut Dec<'_>) -> Result<Request, PersistError> {
-    let tag = d.u8("wire.request.tag")?;
-    Ok(match tag {
-        REQ_CHAIN_INSERT => Request::ChainInsert {
-            keys: dec_keys(d, "wire.request.keys")?,
-        },
-        REQ_OA_INSERT => Request::OaInsert {
-            keys: dec_keys(d, "wire.request.keys")?,
-        },
-        REQ_OA_LOOKUP => Request::OaLookup {
-            keys: dec_keys(d, "wire.request.keys")?,
-        },
-        REQ_BST_INSERT => Request::BstInsert {
-            keys: dec_keys(d, "wire.request.keys")?,
-        },
-        REQ_INJECT_ROT => Request::InjectRot {
-            class: class_of_tag(d.u8("wire.request.class")?)?,
-        },
-        REQ_POISON_PILL => Request::PoisonPill {
-            class: class_of_tag(d.u8("wire.request.class")?)?,
-        },
-        REQ_DIGEST => Request::Digest {
-            class: class_of_tag(d.u8("wire.request.class")?)?,
-        },
-        REQ_SHARD_DIGEST => Request::ShardDigest {
-            class: class_of_tag(d.u8("wire.request.class")?)?,
-            shards: d.u32("wire.request.shards")?,
-            shard: d.u32("wire.request.shard")?,
-        },
-        REQ_SHARD_KEYS => Request::ShardKeys {
-            class: class_of_tag(d.u8("wire.request.class")?)?,
-            shards: d.u32("wire.request.shards")?,
-            shard: d.u32("wire.request.shard")?,
-        },
-        other => return Err(malformed(format!("wire: unknown request tag {other}"))),
-    })
-}
-
 fn enc_response(e: &mut Enc, response: &Response) {
     match response {
         Response::ChainInserted { rounds } => {
@@ -414,7 +262,7 @@ fn enc_response(e: &mut Enc, response: &Response) {
         Response::RotInjected => e.u8(RESP_ROT_INJECTED),
         Response::Keys { keys } => {
             e.u8(RESP_KEYS);
-            enc_keys(e, keys);
+            encode_keys(e, keys);
         }
     }
 }
@@ -453,7 +301,7 @@ fn dec_response(d: &mut Dec<'_>) -> Result<Response, PersistError> {
         },
         RESP_ROT_INJECTED => Response::RotInjected,
         RESP_KEYS => Response::Keys {
-            keys: dec_keys(d, "wire.response.keys")?,
+            keys: decode_keys(d)?,
         },
         other => return Err(malformed(format!("wire: unknown response tag {other}"))),
     })
@@ -694,8 +542,8 @@ impl ClientMsg {
                 // Priority is not carried: remote traffic is all Normal
                 // (the lanes already order by kind; a remote peer must not
                 // starve local High submitters).
-                e.u8(priority_tag(Priority::Normal));
-                enc_request(&mut e, request);
+                e.u8(Priority::Normal as u8);
+                request.encode(&mut e);
             }
             ClientMsg::Health => e.u8(OP_HEALTH),
             ClientMsg::Shutdown => e.u8(OP_SHUTDOWN),
@@ -736,8 +584,8 @@ impl ClientMsg {
                 let millis = d.u64("wire.submit.deadline_millis")?;
                 let shard = d.u32("wire.submit.shard")?;
                 let map_epoch = d.u64("wire.submit.map_epoch")?;
-                let _priority = priority_of_tag(d.u8("wire.submit.priority")?)?;
-                let request = dec_request(&mut d)?;
+                let _priority = Priority::from_tag(d.u8("wire.submit.priority")?)?;
+                let request = Request::decode(&mut d)?;
                 ClientMsg::Submit {
                     client_id,
                     seq,
@@ -991,7 +839,7 @@ fn read_full(stream: &mut impl Read, buf: &mut [u8]) -> ReadFull {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fol_serve::NO_SHARD;
+    use fol_serve::{WorkloadClass, NO_SHARD};
 
     #[test]
     fn client_and_server_messages_round_trip() {

@@ -59,12 +59,14 @@ mod scrub;
 pub mod shard;
 
 pub use durability::{
-    decode_record, worker_prefix, DurRecord, DurabilityConfig, REQUEST_LOG_PREFIX,
+    decode_record, encode_admit, worker_prefix, DurRecord, DurabilityConfig, REQUEST_LOG_PREFIX,
 };
 pub use fol_persist::{FsyncPolicy, PersistError, SkipReason, SkippedGeneration};
 pub use pool::ClassDump;
 pub use queue::{StatsSnapshot, Ticket};
-pub use request::{keys_digest, Priority, Request, Response, ServeError, WorkloadClass};
+pub use request::{
+    decode_keys, encode_keys, keys_digest, Priority, Request, Response, ServeError, WorkloadClass,
+};
 pub use shard::{shard_of, GateStats, ShardAssignment, ShardGate, NO_SHARD};
 
 use durability::{plan_replay, ReplayPlan};

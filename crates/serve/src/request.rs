@@ -7,18 +7,21 @@
 //! [`ServeError`] back to each caller — the batch is an implementation
 //! detail; the outcome surface is strictly per request.
 
+use fol_persist::frame::{Dec, Enc};
+use fol_persist::PersistError;
 use fol_vm::Word;
 
 /// Which family of machine-resident structure a request targets. Each class
-/// is owned by (sharded across, for chaining) specific pool workers.
+/// is owned by (sharded across, for chaining) specific pool workers. The
+/// discriminant is the class's byte in the request codec.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum WorkloadClass {
     /// Chaining hash table (`fol_hash::chaining`) — sharded per worker.
-    Chain,
+    Chain = 0,
     /// Open-addressing hash table (`fol_hash::open_addressing`).
-    OpenAddr,
+    OpenAddr = 1,
     /// Binary search tree (`fol_tree::bst`).
-    Bst,
+    Bst = 2,
 }
 
 /// The coalescing key: requests of the same kind may share one transaction.
@@ -139,6 +142,129 @@ impl Request {
             | Request::InjectRot { class }
             | Request::PoisonPill { class } => *class,
         }
+    }
+}
+
+const REQ_CHAIN_INSERT: u8 = 0;
+const REQ_OA_INSERT: u8 = 1;
+const REQ_OA_LOOKUP: u8 = 2;
+const REQ_BST_INSERT: u8 = 3;
+const REQ_INJECT_ROT: u8 = 4;
+const REQ_POISON_PILL: u8 = 5;
+const REQ_DIGEST: u8 = 6;
+const REQ_SHARD_DIGEST: u8 = 7;
+const REQ_SHARD_KEYS: u8 = 8;
+
+fn malformed(what: String) -> PersistError {
+    PersistError::Malformed { what }
+}
+
+/// Appends a key list: a `u32` count, then the keys as little-endian
+/// `i64`s. Requests and the wire's `Keys` response share it.
+pub fn encode_keys(e: &mut Enc, keys: &[Word]) {
+    e.u32(keys.len() as u32);
+    for &k in keys {
+        e.i64(k);
+    }
+}
+
+/// Decodes a key list written by [`encode_keys`].
+pub fn decode_keys(d: &mut Dec<'_>) -> Result<Vec<Word>, PersistError> {
+    let n = d.u32("keys")? as usize;
+    let mut keys = Vec::with_capacity(n.min(1 << 16));
+    for _ in 0..n {
+        keys.push(d.i64("keys")?);
+    }
+    Ok(keys)
+}
+
+impl Request {
+    fn tag(&self) -> u8 {
+        match self {
+            Request::ChainInsert { .. } => REQ_CHAIN_INSERT,
+            Request::OaInsert { .. } => REQ_OA_INSERT,
+            Request::OaLookup { .. } => REQ_OA_LOOKUP,
+            Request::BstInsert { .. } => REQ_BST_INSERT,
+            Request::InjectRot { .. } => REQ_INJECT_ROT,
+            Request::PoisonPill { .. } => REQ_POISON_PILL,
+            Request::Digest { .. } => REQ_DIGEST,
+            Request::ShardDigest { .. } => REQ_SHARD_DIGEST,
+            Request::ShardKeys { .. } => REQ_SHARD_KEYS,
+        }
+    }
+
+    /// Appends the request's bytes: a tag, then its keys (`u32` count and
+    /// `i64`s) or its class tag and shard fields. The one request codec:
+    /// WAL admit records and wire submit frames both carry these bytes.
+    pub fn encode(&self, e: &mut Enc) {
+        e.u8(self.tag());
+        match self {
+            Request::ChainInsert { keys }
+            | Request::OaInsert { keys }
+            | Request::OaLookup { keys }
+            | Request::BstInsert { keys } => encode_keys(e, keys),
+            Request::InjectRot { class }
+            | Request::PoisonPill { class }
+            | Request::Digest { class } => e.u8(*class as u8),
+            Request::ShardDigest {
+                class,
+                shards,
+                shard,
+            }
+            | Request::ShardKeys {
+                class,
+                shards,
+                shard,
+            } => {
+                e.u8(*class as u8);
+                e.u32(*shards);
+                e.u32(*shard);
+            }
+        }
+    }
+
+    /// Decodes one request written by [`Request::encode`]; every defect is
+    /// a typed [`PersistError`].
+    pub fn decode(d: &mut Dec<'_>) -> Result<Self, PersistError> {
+        let class = |d: &mut Dec<'_>| {
+            let tag = d.u8("request.class")?;
+            [
+                WorkloadClass::Chain,
+                WorkloadClass::OpenAddr,
+                WorkloadClass::Bst,
+            ]
+            .get(tag as usize)
+            .copied()
+            .ok_or_else(|| malformed(format!("request: unknown class tag {tag}")))
+        };
+        Ok(match d.u8("request.tag")? {
+            REQ_CHAIN_INSERT => Request::ChainInsert {
+                keys: decode_keys(d)?,
+            },
+            REQ_OA_INSERT => Request::OaInsert {
+                keys: decode_keys(d)?,
+            },
+            REQ_OA_LOOKUP => Request::OaLookup {
+                keys: decode_keys(d)?,
+            },
+            REQ_BST_INSERT => Request::BstInsert {
+                keys: decode_keys(d)?,
+            },
+            REQ_INJECT_ROT => Request::InjectRot { class: class(d)? },
+            REQ_POISON_PILL => Request::PoisonPill { class: class(d)? },
+            REQ_DIGEST => Request::Digest { class: class(d)? },
+            REQ_SHARD_DIGEST => Request::ShardDigest {
+                class: class(d)?,
+                shards: d.u32("request.shards")?,
+                shard: d.u32("request.shard")?,
+            },
+            REQ_SHARD_KEYS => Request::ShardKeys {
+                class: class(d)?,
+                shards: d.u32("request.shards")?,
+                shard: d.u32("request.shard")?,
+            },
+            other => return Err(malformed(format!("request: unknown request tag {other}"))),
+        })
     }
 }
 
@@ -290,16 +416,28 @@ impl std::fmt::Display for ServeError {
 impl std::error::Error for ServeError {}
 
 /// Scheduling priority: within a kind, higher-priority requests enter a
-/// batch first; ties drain in submission order.
+/// batch first; ties drain in submission order. The discriminant is the
+/// priority's byte in WAL admit records and wire submit frames.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Priority {
     /// Batch-filling background work.
-    Low,
+    Low = 0,
     /// The default.
     #[default]
-    Normal,
+    Normal = 1,
     /// Latency-sensitive work, drained ahead of the rest.
-    High,
+    High = 2,
+}
+
+impl Priority {
+    /// The priority a tag byte names; any other byte is
+    /// [`PersistError::Malformed`].
+    pub fn from_tag(tag: u8) -> Result<Self, PersistError> {
+        [Self::Low, Self::Normal, Self::High]
+            .get(tag as usize)
+            .copied()
+            .ok_or_else(|| malformed(format!("request: unknown priority tag {tag}")))
+    }
 }
 
 #[cfg(test)]
