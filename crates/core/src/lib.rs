@@ -103,8 +103,8 @@ pub use ordered::{fol1_machine_ordered, try_fol1_machine_ordered};
 pub use parallel::{try_apply_rounds, try_par_apply_rounds};
 pub use recover::{
     decompose_with_mode, decompose_with_mode_watched, run_transaction, split_retry,
-    txn_apply_rounds, txn_par_apply_rounds, with_lane_mask, AttemptRecord, Backoff, ExecMode,
-    GroupError, RecoveryError, RecoveryReport, RetryPolicy, Watchdog, WatchdogConfig,
+    txn_apply_rounds, txn_par_apply_rounds, with_lane_mask, AttemptRecord, ExecMode, GroupError,
+    RecoveryError, RecoveryReport, RetryPolicy, Watchdog, WatchdogConfig,
 };
 
 use std::fmt;

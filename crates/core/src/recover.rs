@@ -18,14 +18,21 @@
 //!    singleton scatters (a lone writer can never tear, defeating torn-write
 //!    adversaries); finally the scalar path, which bypasses the vector
 //!    scatter unit entirely and is therefore immune to every fault a
-//!    [`fol_vm::FaultPlan`] can inject.
+//!    [`fol_vm::FaultPlan`] can inject. A run starts at the rung the
+//!    machine's previous committed run predicts
+//!    ([`fol_vm::Machine::start_rung`]), and attempts follow each other
+//!    without sleeping: in-process faults come from a seeded plan reseeded
+//!    per attempt, so waiting would clear nothing (the paper's own livelock
+//!    remedy, FOL\* §3.3, is a scalar tail, not a timed retry).
 //! 3. **Graceful degradation** — the machine's
 //!    [`fol_vm::LaneHealthRegistry`] correlates fault-log entries and
 //!    rollbacks to physical lanes; when the supervisor reaches a
 //!    [`ExecMode::DegradedVector`] rung it folds the registry's quarantine
-//!    set into the rung's own, and at every attempt start it runs the lane
-//!    circuit breaker ([`fol_vm::Machine::reprobe_quarantined`]) so lanes
-//!    whose faults have cleared rejoin the schedule.
+//!    set into the rung's own, and after every failed attempt it runs the
+//!    lane circuit breaker ([`fol_vm::Machine::reprobe_quarantined`]) —
+//!    before that attempt's repair scrub, so whatever the probe scatters
+//!    disturb is repaired too — and lanes whose faults have cleared rejoin
+//!    the next attempt's schedule.
 //! 4. **Livelock watchdog** — an optional [`WatchdogConfig`] arms a
 //!    [`Watchdog`] per attempt: when the FOL survivor set fails to shrink
 //!    for `stall_rounds` consecutive detection passes, or the attempt's
@@ -127,97 +134,15 @@ impl ExecMode {
     }
 }
 
-/// Capped exponential backoff with seeded jitter.
-///
-/// Attempt `n` draws a delay uniformly from `[exp/2, exp]` where
-/// `exp = min(cap, base · 2ⁿ)` — the "equal jitter" scheme: enough spread
-/// to de-synchronize competing retriers, while never collapsing below half
-/// the exponential envelope. The jitter stream is a pure function of the
-/// seed and the attempt counter, so a fixed seed replays the exact same
-/// delay sequence — chaos cells stay reproducible.
-///
-/// Used in two places: the retry supervisor spaces ladder attempts with it
-/// (see [`RetryPolicy::backoff`]) instead of retrying immediately, and the
-/// network client (`fol-net`) spaces reconnect/resubmit attempts with it so
-/// a flapping server is not hammered in a tight loop.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Backoff {
-    base: Duration,
-    cap: Duration,
-    seed: u64,
-    attempt: u32,
-}
-
-impl Backoff {
-    /// A backoff starting at `base`, doubling per attempt, clamped to
-    /// `cap`, jittered deterministically under `seed`. A zero `base` yields
-    /// all-zero delays (backoff disabled but the counter still advances).
-    pub fn new(base: Duration, cap: Duration, seed: u64) -> Self {
-        Backoff {
-            base,
-            cap: cap.max(base),
-            seed,
-            attempt: 0,
-        }
-    }
-
-    /// How many delays have been drawn since construction or the last
-    /// [`Backoff::reset`].
-    pub fn attempts(&self) -> u32 {
-        self.attempt
-    }
-
-    /// Draws the next delay and advances the attempt counter.
-    pub fn next_delay(&mut self) -> Duration {
-        let attempt = self.attempt;
-        self.attempt = self.attempt.saturating_add(1);
-        let base = self.base.as_nanos() as u64;
-        if base == 0 {
-            return Duration::ZERO;
-        }
-        let cap = self.cap.as_nanos() as u64;
-        let exp = base
-            .checked_shl(attempt.min(63))
-            .unwrap_or(u64::MAX)
-            .min(cap);
-        // Uniform in [exp/2, exp]: half the envelope is guaranteed spacing,
-        // the other half is the seeded jitter.
-        let half = exp / 2;
-        let jitter = derive_seed(self.seed, attempt as usize) % (exp - half + 1);
-        Duration::from_nanos(half + jitter)
-    }
-
-    /// Rewinds to the first attempt (e.g. after a successful call, so the
-    /// next failure starts from `base` again).
-    pub fn reset(&mut self) {
-        self.attempt = 0;
-    }
-
-    /// Draws the next delay and sleeps it, returning what was slept.
-    pub fn sleep(&mut self) -> Duration {
-        let d = self.next_delay();
-        if !d.is_zero() {
-            std::thread::sleep(d);
-        }
-        d
-    }
-}
-
-impl Default for Backoff {
-    /// 50 µs base, 5 ms cap — spacing suited to in-process retry ladders
-    /// (the network client substitutes wire-scale durations).
-    fn default() -> Self {
-        Backoff::new(Duration::from_micros(50), Duration::from_millis(5), 0xB0FF)
-    }
-}
-
 /// Bounded retry with an escalation ladder.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Maximum attempts before giving up (at least 1).
     pub max_attempts: usize,
-    /// Execution mode per attempt; attempts beyond the ladder's length stay
-    /// on its last rung.
+    /// Escalation rungs in order. A run starts on the machine's start-rung
+    /// hint (clamped to the last rung; see [`run_transaction`]), each failed
+    /// attempt moves one rung down, and attempts beyond the ladder's end
+    /// stay on its last rung.
     pub ladder: Vec<ExecMode>,
     /// Reseed the machine's seeded conflict policy and fault plan between
     /// attempts, so a retry draws a fresh interleaving / fault pattern
@@ -247,12 +172,6 @@ pub struct RetryPolicy {
     /// Seed for the audit sampler's round selection (deterministic given
     /// the seed and the round index; irrelevant at rates 0 and 1).
     pub audit_seed: u64,
-    /// Inter-attempt spacing. `Some` (the default) sleeps a
-    /// [`Backoff`]-drawn delay between a failed attempt and the next one —
-    /// transient faults (a busy adversary seed, cross-thread contention,
-    /// wire weather upstream) get time to clear instead of being re-hit
-    /// immediately. `None` retries back-to-back, exactly as before.
-    pub backoff: Option<Backoff>,
 }
 
 impl Default for RetryPolicy {
@@ -281,7 +200,6 @@ impl Default for RetryPolicy {
             watchdog: None,
             audit_rate: 1,
             audit_seed: 0,
-            backoff: Some(Backoff::default()),
         }
     }
 }
@@ -308,12 +226,13 @@ impl RetryPolicy {
         }
     }
 
-    /// The mode attempt number `attempt` (0-based) runs under.
-    pub fn mode_for(&self, attempt: usize) -> ExecMode {
+    /// The mode of rung `rung` (0-based), clamped to the ladder's last
+    /// rung; an empty ladder runs [`ExecMode::Vector`].
+    pub fn mode_for(&self, rung: usize) -> ExecMode {
         if self.ladder.is_empty() {
             return ExecMode::Vector;
         }
-        self.ladder[attempt.min(self.ladder.len() - 1)]
+        self.ladder[rung.min(self.ladder.len() - 1)]
     }
 }
 
@@ -418,6 +337,10 @@ pub struct RecoveryReport {
     pub rounds_replayed: usize,
     /// Mode of the last attempt (the successful one, if any).
     pub final_mode: ExecMode,
+    /// Mode of the first attempt: the rung the machine's start-rung hint
+    /// ([`fol_vm::Machine::start_rung`]) picked, with the quarantine folded
+    /// in as for any attempt.
+    pub start_mode: ExecMode,
     /// The error each failed attempt died with, in order.
     pub errors: Vec<FolError>,
     /// Fault events the machine's [`fol_vm::FaultLog`] gained during the
@@ -470,12 +393,13 @@ impl RecoveryReport {
             .collect();
         format!(
             "{{\"attempts\":{},\"rounds_replayed\":{},\"final_mode\":\"{}\",\
-             \"recovered\":{},\"faults_consumed\":{},\
+             \"start_mode\":\"{}\",\"recovered\":{},\"faults_consumed\":{},\
              \"corruption_detected\":{},\"replays\":{},\"backend\":\"{}\",\
              \"errors\":[{}],\"attempt_trace\":[{}]}}",
             self.attempts,
             self.rounds_replayed,
             self.final_mode,
+            self.start_mode,
             self.recovered(),
             self.faults_consumed,
             self.corruption_detected,
@@ -520,13 +444,14 @@ fn json_escape(s: &str) -> String {
 }
 
 /// The supervisor failed. Memory was rolled back to its pre-transaction
-/// state in every case; the [`RecoveryReport`] says what was tried.
+/// state in every case; the [`RecoveryReport`] says what was tried. The
+/// report is boxed so every `Result<_, RecoveryError>` stays two words wide.
 #[derive(Clone, Debug)]
 pub enum RecoveryError {
     /// Every attempt the [`RetryPolicy`] allowed failed.
     Exhausted {
         /// The audit trail of the failed recovery.
-        report: RecoveryReport,
+        report: Box<RecoveryReport>,
     },
     /// The livelock watchdog tripped ([`FolError::Stalled`]): the attempt
     /// was rolled back and the supervisor returned immediately without
@@ -534,7 +459,7 @@ pub enum RecoveryError {
     /// making progress needs operator attention, not more retries.
     Watchdog {
         /// The audit trail up to and including the tripped attempt.
-        report: RecoveryReport,
+        report: Box<RecoveryReport>,
     },
 }
 
@@ -549,7 +474,7 @@ impl RecoveryError {
     /// Consumes the error, yielding the audit trail.
     pub fn into_report(self) -> RecoveryReport {
         match self {
-            RecoveryError::Exhausted { report } | RecoveryError::Watchdog { report } => report,
+            RecoveryError::Exhausted { report } | RecoveryError::Watchdog { report } => *report,
         }
     }
 }
@@ -680,23 +605,40 @@ fn derive_seed(seed: u64, attempt: usize) -> u64 {
 
 /// Runs `body` under the retry supervisor.
 ///
-/// Each attempt opens a machine transaction, runs
-/// `body(machine, mode_for(attempt))`, and either commits (returning the
-/// body's value plus the [`RecoveryReport`]) or rolls memory back byte-exact
-/// and escalates to the next rung of the ladder. When [`RetryPolicy::reseed`]
-/// is set, seeded conflict policies and fault plans get a fresh deterministic
-/// seed per retry; the original seeds are restored before returning.
+/// Each attempt opens a machine transaction, runs `body(machine, mode)`,
+/// and either commits (returning the body's value plus the
+/// [`RecoveryReport`]) or rolls memory back byte-exact and escalates to the
+/// next rung of the ladder. When [`RetryPolicy::reseed`] is set, seeded
+/// conflict policies and fault plans get a fresh deterministic seed per
+/// retry; the original seeds are restored before returning. Attempts
+/// follow each other immediately: the supervisor never sleeps.
 ///
-/// Lane health is managed at attempt boundaries: before each attempt the
-/// lane circuit breaker ([`fol_vm::Machine::reprobe_quarantined`]) re-probes
-/// quarantined lanes whose cooldown has elapsed, and when the attempt's rung
-/// is [`ExecMode::DegradedVector`] the machine's current quarantine set is
+/// # Where a run starts
+///
+/// The first attempt runs on rung `min(m.start_rung(), ladder.len() - 1)`
+/// ([`fol_vm::Machine::start_rung`]): the rung a run committed on predicts
+/// the rung the next run on the same machine needs. A commit records its
+/// rung as the hint, stepped back one rung toward [`ExecMode::Vector`]
+/// when it was the run's first attempt, so a machine whose faults have
+/// cleared walks back to the full-width path one clean run at a time. A
+/// failed run leaves the hint unchanged. The hint is volatile: a fresh
+/// machine starts at rung 0.
+///
+/// # Lane health
+///
+/// When the attempt's rung is [`ExecMode::DegradedVector`] or
+/// [`ExecMode::VerifiedReplay`], the machine's current quarantine set is
 /// folded into the rung's own before `body` sees it — so the mode the body
 /// (and the report) carries names the lanes that were actually masked.
-/// A degraded attempt whose failure *grew* the quarantine set holds its
-/// rung and retries at the narrower width without consuming ladder budget
-/// (bounded by the lane count): the evidence indicts the stale mask, not
-/// the rung.
+/// After a failed attempt the lane circuit breaker
+/// ([`fol_vm::Machine::reprobe_quarantined`]) re-probes quarantined lanes
+/// whose cooldown has elapsed, *before* that failure's scrub and repair, so
+/// whatever a probe scatter disturbs is repaired before the next attempt
+/// reads it. A failed degraded attempt holds its rung, without consuming
+/// ladder budget, only while the quarantine it leaves is larger than at the
+/// start of the run and after every earlier failure: the evidence indicts
+/// the stale mask, not the rung. Each hold needs a strictly wider
+/// quarantine, so holds are bounded by the lane count.
 ///
 /// A [`FolError::Stalled`] from `body` (the armed [`Watchdog`] tripping) is
 /// fatal: the attempt is rolled back and the supervisor returns
@@ -746,10 +688,13 @@ where
         m.set_els_audit_rate(policy.audit_rate, policy.audit_seed);
     }
     let tracking = !m.tracked_regions().is_empty();
+    let last_rung = policy.ladder.len().saturating_sub(1);
+    let mut rung = m.start_rung().min(last_rung);
     let mut report = RecoveryReport {
         attempts: 0,
         rounds_replayed: 0,
-        final_mode: policy.mode_for(0),
+        final_mode: policy.mode_for(rung),
+        start_mode: policy.mode_for(rung),
         errors: Vec::new(),
         faults_consumed: 0,
         attempt_trace: Vec::new(),
@@ -759,42 +704,27 @@ where
     };
     let mut result = None;
     let mut watchdog_tripped = false;
-    // The rung index advances more slowly than the attempt count: when a
-    // degraded attempt fails but *newly* quarantined lanes came out of it,
-    // the evidence says the mask was stale, not the rung — so the rung is
-    // held and retried at the narrower width without consuming ladder
-    // budget. Growth is monotone per hold, so holds are bounded by the lane
-    // count even when the circuit breaker restores lanes in between.
-    let mut rung = 0usize;
-    let mut invocation = 0usize;
+    // The widest quarantine of the run so far (at its start and after each
+    // failure); a degraded rung is held only past this high-water mark.
+    let mut widest = m.health().quarantined().len();
     let mut budget_spent = 0usize;
-    let mut holds = 0usize;
-    let mut backoff = policy.backoff.clone();
     while budget_spent < attempts {
-        // Circuit breaker: lanes whose probe cooldown has elapsed get a
-        // sacrificial scatter–gather self-test; healthy ones rejoin the
-        // schedule before this attempt picks its mask. Runs outside the
-        // transaction — probe writes only ever touch scratch memory.
-        let _ = m.reprobe_quarantined();
-        let quarantined_before = m.health().quarantined();
-        let mut mode = policy.mode_for(rung);
-        match mode {
-            ExecMode::DegradedVector { quarantined } => {
-                mode = ExecMode::DegradedVector {
-                    quarantined: quarantined.union(quarantined_before),
-                };
-            }
-            ExecMode::VerifiedReplay { quarantined } => {
-                mode = ExecMode::VerifiedReplay {
-                    quarantined: quarantined.union(quarantined_before),
-                };
-            }
-            _ => {}
-        }
-        let attempt = invocation;
-        invocation += 1;
-        report.attempts = attempt + 1;
+        let quarantined = m.health().quarantined();
+        let mode = match policy.mode_for(rung) {
+            ExecMode::DegradedVector { quarantined: q } => ExecMode::DegradedVector {
+                quarantined: q.union(quarantined),
+            },
+            ExecMode::VerifiedReplay { quarantined: q } => ExecMode::VerifiedReplay {
+                quarantined: q.union(quarantined),
+            },
+            other => other,
+        };
+        let attempt = report.attempts;
+        report.attempts += 1;
         report.final_mode = mode;
+        if attempt == 0 {
+            report.start_mode = mode;
+        }
         if policy.reseed && attempt > 0 {
             match base_policy {
                 ConflictPolicy::Arbitrary(s) => {
@@ -835,27 +765,14 @@ where
                             // first replay would be shared by both voters,
                             // so scrub what this execution touched before
                             // certifying.
-                            verdict = Some(match m.scrub_footprint() {
-                                Ok(()) => {
-                                    m.commit_txn()
-                                        .expect("run_transaction: commit of the open transaction");
-                                    Ok(r)
-                                }
-                                Err(e) => {
-                                    m.abort_txn()
-                                        .expect("run_transaction: abort of the open transaction");
-                                    Err(FolError::Integrity(e))
-                                }
-                            });
+                            verdict = Some(commit_certified(m).map(|()| r));
                             break;
                         }
                         digests.push(digest);
-                        m.abort_txn()
-                            .expect("run_transaction: abort of the open transaction");
+                        abort(m);
                     }
                     Err(e) => {
-                        m.abort_txn()
-                            .expect("run_transaction: abort of the open transaction");
+                        abort(m);
                         let fatal = matches!(e, FolError::Stalled { .. });
                         verdict = Some(Err(e));
                         if fatal {
@@ -875,94 +792,64 @@ where
             m.begin_txn()
                 .expect("run_transaction: transaction state already checked");
             match body(m, mode) {
-                // Pre-commit footprint scrub: rot in any tracked block this
-                // attempt stored to or read is caught before the result is
-                // certified. Free when nothing is tracked.
-                Ok(r) => match m.scrub_footprint() {
-                    Ok(()) => {
-                        m.commit_txn()
-                            .expect("run_transaction: commit of the open transaction");
-                        Ok(r)
-                    }
-                    Err(e) => {
-                        m.abort_txn()
-                            .expect("run_transaction: abort of the open transaction");
-                        Err(FolError::Integrity(e))
-                    }
-                },
+                Ok(r) => commit_certified(m).map(|()| r),
                 Err(e) => {
-                    m.abort_txn()
-                        .expect("run_transaction: abort of the open transaction");
+                    abort(m);
                     Err(e)
                 }
             }
         };
-        match exec {
+        report.attempt_trace.push(AttemptRecord {
+            mode,
+            duration_ns: started.elapsed().as_nanos() as u64,
+            ok: exec.is_ok(),
+        });
+        let e = match exec {
             Ok(r) => {
-                report.attempt_trace.push(AttemptRecord {
-                    mode,
-                    duration_ns: started.elapsed().as_nanos() as u64,
-                    ok: true,
-                });
                 result = Some(r);
                 break;
             }
-            Err(e) => {
-                report.attempt_trace.push(AttemptRecord {
-                    mode,
-                    duration_ns: started.elapsed().as_nanos() as u64,
-                    ok: false,
-                });
-                report.rounds_replayed += e.completed_rounds();
-                let integrity_err = matches!(e, FolError::Integrity(_));
-                if integrity_err {
-                    report.corruption_detected += 1;
-                }
-                watchdog_tripped = matches!(e, FolError::Stalled { .. });
-                report.errors.push(e);
-                // Repair: a rollback cannot heal rot (it bypasses the
-                // journal), so when the tracked regions have decayed, the
-                // rotted blocks are restored from the committed image — the
-                // exhaustion contract (tracked memory back to its pre-call
-                // committed state, byte-exact) holds even under resident
-                // corruption, and rot that predates the call is repaired,
-                // never adopted.
-                if tracking && m.scrub().is_err() {
-                    if !integrity_err {
-                        report.corruption_detected += 1;
-                    }
-                    m.repair_from_image();
-                }
-                if watchdog_tripped {
-                    break;
-                }
-                let grew = !m
-                    .health()
-                    .quarantined()
-                    .difference(quarantined_before)
-                    .is_empty();
-                if matches!(
-                    mode,
-                    ExecMode::DegradedVector { .. } | ExecMode::VerifiedReplay { .. }
-                ) && grew
-                    && holds < fol_vm::LANE_COUNT
-                {
-                    // Hold the rung: retry masked with the grown quarantine.
-                    holds += 1;
-                } else {
-                    rung += 1;
-                    budget_spent += 1;
-                }
-                // Space the next attempt: transient faults get backoff time
-                // to clear instead of being re-hit immediately. No sleep
-                // after the final attempt — exhaustion reports promptly.
-                if budget_spent < attempts {
-                    if let Some(b) = &mut backoff {
-                        b.sleep();
-                    }
-                }
-            }
+            Err(e) => e,
+        };
+        report.rounds_replayed += e.completed_rounds();
+        let integrity_err = matches!(e, FolError::Integrity(_));
+        if integrity_err {
+            report.corruption_detected += 1;
         }
+        watchdog_tripped = matches!(e, FolError::Stalled { .. });
+        report.errors.push(e);
+        // Circuit breaker: quarantined lanes whose probe cooldown has
+        // elapsed get a sacrificial scatter–gather self-test, and healthy
+        // ones rejoin the next attempt's schedule. A probe is a scatter,
+        // which bit-rot may strike, so it runs before the repair below.
+        m.reprobe_quarantined();
+        // Repair: a rollback cannot heal rot (it bypasses the journal), so
+        // when the tracked regions have decayed, the rotted blocks are
+        // restored from the committed image — the exhaustion contract
+        // (tracked memory back to its pre-call committed state, byte-exact)
+        // holds even under resident corruption, and rot that predates the
+        // call is repaired, never adopted.
+        if tracking && m.scrub().is_err() {
+            if !integrity_err {
+                report.corruption_detected += 1;
+            }
+            m.repair_from_image();
+        }
+        if watchdog_tripped {
+            break;
+        }
+        // Hold a degraded rung only while its quarantine keeps growing: the
+        // failure then indicts the stale mask, not the rung.
+        let width = m.health().quarantined().len();
+        let degraded = matches!(
+            mode,
+            ExecMode::DegradedVector { .. } | ExecMode::VerifiedReplay { .. }
+        );
+        if !(degraded && width > widest) {
+            rung += 1;
+            budget_spent += 1;
+        }
+        widest = widest.max(width);
     }
     // Restore the caller's seeds and auditor state whatever happened.
     m.set_policy(base_policy);
@@ -978,10 +865,47 @@ where
     }
     report.faults_consumed = m.fault_log().len() - faults_before;
     match result {
-        Some(r) => Ok((r, report)),
-        None if watchdog_tripped => Err(RecoveryError::Watchdog { report }),
-        None => Err(RecoveryError::Exhausted { report }),
+        Some(r) => {
+            // The next run starts where this one committed; a first-attempt
+            // commit steps the hint back toward Vector.
+            let committed = rung.min(last_rung);
+            m.set_start_rung(if report.attempts == 1 {
+                committed.saturating_sub(1)
+            } else {
+                committed
+            });
+            Ok((r, report))
+        }
+        None if watchdog_tripped => Err(RecoveryError::Watchdog {
+            report: Box::new(report),
+        }),
+        None => Err(RecoveryError::Exhausted {
+            report: Box::new(report),
+        }),
     }
+}
+
+/// Commits the open transaction once [`fol_vm::Machine::scrub_footprint`]
+/// has verified every tracked block it stored to or read; aborts it with a
+/// typed [`FolError::Integrity`] otherwise, so rot in the footprint is
+/// never certified. Free when nothing is tracked.
+fn commit_certified(m: &mut Machine) -> Result<(), FolError> {
+    match m.scrub_footprint() {
+        Ok(()) => {
+            m.commit_txn()
+                .expect("run_transaction: commit of the open transaction");
+            Ok(())
+        }
+        Err(e) => {
+            abort(m);
+            Err(FolError::Integrity(e))
+        }
+    }
+}
+
+fn abort(m: &mut Machine) {
+    m.abort_txn()
+        .expect("run_transaction: abort of the open transaction");
 }
 
 /// Runs `f` with the given lanes removed from the machine's execution mask,
@@ -1360,47 +1284,6 @@ mod tests {
         Machine::new(CostModel::unit())
     }
 
-    #[test]
-    fn backoff_is_capped_and_deterministic_under_a_fixed_seed() {
-        let base = Duration::from_micros(100);
-        let cap = Duration::from_millis(2);
-        let mut a = Backoff::new(base, cap, 42);
-        let mut b = Backoff::new(base, cap, 42);
-        let delays: Vec<Duration> = (0..24).map(|_| a.next_delay()).collect();
-        let replay: Vec<Duration> = (0..24).map(|_| b.next_delay()).collect();
-        assert_eq!(delays, replay, "fixed seed replays the same sequence");
-        for (i, d) in delays.iter().enumerate() {
-            let envelope = base.checked_mul(1 << i.min(20)).map_or(cap, |e| e.min(cap));
-            assert!(*d <= cap, "attempt {i}: {d:?} exceeds the cap");
-            assert!(
-                *d >= envelope / 2,
-                "attempt {i}: {d:?} fell below half the envelope {envelope:?}"
-            );
-        }
-        // Deep into the sequence every draw sits inside [cap/2, cap].
-        assert!(delays[20] >= cap / 2 && delays[20] <= cap);
-        // A different seed draws a different (jittered) sequence.
-        let mut c = Backoff::new(base, cap, 43);
-        let other: Vec<Duration> = (0..24).map(|_| c.next_delay()).collect();
-        assert_ne!(delays, other, "jitter must depend on the seed");
-    }
-
-    #[test]
-    fn backoff_reset_rewinds_and_zero_base_disables() {
-        let mut b = Backoff::new(Duration::from_micros(80), Duration::from_millis(1), 7);
-        let first = b.next_delay();
-        let _ = b.next_delay();
-        assert_eq!(b.attempts(), 2);
-        b.reset();
-        assert_eq!(b.attempts(), 0);
-        assert_eq!(b.next_delay(), first, "reset rewinds the jitter stream");
-
-        let mut off = Backoff::new(Duration::ZERO, Duration::from_secs(1), 7);
-        for _ in 0..8 {
-            assert_eq!(off.next_delay(), Duration::ZERO);
-        }
-    }
-
     const V: &[Word] = &[5, 2, 5, 5, 2, 9, 0, 5];
 
     fn check_valid(d: &Decomposition, v: &[Word]) {
@@ -1594,6 +1477,9 @@ mod tests {
             attempts: 2,
             rounds_replayed: 3,
             final_mode: ExecMode::ScalarTail,
+            start_mode: ExecMode::DegradedVector {
+                quarantined: LaneSet::from_bits((1 << 3) | (1 << 17)),
+            },
             errors: vec![FolError::NoSurvivors {
                 iteration: 1,
                 live: 4,
@@ -1627,6 +1513,7 @@ mod tests {
             "\"replays\":2",
             "\"backend\":\"avx2\"",
             "\"final_mode\":\"ScalarTail\"",
+            "\"start_mode\":\"DegradedVector{3,17}\"",
             "\"recovered\":true",
             "\"errors\":[\"",
             "\"attempt_trace\":[{",
@@ -1746,6 +1633,198 @@ mod tests {
         );
     }
 
+    /// A body that fails on every default-ladder rung before `ok_from` and
+    /// commits on it and every later one. It runs no scatter, so the
+    /// quarantine stays empty and each mode equals its ladder rung.
+    fn fails_until(ok_from: usize) -> impl FnMut(&mut Machine, ExecMode) -> Result<(), FolError> {
+        let ladder = RetryPolicy::default().ladder;
+        move |_, mode| {
+            let rung = ladder
+                .iter()
+                .position(|r| *r == mode)
+                .expect("a default-ladder mode");
+            if rung >= ok_from {
+                Ok(())
+            } else {
+                Err(FolError::NoSurvivors {
+                    iteration: 0,
+                    live: 1,
+                })
+            }
+        }
+    }
+
+    #[test]
+    fn a_fresh_machine_starts_at_rung_zero() {
+        let mut m = machine();
+        assert_eq!(m.start_rung(), 0);
+        let ((), report) = run_transaction(&mut m, &RetryPolicy::default(), fails_until(0))
+            .expect("a clean body commits");
+        assert_eq!(report.start_mode, ExecMode::Vector);
+        assert_eq!(report.attempts, 1);
+    }
+
+    #[test]
+    fn the_next_run_starts_on_the_committing_rung_and_steps_back_on_clean_commits() {
+        let mut m = machine();
+        let policy = RetryPolicy::default();
+        // Three failures, then a commit on rung 3 (ForcedSequential).
+        let ((), report) = run_transaction(&mut m, &policy, fails_until(3)).unwrap();
+        assert_eq!(report.attempts, 4);
+        assert_eq!(report.final_mode, ExecMode::ForcedSequential);
+        assert_eq!(m.start_rung(), 3, "a commit on rung k sets the hint to k");
+        // Each clean run starts where the hint says and, committing on its
+        // first attempt, steps the hint one rung back toward Vector.
+        for expect in [3, 2, 1, 0, 0] {
+            let ((), report) = run_transaction(&mut m, &policy, fails_until(0)).unwrap();
+            assert_eq!(report.attempts, 1);
+            assert_eq!(report.start_mode, policy.mode_for(expect), "hint {expect}");
+            assert_eq!(report.final_mode, report.start_mode);
+            assert_eq!(m.start_rung(), expect.saturating_sub(1));
+        }
+    }
+
+    #[test]
+    fn fault_free_runs_stay_on_vector() {
+        let mut m = machine();
+        let work = m.alloc(10, "work");
+        m.track_region(work);
+        for run in 0..100 {
+            let (_, report) = run_transaction(&mut m, &RetryPolicy::default(), |m, mode| {
+                decompose_with_mode(m, work, V, mode, Validation::Full)
+            })
+            .unwrap();
+            assert_eq!(report.attempts, 1, "run {run}");
+            assert_eq!(report.final_mode, ExecMode::Vector, "run {run}");
+        }
+        assert_eq!(m.start_rung(), 0);
+    }
+
+    #[test]
+    fn a_hint_beyond_a_shorter_ladder_clamps_to_its_last_rung() {
+        let mut m = machine();
+        m.set_start_rung(4);
+        let ((), report) =
+            run_transaction(&mut m, &RetryPolicy::vector_only(2), fails_until(0)).unwrap();
+        assert_eq!(report.start_mode, ExecMode::Vector);
+        assert_eq!(report.attempts, 1);
+        let two_rungs = RetryPolicy {
+            ladder: vec![ExecMode::Vector, ExecMode::ScalarTail],
+            ..RetryPolicy::default()
+        };
+        m.set_start_rung(4);
+        let ((), report) = run_transaction(&mut m, &two_rungs, fails_until(0)).unwrap();
+        assert_eq!(report.start_mode, ExecMode::ScalarTail);
+        assert_eq!(m.start_rung(), 0, "the first-attempt commit stepped back");
+    }
+
+    #[test]
+    fn failed_runs_leave_the_hint_unchanged() {
+        let mut m = machine();
+        m.set_start_rung(2);
+        let err =
+            run_transaction(&mut m, &RetryPolicy::default(), fails_until(usize::MAX)).unwrap_err();
+        assert!(matches!(err, RecoveryError::Exhausted { .. }), "{err}");
+        assert_eq!(m.start_rung(), 2);
+        let err = run_transaction(&mut m, &RetryPolicy::default(), |_, _| -> Result<(), _> {
+            Err(FolError::Stalled {
+                stalled_rounds: 3,
+                live: 1,
+                deadline_expired: false,
+            })
+        })
+        .unwrap_err();
+        assert!(matches!(err, RecoveryError::Watchdog { .. }), "{err}");
+        assert_eq!(m.start_rung(), 2);
+    }
+
+    /// One chain-shaped batch: FOL over 64 bucket indices in a 1 024-word
+    /// work area, then a payload scatter of every key that must land in
+    /// full, as a chain insert's node writes must.
+    fn chain_batch(m: &mut Machine, work: Region, arena: Region, seed: u64) -> RecoveryReport {
+        let keys: Vec<Word> = (0..64)
+            .map(|i| (derive_seed(seed, i) >> 1) as Word)
+            .collect();
+        let buckets: Vec<Word> = keys.iter().map(|k| k % 1024).collect();
+        let (_, report) = run_transaction(m, &RetryPolicy::default(), |m, mode| {
+            let d = decompose_with_mode(m, work, &buckets, mode, Validation::Full)?;
+            let idx = m.iota(0, keys.len());
+            let vals = m.vimm(&keys);
+            match mode {
+                ExecMode::ScalarTail => {
+                    for (i, &k) in keys.iter().enumerate() {
+                        m.s_write(arena.at(i), k);
+                    }
+                }
+                ExecMode::DegradedVector { quarantined }
+                | ExecMode::VerifiedReplay { quarantined } => {
+                    with_lane_mask(m, quarantined, |m| m.scatter(arena, &idx, &vals));
+                }
+                _ => m.scatter(arena, &idx, &vals),
+            }
+            if m.mem().read_region(arena) != keys {
+                return Err(FolError::PostConditionFailed {
+                    what: "payload landed",
+                });
+            }
+            Ok(d)
+        })
+        .expect("the ladder bottoms out in the scalar tail");
+        report
+    }
+
+    #[test]
+    fn a_chain_batch_under_lane_drops_settles_within_ten_attempts() {
+        for seed in 1..=3 {
+            let mut m = machine();
+            m.set_fault_plan(Some(FaultPlan::dropped_lanes(seed, 1024)));
+            let work = m.alloc(1024, "work");
+            let arena = m.alloc(64, "arena");
+            m.track_region(work);
+            m.track_region(arena);
+            let report = chain_batch(&mut m, work, arena, seed);
+            assert!(
+                report.attempts <= 10,
+                "seed {seed}: {} attempts: {report}",
+                report.attempts
+            );
+        }
+    }
+
+    #[test]
+    fn three_sticky_lanes_still_end_in_degraded_vector() {
+        let sticky = [5, 13, 40];
+        let n = 256;
+        let targets: Vec<usize> = (0..n).map(|i| i % 97).collect();
+        let mut m = machine();
+        m.set_fault_plan(Some(FaultPlan::sticky_lanes(
+            9,
+            sticky.iter().map(|l| 1u64 << l).sum(),
+        )));
+        let work = m.alloc(97, "work");
+        let mut counts = vec![0u32; 97];
+        let (_, report) = txn_apply_rounds(
+            &mut m,
+            work,
+            &mut counts,
+            &targets,
+            &RetryPolicy::default(),
+            |c, _| *c += 1,
+        )
+        .expect("the degraded rung absorbs three dead lanes");
+        match report.final_mode {
+            ExecMode::DegradedVector { quarantined } => {
+                for lane in sticky {
+                    assert!(quarantined.contains(lane), "lane {lane} in {quarantined}");
+                }
+            }
+            other => panic!("expected DegradedVector, finished in {other}: {report}"),
+        }
+        for lane in sticky {
+            assert!(m.health().is_quarantined(lane), "{}", m.health().summary());
+        }
+    }
+
     #[test]
     fn txn_apply_rounds_matches_reference_and_reports() {
         let targets: Vec<usize> = V.iter().map(|&t| t as usize).collect();
@@ -1814,7 +1893,6 @@ mod tests {
             watchdog: None,
             audit_rate: 1,
             audit_seed: 0,
-            backoff: None,
         };
         let mut counts = vec![0u32; 10];
         let err = txn_apply_rounds(&mut m, work, &mut counts, &targets, &policy, |c, _| *c += 1)
@@ -1865,7 +1943,6 @@ mod tests {
             watchdog: None,
             audit_rate: 1,
             audit_seed: 0,
-            backoff: None,
         }
     }
 
@@ -1968,7 +2045,6 @@ mod tests {
             watchdog: None,
             audit_rate: 1,
             audit_seed: 0,
-            backoff: None,
         };
         let err = run_transaction(&mut m, &policy, |m, mode| {
             decompose_with_mode(m, work, V, mode, Validation::Off)
@@ -2101,7 +2177,6 @@ mod tests {
             watchdog: None,
             audit_rate: 1,
             audit_seed: 0,
-            backoff: None,
         };
         let mut m = machine();
         m.set_fault_plan(Some(FaultPlan::dropped_lanes(5, u16::MAX)));

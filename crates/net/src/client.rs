@@ -25,8 +25,7 @@
 use crate::fault::{FaultedWriter, WireFaultPlan};
 use crate::shard::ShardMap;
 use crate::wire::{frame_bytes, read_frame, ClientMsg, ReadFrameError, ServerMsg, WireOutcome};
-use crate::NetError;
-use fol_core::recover::Backoff;
+use crate::{Backoff, NetError};
 use fol_serve::{Request, Response, ServeError, NO_SHARD};
 use std::collections::BTreeSet;
 use std::io::{ErrorKind, Write};

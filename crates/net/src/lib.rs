@@ -18,11 +18,10 @@
 //!   `(client, seq)`-keyed dedupe table that makes re-submission
 //!   exactly-once, and graceful drain on shutdown;
 //! * a **retrying client** ([`NetClient`]): capped exponential backoff with
-//!   seeded jitter ([`fol_core::recover::Backoff`]), deadline-aware retry
-//!   of *retryable* failures (timeouts, resets, torn frames, overload)
-//!   and immediate surfacing of *terminal* ones (typed refusals,
-//!   exhausted deadlines), with idempotent re-submission keyed by request
-//!   sequence number;
+//!   seeded jitter ([`Backoff`]), deadline-aware retry of *retryable*
+//!   failures (timeouts, resets, torn frames, overload) and immediate
+//!   surfacing of *terminal* ones (typed refusals, exhausted deadlines),
+//!   with idempotent re-submission keyed by request sequence number;
 //! * seeded **wire-fault injection** ([`WireFaultPlan`]) at the transport
 //!   seam — frame drops, delays, duplicates, byte flips, half-open tears —
 //!   so the whole stack is testable under a deterministic adversary;
@@ -48,6 +47,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod backoff;
 mod client;
 mod fault;
 pub mod rebalance;
@@ -55,6 +55,7 @@ mod server;
 pub mod shard;
 pub mod wire;
 
+pub use backoff::Backoff;
 pub use client::{NetClient, NetClientConfig};
 pub use fault::{FaultDecision, WireFaultPlan};
 pub use rebalance::{abort_rebalance, rebalance, MovedShard, RebalanceReport};

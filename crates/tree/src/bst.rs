@@ -123,12 +123,31 @@ impl Bst {
 
 /// Scalar baseline: insert each key by a sequential root-to-leaf descent.
 pub fn scalar_insert_all(m: &mut Machine, tree: &mut Bst, keys: &[Word]) {
+    try_scalar_insert_all(m, tree, keys, usize::MAX)
+        .expect("scalar_insert_all: wild link in the tree");
+}
+
+/// Fallible [`scalar_insert_all`], the transactional `ScalarTail` arm: a
+/// link word is checked to be [`NIL`] or a node index before the descent
+/// follows it, so fault debris returns [`FolError::TargetOutOfBounds`]
+/// instead of an out-of-bounds panic, and each key descends at most
+/// `max_steps` nodes, so a cycle returns [`FolError::RoundBudgetExceeded`]
+/// instead of spinning forever. The checks are host-side and charge no
+/// cycles.
+fn try_scalar_insert_all(
+    m: &mut Machine,
+    tree: &mut Bst,
+    keys: &[Word],
+    max_steps: usize,
+) -> Result<(), FolError> {
     let first = tree.reserve(keys.len());
+    let limit = tree.used as Word; // valid node indices are 0..limit
     for (i, &key) in keys.iter().enumerate() {
         let node = (first + i) as Word;
         m.s_write(tree.keys.at(node as usize), key);
         // Descend from the root slot.
         let mut slot = 0usize;
+        let mut steps = 0usize;
         loop {
             let v = m.s_read(tree.links.at(slot));
             m.s_cmp(1);
@@ -137,6 +156,22 @@ pub fn scalar_insert_all(m: &mut Machine, tree: &mut Bst, keys: &[Word]) {
                 m.s_write(tree.links.at(slot), node);
                 break;
             }
+            if !(0..limit).contains(&v) {
+                return Err(FolError::TargetOutOfBounds {
+                    round: None,
+                    position: i,
+                    target: v,
+                    domain: limit as usize,
+                });
+            }
+            if steps == max_steps {
+                return Err(FolError::RoundBudgetExceeded {
+                    budget: max_steps,
+                    live: keys.len() - i,
+                    completed_rounds: i,
+                });
+            }
+            steps += 1;
             let k = m.s_read(tree.keys.at(v as usize));
             m.s_cmp(1);
             slot = if key < k {
@@ -146,6 +181,7 @@ pub fn scalar_insert_all(m: &mut Machine, tree: &mut Bst, keys: &[Word]) {
             };
         }
     }
+    Ok(())
 }
 
 /// Report from a vectorized multi-insert.
@@ -382,7 +418,8 @@ fn checked_inorder(m: &Machine, tree: &Bst) -> Option<Vec<Word>> {
 /// back byte-exact (including the node allocator) and escalates along the
 /// [`RetryPolicy`] ladder: `Vector` → `ForcedSequential` (one key per
 /// batch, so label scatters are singletons and cannot tear) →
-/// `ScalarTail` ([`scalar_insert_all`], immune to every scatter fault).
+/// `ScalarTail` ([`scalar_insert_all`], immune to every scatter fault, under
+/// the same link checks and step budget as the vector rungs).
 ///
 /// # Panics
 /// Panics if the arena cannot hold `keys.len()` more nodes (checked before
@@ -430,7 +467,7 @@ pub fn txn_insert_all(
                 report
             }
             ExecMode::ScalarTail => {
-                scalar_insert_all(m, tree, keys);
+                try_scalar_insert_all(m, tree, keys, budget)?;
                 BstReport::default()
             }
         };
@@ -572,6 +609,50 @@ mod tests {
         assert!(t.contains(&m, 30));
         assert!(!t.contains(&m, 31));
         assert_eq!(t.height(&m), 3);
+    }
+
+    #[test]
+    fn scalar_tail_refuses_a_wild_link_typed() {
+        // Fault debris in the root slot: the descent must refuse it typed
+        // before dereferencing it, not index past the arena.
+        let mut m = Machine::new(CostModel::unit());
+        let mut t = Bst::alloc(&mut m, 16);
+        scalar_insert_all(&mut m, &mut t, &[50, 20, 70]);
+        m.mem_mut().write(t.links.at(0), 999);
+        let err = try_scalar_insert_all(&mut m, &mut t, &[40], 64).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FolError::TargetOutOfBounds {
+                    target: 999,
+                    domain: 4,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn scalar_tail_budget_stops_a_cycle() {
+        // Node 0 is its own right child: a larger key descends right
+        // forever, and the step budget must turn that into a typed error.
+        let mut m = Machine::new(CostModel::unit());
+        let mut t = Bst::alloc(&mut m, 16);
+        scalar_insert_all(&mut m, &mut t, &[10]);
+        m.mem_mut().write(t.links.at(2), 0);
+        let err = try_scalar_insert_all(&mut m, &mut t, &[20], 12).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                FolError::RoundBudgetExceeded {
+                    budget: 12,
+                    live: 1,
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -226,6 +226,22 @@ pub struct RewriteReport {
 
 /// Scalar baseline: applies the rule one site at a time until normal form.
 pub fn scalar_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteReport {
+    try_scalar_rewrite_to_normal_form(m, t, usize::MAX)
+        .expect("scalar_rewrite_to_normal_form: wild right-child index")
+}
+
+/// Fallible [`scalar_rewrite_to_normal_form`], the transactional
+/// `ScalarTail` arm: a right-child word is checked to be a node index
+/// before the scan follows it, so fault debris returns
+/// [`FolError::TargetOutOfBounds`] instead of an out-of-bounds panic, and
+/// at most `max_passes` rewrites run, so a cycle returns
+/// [`FolError::RoundBudgetExceeded`] instead of spinning forever. The
+/// checks are host-side and charge no cycles.
+fn try_scalar_rewrite_to_normal_form(
+    m: &mut Machine,
+    t: &OpTree,
+    max_passes: usize,
+) -> Result<RewriteReport, FolError> {
     let mut report = RewriteReport::default();
     loop {
         // Find one site by scanning the arena (charged as a dependent scan).
@@ -238,6 +254,14 @@ pub fn scalar_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteRepo
                 continue;
             }
             let r = m.s_read(t.rights.at(i));
+            if !(0..t.used as Word).contains(&r) {
+                return Err(FolError::TargetOutOfBounds {
+                    round: None,
+                    position: i,
+                    target: r,
+                    domain: t.used,
+                });
+            }
             let rtag = m.s_read(t.tags.at(r as usize));
             m.s_cmp(1);
             if rtag == OP {
@@ -245,7 +269,16 @@ pub fn scalar_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteRepo
                 break;
             }
         }
-        let Some((n, r)) = site else { break };
+        let Some((n, r)) = site else {
+            return Ok(report);
+        };
+        if report.passes == max_passes {
+            return Err(FolError::RoundBudgetExceeded {
+                budget: max_passes,
+                live: 1,
+                completed_rounds: report.passes,
+            });
+        }
         report.passes += 1;
         report.applications += 1;
         // X = lefts[n]; Y = lefts[r]; Z = rights[r]
@@ -257,7 +290,6 @@ pub fn scalar_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteRepo
         m.s_write(t.lefts.at(n as usize), r);
         m.s_write(t.rights.at(n as usize), z);
     }
-    report
 }
 
 /// Vectorized rewriting: per pass, find all sites, take FOL\*'s first
@@ -432,7 +464,8 @@ fn checked_summary(m: &Machine, t: &OpTree) -> Option<(Vec<Word>, (Word, Word), 
 /// back byte-exact and escalates along the [`RetryPolicy`] ladder:
 /// `Vector` → `ForcedSequential` (one site per pass, so every rewrite
 /// scatter is a tear-immune singleton) → `ScalarTail`
-/// ([`scalar_rewrite_to_normal_form`], immune to every scatter fault).
+/// ([`scalar_rewrite_to_normal_form`], immune to every scatter fault, under
+/// the same bounds checks and pass budget as the vector rungs).
 ///
 /// # Panics
 /// Panics if a transaction is already open on `m`.
@@ -483,7 +516,7 @@ pub fn txn_rewrite_to_normal_form(
                     try_apply_sites(m, t, &one)?;
                 }
             }
-            ExecMode::ScalarTail => scalar_rewrite_to_normal_form(m, t),
+            ExecMode::ScalarTail => try_scalar_rewrite_to_normal_form(m, t, budget)?,
         };
         match checked_summary(m, t) {
             Some((leaves, val, normal)) if normal && leaves == *leaves0 && val == val0 => {
@@ -616,6 +649,37 @@ mod tests {
         assert_eq!(r1, r2);
         assert_eq!(t1.leaves_inorder(&m1), t2.leaves_inorder(&m2));
         assert_eq!(t1.eval_affine(&m1), t2.eval_affine(&m2));
+    }
+
+    #[test]
+    fn scalar_tail_refuses_a_wild_right_child_typed() {
+        // Fault debris in a right-child word: the scalar scan must refuse it
+        // typed before dereferencing it, not index past the arena.
+        let mut m = Machine::new(CostModel::unit());
+        let t = OpTree::right_comb(&mut m, &[1, 2, 3, 4, 5]);
+        let root = m.mem().read(t.root.at(0)) as usize;
+        m.mem_mut().write(t.rights.at(root), 999);
+        let err = try_scalar_rewrite_to_normal_form(&mut m, &t, t.used * t.used + 8).unwrap_err();
+        assert!(
+            matches!(err, FolError::TargetOutOfBounds { target: 999, position, .. } if position == root),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    fn scalar_tail_budget_stops_a_cycle() {
+        // A `*` node that is its own right child is a rule site forever:
+        // the pass budget must turn the endless rewrite into a typed error.
+        let mut m = Machine::new(CostModel::unit());
+        let t = OpTree::right_comb(&mut m, &[1, 2, 3, 4, 5]);
+        let root = m.mem().read(t.root.at(0));
+        m.mem_mut().write(t.rights.at(root as usize), root);
+        let budget = t.used * t.used + 8;
+        let err = try_scalar_rewrite_to_normal_form(&mut m, &t, budget).unwrap_err();
+        assert!(
+            matches!(err, FolError::RoundBudgetExceeded { budget: b, completed_rounds, .. } if b == budget && completed_rounds == budget),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -171,6 +171,9 @@ pub struct Machine {
     /// Per-lane fault accounting, fed automatically by the scatter paths and
     /// by transaction aborts.
     health: LaneHealthRegistry,
+    /// Ladder rung the retry supervisor starts its next run at; see
+    /// [`Machine::start_rung`]. Volatile: a fresh machine holds 0.
+    start_rung: usize,
     /// Cached sacrificial region for [`Machine::probe_lane`].
     probe_region: Option<Region>,
     /// Checksummed regions: incremental digests maintained by every
@@ -215,6 +218,7 @@ impl Machine {
             journal: None,
             active_lanes: LaneSet::all(),
             health: LaneHealthRegistry::new(),
+            start_rung: 0,
             probe_region: None,
             tracked: Vec::new(),
             guards: Vec::new(),
@@ -336,6 +340,21 @@ impl Machine {
     /// quarantine/restore).
     pub fn health_mut(&mut self) -> &mut LaneHealthRegistry {
         &mut self.health
+    }
+
+    /// The start-rung hint of `fol-core`'s retry supervisor: the index into
+    /// its escalation ladder at which the next supervised run on this
+    /// machine starts (clamped to the ladder's last rung). A commit records
+    /// the rung it committed on, stepped back one rung when it was the
+    /// run's first attempt. Volatile like the health registry: it lives
+    /// only in memory, so a fresh (or restarted) machine starts at rung 0.
+    pub fn start_rung(&self) -> usize {
+        self.start_rung
+    }
+
+    /// Replaces the start-rung hint (see [`Machine::start_rung`]).
+    pub fn set_start_rung(&mut self, rung: usize) {
+        self.start_rung = rung;
     }
 
     /// The physical lane element `p` of a vector instruction executes on

@@ -849,6 +849,68 @@ fn bit_rot_exhaustion_restores_snapshots_byte_exact() {
     }
 }
 
+/// One cell of the breaker-rot sweep: a 14-leaf right comb, lane 3 in
+/// quarantine with its probe cooldown elapsed (8 scatters on a side region),
+/// resident bit-rot at `rate`, and a one-attempt `ScalarTail` ladder. The
+/// circuit breaker probes with a scatter, which rot may strike; the scalar
+/// tail must never read what it struck unrepaired. Ok must be oracle-equal;
+/// a refusal must be typed and leave the tree as it was.
+fn breaker_rot_cell(seed: u64, rate: u16) -> Result<(), String> {
+    let symbols: Vec<Word> = (1..=14).collect();
+    let mut m = Machine::new(CostModel::unit());
+    let t = OpTree::right_comb(&mut m, &symbols);
+    let before_leaves = t.leaves_inorder(&m);
+    let before_val = t.eval_affine(&m);
+    m.set_fault_plan(Some(FaultPlan::bit_rot(seed, rate)));
+    m.health_mut().quarantine(3);
+    let side = m.alloc(8, "side");
+    for i in 0..8 {
+        let idx = m.iota(0, 8);
+        let vals = m.vsplat(i, 8);
+        m.scatter(side, &idx, &vals);
+    }
+    let policy = RetryPolicy {
+        max_attempts: 1,
+        ladder: vec![ExecMode::ScalarTail],
+        ..RetryPolicy::default()
+    };
+    let outcome = txn_rewrite_to_normal_form(&mut m, &t, &policy);
+    let equal = t.leaves_inorder(&m) == before_leaves && t.eval_affine(&m) == before_val;
+    match outcome {
+        Ok(_) if equal && t.is_normal_form(&m) => Ok(()),
+        Ok((_, report)) => Err(format!("committed a diverging tree: {}", report.to_json())),
+        Err(_) if equal => Ok(()),
+        Err(e) => Err(format!("refusal left the tree changed: {e}")),
+    }
+}
+
+/// The breaker-rot sweep (seeds 1–8 × rot rates 2 000/8 000/20 000). Each
+/// cell runs on its own thread under a 10 s limit, so a hang fails the
+/// test instead of stalling the suite.
+#[test]
+fn breaker_probe_rot_never_reaches_the_scalar_tail() {
+    use std::sync::mpsc::{channel, RecvTimeoutError};
+    for seed in 1..=8u64 {
+        for rate in [2_000u16, 8_000, 20_000] {
+            let (tx, rx) = channel();
+            let cell = std::thread::spawn(move || {
+                let _ = tx.send(breaker_rot_cell(seed, rate));
+            });
+            let verdict = match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                Ok(verdict) => verdict,
+                // A hung cell cannot be joined; it ends with the test process.
+                Err(RecvTimeoutError::Timeout) => Err("did not return within 10 s".into()),
+                Err(RecvTimeoutError::Disconnected) => Err("panicked".into()),
+            };
+            if let Err(why) = verdict {
+                panic!("seed {seed} rate {rate}: {why}");
+            }
+            cell.join()
+                .expect("a cell that returned its verdict exits cleanly");
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Coalesced-batch isolation: the serving layer merges independent requests
 // into one index vector, so a single adversarial request must not be able to
