@@ -9,23 +9,37 @@
 //! effects the image already contains — the fact the WAL replayer needs to
 //! be exactly-once instead of at-least-once.
 //!
-//! A full image ([`Checkpoint`]) carries every region it was given; a delta
-//! ([`crate::DeltaCheckpoint`]) carries only the regions dirty since its
-//! parent generation and names that parent. That parent link is the only
-//! difference, so both are [`Image<K>`], with `K` = [`Full`] or
-//! [`crate::delta::Parent`] supplying the magic, the file extension and
-//! the link fields ([`ImageKind`]).
+//! A full image ([`Checkpoint`]) carries every non-zero block of every
+//! region it was given; a delta ([`crate::DeltaCheckpoint`]) carries only
+//! the blocks that changed since its parent generation and names that
+//! parent. That parent link is the only difference, so both are
+//! [`Image<K>`], with `K` = [`Full`] or [`crate::delta::Parent`] supplying
+//! the magic, the file extension and the link fields ([`ImageKind`]).
 //!
-//! # On-disk format (version 1)
+//! # On-disk format (versions 1 and 2)
 //!
 //! ```text
 //! magic "FOLCKPT\0" (full) | "FOLDCKP\0" (delta)   version u32 LE
 //! frame: meta      — seq, [parent_seq, parent_digest: deltas only],
-//!                    counters, applied set, region/checksum counts
+//!                    counters, applied set, run/checksum counts
 //! frame: region ×N — base u64, len u64, words i64 ×len
 //! frame: checksums — (name, base, len, digest) ×M
 //! frame: trailer   — literal "END", and nothing after it
 //! ```
+//!
+//! A region frame carries a **run**: whole [`BLOCK_WORDS`]-word blocks of
+//! one tracked region, from `base` for `len` words (the region's last
+//! block may be short). Version 1 allowed only whole regions; version 2
+//! allows a run to cover part of one. A full image leaves out every block
+//! whose committed words are all zero, since a fresh allocation is zero;
+//! a delta carries the blocks that changed since its parent. The checksum
+//! frame still names every tracked region, and a reader zeroes each of
+//! them before it overlays the runs ([`Checkpoint::restore_into`],
+//! [`crate::materialize`]). A version-1 file is therefore a version-2 file
+//! whose runs are whole regions, and the reader takes both. The writer
+//! stamps version 1 whenever that holds — every run is a whole region and
+//! a full image carries every region it certifies — so an older build still
+//! reads the image; otherwise it stamps [`IMAGE_VERSION`].
 //!
 //! Every frame is CRC-32 protected ([`crate::frame`]); the trailer frame
 //! means a file truncated *exactly at a frame boundary* is still detected
@@ -45,14 +59,16 @@ use crate::frame::{
     TRAILER,
 };
 use crate::PersistError;
-use fol_vm::integrity::{digest_words, TrackedRegion};
+use fol_vm::integrity::{block_digests, digest_words, CutBaseline, TrackedRegion, BLOCK_WORDS};
 use fol_vm::{Machine, Region, Snapshot, Word};
 use std::fs;
 use std::io::Write as _;
 use std::path::Path;
 
-/// The image format version this build writes and reads, for both kinds.
-pub const IMAGE_VERSION: u32 = 1;
+/// The newest image format version, for both kinds: this build reads
+/// versions 1 through this one and writes the lowest that can hold the
+/// image (see the module docs).
+pub const IMAGE_VERSION: u32 = 2;
 
 /// One durable image of committed state. See the module docs for the
 /// on-disk format.
@@ -74,7 +90,9 @@ pub struct Image<K> {
     /// so an acknowledged request is applied exactly once, not re-applied
     /// on every restart.
     pub applied: Vec<u64>,
-    /// The byte-exact region contents (for a delta, only the dirty ones).
+    /// The byte-exact runs of whole blocks the image carries: a full
+    /// image's non-zero blocks, a delta's changed ones. Every region the
+    /// checksums name is zero wherever no run covers it.
     pub snapshot: Snapshot,
     /// Digests of all tracked regions at capture time, for
     /// [`Image::verify`] and post-restore certification.
@@ -91,6 +109,9 @@ pub trait ImageKind: Sized {
     const EXTENSION: &'static str;
     /// How error messages name the kind.
     const WHAT: &'static str;
+    /// Whether an image of this kind stands alone. Only such an image must
+    /// carry every region it certifies to be readable as version 1.
+    const FULL: bool;
 
     /// Appends the link fields to the meta frame.
     fn encode_link(&self, meta: &mut Enc);
@@ -108,6 +129,7 @@ impl ImageKind for Full {
     const MAGIC: &'static [u8; 8] = b"FOLCKPT\0";
     const EXTENSION: &'static str = "ckpt";
     const WHAT: &'static str = "checkpoint";
+    const FULL: bool = true;
 
     fn encode_link(&self, _meta: &mut Enc) {}
 
@@ -124,7 +146,9 @@ impl Checkpoint {
     /// machine's committed image, so rot its scrubs have not reached yet
     /// never reaches disk; live memory for a region outside every tracked
     /// one), together with digests of the tracked regions recomputed from
-    /// that image — independent of the incremental sums.
+    /// that image — independent of the incremental sums. A tracked region
+    /// is carried as runs of its non-zero blocks. The machine remembers the
+    /// cut's block digests, so a delta on top of it can be cut by block.
     pub fn capture(
         m: &Machine,
         regions: &[Region],
@@ -132,48 +156,121 @@ impl Checkpoint {
         counters: Vec<(String, u64)>,
         applied: Vec<u64>,
     ) -> Self {
+        let mut parts = Vec::new();
+        for &r in regions {
+            match m.committed_words(r) {
+                Some(words) if m.block_digests(r).is_some() => {
+                    parts.extend(nonzero_runs(r, words));
+                }
+                Some(words) => parts.push((r, words.to_vec())),
+                None => parts.push((r, m.mem().read_region(r))),
+            }
+        }
+        let mut checksums = Vec::new();
+        let mut cut = Vec::new();
+        for t in m.tracked_regions() {
+            let words = m
+                .committed_words(t.region)
+                .expect("tracked regions have an image");
+            let blocks = block_digests(t.region.base(), words);
+            checksums.push(TrackedRegion {
+                name: t.name.clone(),
+                region: t.region,
+                sum: region_sum(&blocks),
+            });
+            cut.push((t.region, blocks));
+        }
+        m.remember_cut(CutBaseline {
+            state: state_digest(&checksums),
+            regions: cut,
+        });
         Image {
             seq,
             parent: Full,
             counters,
             applied,
-            snapshot: m.committed_snapshot(regions),
-            checksums: committed_checksums(m, |_| true),
+            snapshot: Snapshot::from_parts(parts),
+            checksums,
         }
     }
 
-    /// Writes the snapshot back into `m` and resynchronizes the machine's
-    /// incremental checksums. The machine must have been rebuilt with the
-    /// identical allocation sequence (region geometry is bounds-checked by
-    /// the memory layer, not trusted).
+    /// Zeroes every region the checksums name, writes the runs back into
+    /// `m` and resynchronizes the machine's incremental checksums. The
+    /// machine must have been rebuilt with the identical allocation
+    /// sequence (region geometry is bounds-checked by the memory layer, not
+    /// trusted). When the restored digests are the ones the image
+    /// certifies, the machine remembers them as a cut, so the next delta
+    /// chained onto this image is cut by block.
     pub fn restore_into(&self, m: &mut Machine) {
+        for t in &self.checksums {
+            m.mem_mut().write_region(t.region, &vec![0; t.region.len()]);
+        }
         self.snapshot.restore(m.mem_mut());
         m.resync_integrity();
+        let tracked = m.tracked_regions();
+        let certified = tracked.len() == self.checksums.len()
+            && self
+                .checksums
+                .iter()
+                .all(|t| m.checksum_of(t.region) == Some(t.sum));
+        if certified {
+            let regions = tracked
+                .iter()
+                .map(|t| {
+                    let blocks = m.block_digests(t.region).expect("tracked");
+                    (t.region, blocks.to_vec())
+                })
+                .collect();
+            m.remember_cut(CutBaseline {
+                state: self.state_digest(),
+                regions,
+            });
+        }
     }
 }
 
-/// The tracked regions of `m` as a checksum set, each digest recomputed
-/// from the committed image when `fresh` picks the region and copied from
-/// the incremental sum otherwise.
-pub(crate) fn committed_checksums(
-    m: &Machine,
-    fresh: impl Fn(&TrackedRegion) -> bool,
-) -> Vec<TrackedRegion> {
-    m.tracked_regions()
-        .iter()
-        .map(|t| TrackedRegion {
-            name: t.name.clone(),
-            region: t.region,
-            sum: if fresh(t) {
-                let words = m
-                    .committed_words(t.region)
-                    .expect("tracked regions have an image");
-                digest_words(t.region.base(), words)
-            } else {
-                t.sum
-            },
-        })
-        .collect()
+/// The runs of the blocks of `region` (committed contents `words`) that
+/// are not all zero: what an image carries of a region its reader zeroes
+/// first.
+pub(crate) fn nonzero_runs(region: Region, words: &[Word]) -> Vec<(Region, Vec<Word>)> {
+    let nonzero: Vec<bool> = words
+        .chunks(BLOCK_WORDS)
+        .map(|c| c.iter().any(|&w| w != 0))
+        .collect();
+    block_runs(region, words, &nonzero)
+}
+
+/// The digest of a region from its block digests: their XOR.
+pub(crate) fn region_sum(blocks: &[u64]) -> u64 {
+    blocks.iter().fold(0, |acc, b| acc ^ b)
+}
+
+/// The runs of whole [`BLOCK_WORDS`]-word blocks of `region` (committed
+/// contents `words`) whose flag in `picked` is set, adjacent picked blocks
+/// coalesced into one run.
+pub(crate) fn block_runs(
+    region: Region,
+    words: &[Word],
+    picked: &[bool],
+) -> Vec<(Region, Vec<Word>)> {
+    let mut runs = Vec::new();
+    let mut b = 0;
+    while b < picked.len() {
+        if !picked[b] {
+            b += 1;
+            continue;
+        }
+        let first = b;
+        while b < picked.len() && picked[b] {
+            b += 1;
+        }
+        let (lo, hi) = (first * BLOCK_WORDS, (b * BLOCK_WORDS).min(words.len()));
+        runs.push((
+            Region::from_raw(region.base() + lo, hi - lo),
+            words[lo..hi].to_vec(),
+        ));
+    }
+    runs
 }
 
 /// The state digest of a checksum set: XOR of the per-region digests. Two
@@ -192,10 +289,32 @@ impl<K: ImageKind> Image<K> {
         state_digest(&self.checksums)
     }
 
-    /// Serializes to the version-1 byte format.
+    /// The format version this image is written as: 1 when every run
+    /// is a whole region and, for a full image, every certified region is
+    /// carried — what an older build reads — and [`IMAGE_VERSION`]
+    /// otherwise.
+    pub fn format_version(&self) -> u32 {
+        let parts = self.snapshot.parts();
+        let whole = |r: &Region| {
+            self.checksums.iter().all(|t| {
+                t.region == *r
+                    || t.region.base() + t.region.len() <= r.base()
+                    || r.base() + r.len() <= t.region.base()
+            })
+        };
+        let carried = |t: &TrackedRegion| parts.iter().any(|(r, _)| *r == t.region);
+        if parts.iter().all(|(r, _)| whole(r)) && (!K::FULL || self.checksums.iter().all(carried)) {
+            1
+        } else {
+            IMAGE_VERSION
+        }
+    }
+
+    /// Serializes to the byte format, stamped with
+    /// [`Image::format_version`].
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        push_header(&mut out, K::MAGIC, IMAGE_VERSION);
+        push_header(&mut out, K::MAGIC, self.format_version());
 
         let mut meta = Enc::new();
         meta.u64(self.seq);
@@ -235,7 +354,7 @@ impl<K: ImageKind> Image<K> {
         out
     }
 
-    /// Deserializes the version-1 byte format. Every defect is a distinct
+    /// Deserializes the byte format, version 1 or 2. Every defect is a distinct
     /// typed error: wrong magic ([`PersistError::BadMagic`]), unknown
     /// version ([`PersistError::UnsupportedVersion`]), torn file
     /// ([`PersistError::Truncated`]), bit-flip
@@ -244,7 +363,7 @@ impl<K: ImageKind> Image<K> {
     /// not strictly older than itself is also `Malformed`.
     pub fn decode(bytes: &[u8]) -> Result<Self, PersistError> {
         let what = K::WHAT;
-        read_header(bytes, K::MAGIC, IMAGE_VERSION..=IMAGE_VERSION, what)?;
+        read_header(bytes, K::MAGIC, 1..=IMAGE_VERSION, what)?;
         let mut pos = HEADER_LEN;
         let meta_what = format!("{what}: meta frame");
         let meta = require_frame(bytes, &mut pos, &meta_what)?;
@@ -312,13 +431,13 @@ impl<K: ImageKind> Image<K> {
     }
 
     /// Cross-checks the stored digests against the stored region contents:
-    /// every checksum whose region was captured must match a fresh
-    /// [`digest_words`] over the captured words. The CRC layer certifies
-    /// the *bytes* survived storage; this certifies the image was
-    /// internally consistent when written (a writer racing its own
-    /// mutations would be caught here). Regions checksummed but not
-    /// captured — a delta's clean regions — are certified by
-    /// [`crate::materialize`]'s end-to-end check instead.
+    /// every checksum whose region a run covers whole must match a fresh
+    /// [`digest_words`] over the run's words. The CRC layer certifies the
+    /// *bytes* survived storage; this certifies the image was internally
+    /// consistent when written (a writer racing its own mutations would be
+    /// caught here). Regions checksummed but carried in part or not at
+    /// all — a delta's clean blocks, a full image's zero blocks — are
+    /// certified by [`crate::materialize`]'s end-to-end check instead.
     pub fn verify(&self) -> Result<(), PersistError> {
         for t in &self.checksums {
             let Some((_, words)) = self

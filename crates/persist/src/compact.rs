@@ -20,7 +20,21 @@
 //!   boundary, and replay must still cover the gap) or was terminally
 //!   refused. Only a *prefix* of segments is deleted — an admission's
 //!   later completion record can then never be orphaned — and the active
-//!   (last) segment is never touched.
+//!   segment is never touched.
+//! * **Lock rule** — a pass reads only *sealed* segments: those below the
+//!   active index the caller names ([`Compactor::compact_below`]). A server
+//!   takes its log mutex just to [`crate::Wal::rotate`], which returns that
+//!   index, and releases it before the pass; appends continue into the
+//!   active segment, which the pass never reads, judges or deletes. Passes
+//!   must not run concurrently with each other; the caller serializes them.
+//! * **Log floor** — the report names the lowest admission sequence still
+//!   on disk after the deletes ([`CompactionReport::log_floor`]), counting
+//!   a deleted segment only once the directory fsync made its deletion
+//!   durable.
+//!   Admissions are appended in sequence order, so no admission record
+//!   remains for any sequence below it: a writer may drop those sequences
+//!   from the applied sets of its later images, since nothing can re-drive
+//!   them. Images then grow with the retained log, not with history.
 //! * **Crash-safe ordering** — boundary images are fsynced *first* (a
 //!   cadence may have written them unsynced, trusting the WAL that is
 //!   about to be deleted), then a marker file is committed, then files are
@@ -30,7 +44,7 @@
 
 use crate::checkpoint::{write_atomic, Checkpoint};
 use crate::planner::{scan_generations, Generation, GenerationKind};
-use crate::wal::{replay, segments};
+use crate::wal::{replay_below, segments};
 use crate::PersistError;
 use std::collections::BTreeSet;
 use std::fs;
@@ -113,6 +127,12 @@ pub struct CompactionReport {
     /// A marker from an interrupted previous pass was found at entry; this
     /// pass recomputed and completed the work.
     pub resumed_marker: bool,
+    /// The lowest admission sequence still on disk after this pass: every
+    /// admission in a retained sealed segment, and every later one, is at
+    /// or above it. When every sealed admission was deleted it is one past
+    /// the highest of them. `None` when the pass did not read the log, or
+    /// found no admission in it.
+    pub log_floor: Option<u64>,
 }
 
 /// The compaction policy and entry point. See the module docs.
@@ -146,15 +166,33 @@ impl Compactor {
     }
 
     /// One compaction pass over every checkpoint prefix in
-    /// `ckpt_prefixes` plus the shared WAL. `classify` decodes WAL record
-    /// payloads (the serving layer owns that codec). Read-only until the
-    /// plan is complete; idempotent; safe to re-run after a kill. `Err` is
-    /// reserved for unreadable directories — per-file problems become
-    /// typed refusals inside the `Ok`.
+    /// `ckpt_prefixes` plus the shared WAL, treating the newest segment on
+    /// disk as the active one. `classify` decodes WAL record payloads (the
+    /// serving layer owns that codec). Read-only until the plan is
+    /// complete; idempotent; safe to re-run after a kill. `Err` is reserved
+    /// for unreadable directories — per-file problems become typed
+    /// refusals inside the `Ok`. A log still being appended to must use
+    /// [`Compactor::compact_below`] instead.
     pub fn compact(
         &self,
         ckpt_prefixes: &[&str],
         classify: impl Fn(&[u8]) -> LogRecord,
+    ) -> Result<CompactionReport, PersistError> {
+        let active = segments(&self.dir, &self.wal_prefix)?
+            .last()
+            .map_or(0, |(index, _)| *index);
+        self.compact_below(ckpt_prefixes, classify, active)
+    }
+
+    /// [`Compactor::compact`] over a live log whose active segment is
+    /// `active` (what [`crate::Wal::rotate`] returned): the pass replays,
+    /// judges and deletes only the sealed segments below it, so it needs no
+    /// lock against appends (see the module docs' lock rule).
+    pub fn compact_below(
+        &self,
+        ckpt_prefixes: &[&str],
+        classify: impl Fn(&[u8]) -> LogRecord,
+        active: u64,
     ) -> Result<CompactionReport, PersistError> {
         let mut report = CompactionReport {
             resumed_marker: self.marker_path().exists(),
@@ -214,55 +252,78 @@ impl Compactor {
             );
         }
 
-        // Phase 1b: the WAL plan. Only when every prefix's floor is known —
-        // an unknown floor could make a needed admission look deletable.
-        let mut wal_deletions: Vec<PathBuf> = Vec::new();
+        // Phase 1b: the WAL plan over the sealed segments. Only when every
+        // prefix's floor is known — an unknown floor could make a needed
+        // admission look deletable.
+        let mut wal_deletions: Vec<(u64, PathBuf)> = Vec::new();
+        // Per sealed segment, in index order: its lowest and highest
+        // admission, for the log floor.
+        let mut admitted: Vec<(u64, Option<(u64, u64)>)> = Vec::new();
         if floor_known {
-            match replay(&self.dir, &self.wal_prefix) {
+            match replay_below(&self.dir, &self.wal_prefix, active) {
                 Err(error) => report
                     .refusals
                     .push(CompactRefusal::WalUnreadable { error }),
                 Ok(rep) => {
-                    let refused: BTreeSet<u64> = rep
+                    let records: Vec<(u64, LogRecord)> = rep
                         .records
                         .iter()
-                        .filter_map(|r| match classify(&r.payload) {
+                        .map(|r| (r.segment, classify(&r.payload)))
+                        .collect();
+                    let refused: BTreeSet<u64> = records
+                        .iter()
+                        .filter_map(|(_, r)| match r {
                             LogRecord::Complete {
                                 seq,
                                 applied: false,
-                            } => Some(seq),
+                            } => Some(*seq),
                             _ => None,
                         })
                         .collect();
-                    let segs = segments(&self.dir, &self.wal_prefix)?;
-                    // Longest deletable prefix, never the active segment.
-                    for (index, path) in segs.iter().take(segs.len().saturating_sub(1)) {
-                        let deletable =
-                            rep.records.iter().filter(|r| r.segment == *index).all(|r| {
-                                match classify(&r.payload) {
-                                    LogRecord::Admit { seq } => {
-                                        covered.contains(&seq) || refused.contains(&seq)
-                                    }
-                                    _ => true,
-                                }
-                            });
-                        if deletable {
-                            wal_deletions.push(path.clone());
-                        } else {
+                    // Longest deletable prefix.
+                    let mut deleting = true;
+                    for (index, path) in segments(&self.dir, &self.wal_prefix)? {
+                        if index >= active {
                             break;
+                        }
+                        let admits = || {
+                            records.iter().filter_map(move |(seg, r)| match r {
+                                LogRecord::Admit { seq } if *seg == index => Some(*seq),
+                                _ => None,
+                            })
+                        };
+                        let span = admits().min().zip(admits().max());
+                        admitted.push((index, span));
+                        deleting = deleting
+                            && admits().all(|seq| covered.contains(&seq) || refused.contains(&seq));
+                        if deleting {
+                            wal_deletions.push((index, path));
                         }
                     }
                 }
             }
         }
+        let floor_after = |removed: &BTreeSet<u64>| {
+            let kept = admitted
+                .iter()
+                .filter(|(index, _)| !removed.contains(index))
+                .filter_map(|(_, span)| span.map(|(lo, _)| lo))
+                .min();
+            let past = admitted
+                .iter()
+                .filter_map(|(_, span)| span.map(|(_, hi)| hi + 1))
+                .max();
+            kept.or(past)
+        };
 
         if gen_deletions.is_empty() && wal_deletions.is_empty() {
             // Nothing to do; clear a stale marker from an interrupted pass
             // whose work is evidently already complete.
             if report.resumed_marker {
                 let _ = fs::remove_file(self.marker_path());
-                self.fsync_dir();
+                let _ = self.fsync_dir();
             }
+            report.log_floor = floor_after(&BTreeSet::new());
             return Ok(report);
         }
 
@@ -275,7 +336,7 @@ impl Compactor {
                 let _ = f.sync_all();
             }
         }
-        self.fsync_dir();
+        let _ = self.fsync_dir();
 
         // Phase 3: mark, delete, fsync, unmark.
         let marker_body = format!(
@@ -289,21 +350,29 @@ impl Compactor {
                 report.generations_removed += 1;
             }
         }
-        for path in &wal_deletions {
+        let mut removed = BTreeSet::new();
+        for (index, path) in &wal_deletions {
             if fs::remove_file(path).is_ok() {
                 report.wal_segments_removed += 1;
+                removed.insert(*index);
             }
         }
-        self.fsync_dir();
+        // A deletion counts toward the floor only once the directory fsync
+        // made it durable: a segment that power loss could bring back must
+        // not let writers drop the sequences it admits.
+        if !self.fsync_dir() {
+            removed.clear();
+        }
         let _ = fs::remove_file(self.marker_path());
-        self.fsync_dir();
+        let _ = self.fsync_dir();
+        report.log_floor = floor_after(&removed);
         Ok(report)
     }
 
-    fn fsync_dir(&self) {
-        if let Ok(d) = fs::File::open(&self.dir) {
-            let _ = d.sync_all();
-        }
+    /// Fsyncs the directory, so renames and deletes in it survive power
+    /// loss; returns whether that worked.
+    fn fsync_dir(&self) -> bool {
+        fs::File::open(&self.dir).is_ok_and(|d| d.sync_all().is_ok())
     }
 }
 
@@ -519,6 +588,52 @@ mod tests {
         let again = compactor.compact(&["w0"], classify).unwrap();
         assert_eq!(again.generations_removed, 0);
         assert!(!again.resumed_marker);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The lock rule: a pass below the active index never reads the active
+    /// segment (here it holds a corrupt frame a replay would refuse), and
+    /// the floor it reports is the lowest admission left on disk.
+    #[test]
+    fn a_pass_below_the_active_segment_never_reads_it_and_reports_the_floor() {
+        let dir = temp_dir("below");
+        write_generations(&dir, "w0", &[4, 8], &[]);
+        let mut wal = Wal::open(&dir, "requests", FsyncPolicy::Off, 1 << 20).unwrap();
+        wal.append(&admit(1)).unwrap();
+        wal.append(&admit(2)).unwrap();
+        wal.rotate().unwrap();
+        wal.append(&admit(5)).unwrap(); // covered only by the newest image
+        let active = wal.rotate().unwrap();
+        wal.append(&admit(9)).unwrap();
+        drop(wal);
+        let (_, path) = segments(&dir, "requests").unwrap().pop().unwrap();
+        let mut bytes = fs::read(&path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        fs::write(&path, &bytes).unwrap();
+
+        let report = Compactor::new(&dir, "requests")
+            .keep_full_images(2)
+            .compact_below(&["w0"], classify, active)
+            .unwrap();
+        assert!(report.refusals.is_empty(), "{:?}", report.refusals);
+        assert_eq!(report.wal_segments_removed, 1, "admits 1 and 2 are covered");
+        assert_eq!(report.log_floor, Some(5));
+        fs::remove_dir_all(&dir).ok();
+
+        // With every sealed admission deleted, the floor is one past them.
+        let dir = temp_dir("below-all");
+        write_generations(&dir, "w0", &[4], &[]);
+        let mut wal = Wal::open(&dir, "requests", FsyncPolicy::Off, 1 << 20).unwrap();
+        wal.append(&admit(3)).unwrap();
+        let active = wal.rotate().unwrap();
+        drop(wal);
+        let report = Compactor::new(&dir, "requests")
+            .keep_full_images(1)
+            .compact_below(&["w0"], classify, active)
+            .unwrap();
+        assert_eq!(report.wal_segments_removed, 1);
+        assert_eq!(report.log_floor, Some(4));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,10 +16,10 @@
 //!   never observes a half-written image under its final name. A full
 //!   [`Checkpoint`] and a [`DeltaCheckpoint`] are the same [`Image`] type,
 //!   differing only in the parent link.
-//! * **[`delta`]** — incremental images: only the regions whose integrity
-//!   digest changed since the parent generation, chained by parent id +
-//!   parent state digest, and [`materialize`] to replay a chain onto its
-//!   full image; every K deltas a full image is cut.
+//! * **[`delta`]** — incremental images: only the 32-word blocks whose
+//!   integrity digest changed since the parent generation, chained by
+//!   parent id + parent state digest, and [`materialize`] to replay a
+//!   chain onto its full image; every K deltas a full image is cut.
 //! * **[`wal`]** — a segmented append-only log of opaque records, each
 //!   CRC-framed, with a configurable [`wal::FsyncPolicy`]. Replay
 //!   distinguishes a *torn tail* (the expected signature of a crash mid-
@@ -30,10 +30,11 @@
 //!   materialization), and falls back link-by-link with a typed
 //!   [`SkipReason`] per passed-over generation — never a silent divergence.
 //! * **[`compact`]** — the [`Compactor`]: prunes generations below a
-//!   `keep_full_images` retention boundary and deletes WAL segments wholly
-//!   covered by the boundary image's applied set, with mark-then-delete +
-//!   directory-fsync crash safety and typed refusal when pruning would
-//!   orphan the only loadable full image.
+//!   `keep_full_images` retention boundary and deletes sealed WAL segments
+//!   wholly covered by the boundary image's applied set, with
+//!   mark-then-delete + directory-fsync crash safety and typed refusal
+//!   when pruning would orphan the only loadable full image; it reports
+//!   the log floor below which no admission record remains.
 //! * **[`handoff`]** — shard-handoff images: the CRC-framed, digest-carrying
 //!   transfer format a cluster rebalance ships between processes, in the
 //!   shared envelope but over *logical* per-class key sets, which are

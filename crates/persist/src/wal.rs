@@ -372,14 +372,30 @@ pub struct Replay {
 /// segment — is a hard typed error: corrupt history is refused, never
 /// silently replayed around.
 pub fn replay(dir: &Path, prefix: &str) -> Result<Replay, PersistError> {
-    let segs = segments(dir, prefix)?;
+    replay_segments(&segments(dir, prefix)?, true)
+}
+
+/// Reads every record of the sealed `prefix` segments in `dir` whose index
+/// is below `active`, in append order, and nothing at or above it. Every
+/// segment read is sealed, so a defect anywhere — a tear included — is a
+/// hard typed error. The compactor reads the log this way while appends
+/// continue into the active segment.
+pub(crate) fn replay_below(dir: &Path, prefix: &str, active: u64) -> Result<Replay, PersistError> {
+    let mut segs = segments(dir, prefix)?;
+    segs.retain(|(index, _)| *index < active);
+    replay_segments(&segs, false)
+}
+
+/// Replays `segs` in order; the last one may end torn only when
+/// `last_may_tear` is set.
+fn replay_segments(segs: &[(u64, PathBuf)], last_may_tear: bool) -> Result<Replay, PersistError> {
     let mut out = Replay {
         segments: segs.len(),
         ..Replay::default()
     };
     let last = segs.len().saturating_sub(1);
     for (pos_in_list, (index, path)) in segs.iter().enumerate() {
-        let is_last = pos_in_list == last;
+        let is_last = last_may_tear && pos_in_list == last;
         let bytes =
             fs::read(path).map_err(|e| PersistError::io(format!("read {}", path.display()), e))?;
         let what = format!("wal segment {}", path.display());

@@ -1,14 +1,18 @@
 //! Pins the on-disk bytes of every image format: a full checkpoint, a delta
-//! checkpoint and a version-2 shard-handoff image. Each constant was
-//! encoded once and committed; `encode()` must keep reproducing it exactly
-//! and `decode()` must read it back to the same value, so files written by
-//! any earlier build keep loading after a codec change.
+//! checkpoint and a version-2 shard-handoff image, each region image at
+//! version 1 (whole regions) and version 2 (runs of blocks). Each constant
+//! was encoded once and committed; `encode()` must keep reproducing it
+//! exactly and `decode()` must read it back to the same value, so files
+//! written by any earlier build keep loading after a codec change.
 //!
 //! Each constant is laid out one artifact piece per group of lines: the
 //! 12-byte magic + version header, then every `[len][crc][payload]` frame
 //! in file order, ending with the `END` trailer frame.
 
-use fol_persist::{Checkpoint, DeltaCheckpoint, HandoffDedupe, HandoffImage, HandoffSection};
+use fol_persist::{
+    materialize, Checkpoint, DeltaCheckpoint, HandoffDedupe, HandoffImage, HandoffSection,
+    RecoveryPlanner,
+};
 use fol_vm::{CostModel, Machine, Word};
 
 /// `FOLCKPT\0` v1 at seq 3: meta, region `a` (4 words), region `b`
@@ -45,6 +49,51 @@ const HANDOFF: &str = concat!(
     "250000005a9b34d205000000636861696ef0debc9a7856341202000000feffffffffffffff050000",
     "0000000000",
     "1e000000bcb6b59b03000000000000000600000000000000080000000000000002000000a500",
+    "030000003b715b96454e44",
+);
+
+/// `FOLCKPT\0` v2 at seq 5: meta, region `a` (4 words, whole), runs of
+/// region `c` (80 words) for block 0 (32 words) and block 2 (16 words) —
+/// block 1 is all zero and left out — checksums of both, trailer.
+const FULL_V2: &str = concat!(
+    "464f4c434b50540002000000",
+    "3c00000071ba67c405000000000000000100000010000000636861696e2e757365645f6e6f646573",
+    "02000000000000000100000007000000000000000300000002000000",
+    "30000000320b2aca0000000000000000040000000000000000000000000000000500000000000000",
+    "00000000000000000000000000000000",
+    "10010000873fbddf0400000000000000200000000000000000000000000000000000000000000000",
+    "0000000000000000f7ffffffffffffff000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "90000000fa3a0b224400000000000000100000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000c00000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "0000000000000000000000000000000000000000000000000000000000000000",
+    "3a000000499b8c5a0100000061000000000000000004000000000000000ca0eb2440773ceb010000",
+    "00630400000000000000500000000000000073e3f2bbc3f4db96",
+    "030000003b715b96454e44",
+);
+
+/// `FOLDCKP\0` v2 at seq 6 on parent 5: meta with the parent link, the one
+/// changed block of `c` (block 1, a sub-region run), checksums of both
+/// regions, trailer.
+const DELTA_V2: &str = concat!(
+    "464f4c44434b500002000000",
+    "540000009c8df512060000000000000005000000000000007f43199f8383e77d0100000010000000",
+    "636861696e2e757365645f6e6f646573030000000000000002000000070000000000000008000000",
+    "000000000100000002000000",
+    "10010000176883532400000000000000200000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000002100000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "00000000000000000000000000000000000000000000000000000000000000000000000000000000",
+    "3a00000088ad88730100000061000000000000000004000000000000000ca0eb2440773ceb010000",
+    "006304000000000000005000000000000000437a7cd7453bd877",
     "030000003b715b96454e44",
 );
 
@@ -122,4 +171,116 @@ fn committed_bytes_decode_to_the_same_images() {
     assert_eq!(back, delta);
     let back = HandoffImage::decode(&hex(HANDOFF)).expect("committed handoff decodes");
     assert_eq!(back, handoff);
+}
+
+/// The images the version-2 constants were encoded from: a 4-word region
+/// and an 80-word region of three blocks, one full image, then one delta
+/// after a store into the middle block.
+fn images_v2() -> (Checkpoint, DeltaCheckpoint, Machine) {
+    let mut m = Machine::new(CostModel::unit());
+    let a = m.alloc(4, "a");
+    let c = m.alloc(80, "c");
+    m.s_write(a.at(1), 5);
+    m.s_write(c.at(3), -9);
+    m.s_write(c.at(70), 12);
+    m.track_region(a);
+    m.track_region(c);
+    let full = Checkpoint::capture(
+        &m,
+        &[a, c],
+        5,
+        vec![("chain.used_nodes".into(), 2)],
+        vec![7],
+    );
+    m.s_write(c.at(40), 33);
+    let delta = DeltaCheckpoint::capture(
+        &m,
+        6,
+        5,
+        &full.checksums,
+        vec![("chain.used_nodes".into(), 3)],
+        vec![7, 8],
+    );
+    (full, delta, m)
+}
+
+#[test]
+fn version_2_encoders_reproduce_the_committed_bytes() {
+    let (full, delta, _) = images_v2();
+    assert_eq!(full.format_version(), 2, "a zero block is left out");
+    assert_eq!(delta.format_version(), 2, "the delta carries part of c");
+    assert_eq!(
+        full.encode(),
+        hex(FULL_V2),
+        "v2 full checkpoint bytes moved"
+    );
+    assert_eq!(
+        delta.encode(),
+        hex(DELTA_V2),
+        "v2 delta checkpoint bytes moved"
+    );
+}
+
+#[test]
+fn version_2_bytes_decode_and_materialize_to_the_live_state() {
+    let (full, delta, m) = images_v2();
+    let back_full = Checkpoint::decode(&hex(FULL_V2)).expect("committed v2 full image decodes");
+    back_full
+        .verify()
+        .expect("committed v2 full image verifies");
+    assert_eq!(back_full, full);
+    let back_delta = DeltaCheckpoint::decode(&hex(DELTA_V2)).expect("committed v2 delta decodes");
+    back_delta.verify().expect("committed v2 delta verifies");
+    assert_eq!(back_delta, delta);
+    let image = materialize(&back_full, &[&back_delta]).expect("the v2 chain materializes");
+    assert!(image.snapshot.matches(m.mem()), "byte-exact reproduction");
+}
+
+/// Files written by a version-1 build restore through the planner, and the
+/// next delta this build cuts over them is version 2 and chains onto them.
+#[test]
+fn version_1_files_restore_and_a_version_2_delta_chains_onto_them() {
+    use std::sync::atomic::{AtomicU64, Ordering};
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "fol-golden-v1-{}-{}",
+        std::process::id(),
+        NEXT.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(Checkpoint::file_name("w0", 3)), hex(FULL)).unwrap();
+    std::fs::write(dir.join(DeltaCheckpoint::file_name("w0", 4)), hex(DELTA)).unwrap();
+    let plan = RecoveryPlanner::new(&dir, "w0").plan().expect("plans");
+    assert!(plan.skipped.is_empty(), "{:?}", plan.skipped);
+    assert_eq!(plan.deltas_applied, 1);
+    let head = plan.checkpoint.expect("the v1 chain restores");
+    assert_eq!(head.seq, 4);
+
+    // The same geometry plus a region of three blocks the v1 files never
+    // knew: a delta that stores into its middle block carries that block
+    // alone, as a v2 run.
+    let mut m = Machine::new(CostModel::unit());
+    let a = m.alloc(4, "a");
+    let b = m.alloc(2, "b");
+    let c = m.alloc(80, "c");
+    m.track_region(a);
+    m.track_region(b);
+    m.track_region(c);
+    head.restore_into(&mut m);
+    assert_eq!(m.mem().read_region(b), vec![40, -3]);
+    m.s_write(c.at(40), 7);
+    let next = DeltaCheckpoint::capture(&m, 5, 4, &head.checksums, vec![], vec![1, 2, 4, 5]);
+    assert_eq!(next.format_version(), 2);
+    let bytes = next.encode();
+    assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 2);
+    assert_eq!(next.snapshot.words(), 32, "one block of c");
+    std::fs::write(dir.join(DeltaCheckpoint::file_name("w0", 5)), &bytes).unwrap();
+
+    let plan = RecoveryPlanner::new(&dir, "w0").plan().expect("plans");
+    assert!(plan.skipped.is_empty(), "{:?}", plan.skipped);
+    assert_eq!((plan.base_seq, plan.deltas_applied), (Some(3), 2));
+    let image = plan.checkpoint.expect("the mixed chain restores");
+    assert_eq!(image.seq, 5);
+    assert!(image.snapshot.matches(m.mem()), "byte-exact reproduction");
+    std::fs::remove_dir_all(&dir).ok();
 }

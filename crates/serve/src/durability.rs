@@ -5,11 +5,16 @@
 //! [`crate::Server::submit`] has returned a [`crate::Ticket`], the request
 //! survives a process kill — an *admission record* is in the write-ahead
 //! log before the ticket exists. After a batch commits, each carried
-//! request gets a *completion record* (with an `applied` flag), and every
+//! request gets a *completion record* (with an `applied` flag), committed
+//! to the log before any caller sees its outcome. Then, every
 //! [`ServerConfig::durability`](crate::ServerConfig) `checkpoint_every`
-//! mutating batches a worker writes a durable [`Checkpoint`] of its
+//! mutating batches, a worker cuts a [`Checkpoint`] (or a delta) of its
 //! committed regions, host counters, and the set of request sequence
-//! numbers whose effects the image contains.
+//! numbers whose effects the image contains, and hands it to the
+//! server's writer thread ([`crate::writer`]), which writes it off the
+//! request path. That set holds only sequences at or above the log floor
+//! the newest compaction pass reported: below it no admission record
+//! remains, so nothing can re-drive them and no image needs to name them.
 //!
 //! On restart, [`plan_replay`] reconstructs the acknowledged-but-unapplied
 //! frontier from those three sources:

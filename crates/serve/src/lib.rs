@@ -57,6 +57,7 @@ mod queue;
 mod request;
 mod scrub;
 pub mod shard;
+mod writer;
 
 pub use durability::{
     decode_record, encode_admit, worker_prefix, DurRecord, DurabilityConfig, REQUEST_LOG_PREFIX,
@@ -193,6 +194,8 @@ pub struct ShutdownReport {
 pub struct Server {
     shared: Arc<queue::Shared>,
     workers: Option<Vec<JoinHandle<Vec<ClassDump>>>>,
+    /// The image writer thread, when durable (see [`writer`]).
+    writer: Option<JoinHandle<()>>,
     gate: Arc<ShardGate>,
 }
 
@@ -278,11 +281,16 @@ impl Server {
             }
         };
 
+        let image_writer = cfg
+            .durability
+            .as_ref()
+            .map(|d| writer::ImageWriter::new(d, cfg.workers));
         let shared = Arc::new(queue::Shared::new(
             cfg.queue_capacity,
             cfg.max_batch,
             cfg.max_wait,
             log,
+            image_writer,
             cfg.workers,
         ));
         shared.set_next_seq(plan.next_seq);
@@ -303,6 +311,17 @@ impl Server {
                     .expect("spawn pool worker")
             })
             .collect();
+        let writer = shared.writer.is_some().then(|| {
+            let shared = Arc::clone(&shared);
+            std::thread::Builder::new()
+                .name("fol-serve-writer".into())
+                .spawn(move || {
+                    if let Some(w) = &shared.writer {
+                        w.run(&shared);
+                    }
+                })
+                .expect("spawn image writer")
+        });
 
         // Phase 3: re-drive the acknowledged-but-unapplied frontier.
         report.replayed = plan.resubmit.len();
@@ -315,6 +334,7 @@ impl Server {
             Server {
                 shared,
                 workers: Some(workers),
+                writer,
                 gate: Arc::new(ShardGate::default()),
             },
             report,
@@ -377,8 +397,9 @@ impl Server {
     }
 
     /// Graceful shutdown: stops admitting, drains every queued request
-    /// (each still terminates with its typed outcome), joins the pool, and
-    /// returns the final stats plus structure dumps.
+    /// (each still terminates with its typed outcome), joins the pool,
+    /// drains and joins the image writer (so every generation the workers
+    /// cut is on disk), and returns the final stats plus structure dumps.
     pub fn shutdown(mut self) -> ShutdownReport {
         let dumps = self.stop();
         ShutdownReport {
@@ -400,6 +421,12 @@ impl Server {
                     }
                 }
             }
+        }
+        if let Some(w) = &self.shared.writer {
+            w.shutdown();
+        }
+        if let Some(h) = self.writer.take() {
+            let _ = h.join();
         }
         dumps
     }

@@ -20,9 +20,19 @@
 //! respawn path's restore target (a worker that panics mid-batch is
 //! replaced by a fresh machine, rebuilt with the identical allocation
 //! sequence and restored from the condemned machine's image).
+//!
+//! With durability on, a batch's order is fixed: completion records, the
+//! log commit, the counters, the acknowledgements — nothing else runs
+//! between the commit and the acks. Only then does the cadence tick: the
+//! worker cuts a checkpoint image from the committed image on its own
+//! thread and hands it to the server's one writer thread
+//! ([`crate::writer`]), which writes it and runs compaction off the write
+//! path. A worker's applied set holds only sequences at or above the log
+//! floor the newest compaction pass reported, so its images grow with the
+//! retained log, not with the server's history.
 
 use crate::durability::{
-    classify_record, decode_record, encode_complete, worker_prefix, DurRecord, REQUEST_LOG_PREFIX,
+    decode_record, encode_complete, worker_prefix, DurRecord, REQUEST_LOG_PREFIX,
 };
 use crate::queue::{
     Batch, Pending, Shared, LANE_BST_INSERT, LANE_CHAIN_INSERT, LANE_CTL_BST, LANE_CTL_CHAIN,
@@ -30,14 +40,12 @@ use crate::queue::{
 };
 use crate::request::{keys_digest, Kind, Request, Response, ServeError, WorkloadClass};
 use crate::scrub::ScrubCursor;
+use crate::writer::{Cut, Job};
 use crate::ServerConfig;
 use fol_core::recover::GroupError;
 use fol_hash::chaining::{self, ChainTable};
 use fol_hash::open_addressing as oa;
-use fol_persist::{
-    wal, Checkpoint, Compactor, DeltaCheckpoint, Image, ImageKind, PersistError, RecoveryPlanner,
-    SkipReason,
-};
+use fol_persist::{wal, Checkpoint, DeltaCheckpoint, RecoveryPlanner, SkipReason};
 use fol_tree::bst::{self, Bst};
 use fol_vm::integrity::TrackedRegion;
 use fol_vm::{CostModel, Machine, Region, Word};
@@ -85,8 +93,9 @@ pub(crate) struct Worker {
     dur: Option<WorkerDur>,
 }
 
-/// A worker's durable half: where its checkpoints live and which request
-/// sequence numbers its committed state already contains.
+/// A worker's durable half: where its checkpoints live, which generation
+/// the next delta chains onto, and which request sequence numbers its
+/// committed state already contains.
 struct WorkerDur {
     dir: PathBuf,
     prefix: String,
@@ -94,14 +103,6 @@ struct WorkerDur {
     /// Every `full_every`-th generation is a full image; the ticks in
     /// between write delta checkpoints chained to their parent.
     full_every: u64,
-    /// Newest loadable full images compaction retains for this worker.
-    keep: usize,
-    /// Whether checkpoint files are fsynced. Only [`FsyncPolicy::Always`]
-    /// pays for it: at the weaker tiers the write-ahead log is the source
-    /// of truth, so a power-loss-torn checkpoint is a typed refusal with
-    /// fallback, not lost data. Compaction fsyncs its boundary images
-    /// itself before deleting the WAL coverage they replace.
-    sync: bool,
     /// Monotonic checkpoint sequence, continued across restores so new
     /// files sort after the restored one.
     ckpt_seq: u64,
@@ -109,31 +110,21 @@ struct WorkerDur {
     commits: u64,
     /// Delta generations written since the last durable full image.
     deltas_since_full: u64,
-    /// The generation the next delta chains onto: its id and its recorded
-    /// checksum set (the dirtiness baseline and the parent-digest source).
-    /// `None` until the first durable full image, which forces the next
-    /// cadence tick to cut one.
+    /// The generation the next delta chains onto: the newest one written,
+    /// with its id and its recorded checksum set (the parent-digest source
+    /// and the key of the machine's remembered block baseline). `None`
+    /// until the first full image is written, and again after a failed
+    /// write, which forces the next cadence tick to cut a full image.
     parent: Option<(u64, Vec<TrackedRegion>)>,
-    /// Every request sequence this worker has applied — restored set plus
-    /// this incarnation's commits. Attached to each checkpoint so the
-    /// replayer is exactly-once, and diffed against the newest durable
-    /// checkpoint on respawn to find what must be redone.
+    /// The image handed to the writer and not yet settled: its id, its
+    /// checksum set and whether it is a full image.
+    in_flight: Option<(u64, Vec<TrackedRegion>, bool)>,
+    /// Every request sequence this worker has applied whose admission
+    /// record may still be on disk — restored set plus this incarnation's
+    /// commits, trimmed to the log floor before each cut. Attached to each
+    /// checkpoint so the replayer is exactly-once, and diffed against the
+    /// newest durable checkpoint on respawn to find what must be redone.
     applied_all: BTreeSet<u64>,
-}
-
-impl WorkerDur {
-    /// Commits one generation file under this worker's prefix, fsynced only
-    /// when the policy asks for it.
-    fn write_generation<K: ImageKind>(&self, image: &Image<K>) -> Result<(), PersistError> {
-        let path = self
-            .dir
-            .join(Image::<K>::file_name(&self.prefix, image.seq));
-        if self.sync {
-            image.write(&path)
-        } else {
-            image.write_unsynced(&path)
-        }
-    }
 }
 
 fn counter_of(ckpt: &Checkpoint, name: &str) -> usize {
@@ -197,12 +188,11 @@ impl Worker {
             prefix: worker_prefix(id),
             every: d.checkpoint_every.max(1),
             full_every: d.full_image_every.max(1),
-            keep: d.keep_full_images.max(1),
-            sync: d.fsync == fol_persist::FsyncPolicy::Always,
             ckpt_seq: 0,
             commits: 0,
             deltas_since_full: 0,
             parent: None,
+            in_flight: None,
             applied_all: BTreeSet::new(),
         });
         if let Some(ckpt) = restored {
@@ -280,7 +270,9 @@ impl Worker {
     /// the committed host-side counters are advanced. On a panic the whole machine is
     /// condemned: every request in the batch gets a typed
     /// [`ServeError::WorkerLost`] and the worker respawns from the last
-    /// committed state.
+    /// committed state. Either way the outcomes are logged, committed and
+    /// counted before any caller sees one: an acknowledged outcome is
+    /// never ahead of the log or the stats.
     fn execute(&mut self, batch: Batch) {
         let kind = batch.kind;
         let items = batch.items;
@@ -295,22 +287,19 @@ impl Worker {
                     self.committed_chain_used = self.chain.used_nodes;
                     self.committed_bst_used = self.bst.as_ref().map_or(0, |b| b.used);
                 }
-                if self.dur.is_some() {
+                if let Some(dur) = &mut self.dur {
                     // Completion records, then the batch-boundary fsync,
-                    // *before* callers see their outcomes: an acknowledged
-                    // outcome is never ahead of the log. Best-effort — the
+                    // *before* callers see their outcomes. Best-effort — the
                     // caller keeps its typed result either way, and a lost
                     // record only widens the at-least-once replay window.
                     if mutating {
-                        let ok_seqs: Vec<u64> = items
-                            .iter()
-                            .zip(&results)
-                            .filter(|(_, r)| r.is_ok())
-                            .map(|(p, _)| p.seq)
-                            .collect();
-                        if let Some(dur) = &mut self.dur {
-                            dur.applied_all.extend(ok_seqs);
-                        }
+                        dur.applied_all.extend(
+                            items
+                                .iter()
+                                .zip(&results)
+                                .filter(|(_, r)| r.is_ok())
+                                .map(|(p, _)| p.seq),
+                        );
                     }
                     let completes: Vec<Vec<u8>> = items
                         .iter()
@@ -319,17 +308,17 @@ impl Worker {
                         .collect();
                     let _ = self.shared.wal_append_all(&completes);
                     let _ = self.shared.wal_commit();
-                    if mutating {
-                        self.maybe_checkpoint();
-                    }
-                }
-                for (p, r) in items.iter().zip(results) {
-                    p.slot.complete(r);
                 }
                 self.shared
                     .stats
                     .completed
                     .fetch_add(items.len() as u64, Ordering::Relaxed);
+                for (p, r) in items.iter().zip(results) {
+                    p.slot.complete(r);
+                }
+                if mutating {
+                    self.maybe_checkpoint();
+                }
             }
             Err(_) => {
                 // WorkerLost is terminal (the caller is told to resubmit),
@@ -340,55 +329,53 @@ impl Worker {
                         .map(|p| encode_complete(p.seq, false))
                         .collect();
                     let _ = self.shared.wal_append_all(&completes);
+                    let _ = self.shared.wal_commit();
                 }
-                for p in &items {
-                    p.slot.complete(Err(ServeError::WorkerLost));
-                }
-                let _ = self.shared.wal_commit();
                 self.shared
                     .stats
                     .completed
                     .fetch_add(items.len() as u64, Ordering::Relaxed);
+                for p in &items {
+                    p.slot.complete(Err(ServeError::WorkerLost));
+                }
                 self.respawn();
             }
         }
     }
 
-    /// Writes a durable generation of the committed state
-    /// every `checkpoint_every` mutating commits. Most cadence ticks write a
-    /// **delta** checkpoint — only the regions whose incremental digest
-    /// moved since the parent generation — and every `full_image_every`-th
-    /// generation (and the first) is a **full** image, after which the
-    /// shared log is rotated and one compaction pass runs.
+    /// Every `checkpoint_every` mutating commits, cuts a durable generation
+    /// of the committed state and hands it to the writer thread. Most
+    /// cadence ticks cut a **delta** checkpoint — only the blocks whose
+    /// incremental digest moved since the parent generation — and every
+    /// `full_image_every`-th generation (the first, and the one after a
+    /// failed write) is a **full** image, after which the writer runs one
+    /// compaction pass. The tick first settles the previous image, so at
+    /// most one is in flight; then it drops every applied sequence below
+    /// the log floor, since no admission record remains to re-drive it.
     fn maybe_checkpoint(&mut self) {
-        let mut compact_after = false;
-        if let Some(dur) = &mut self.dur {
-            dur.commits += 1;
-            if !dur.commits.is_multiple_of(dur.every) {
-                return;
-            }
-            dur.ckpt_seq += 1;
-            let seq = dur.ckpt_seq;
-            let counters = vec![
-                (
-                    "chain.used_nodes".to_string(),
-                    self.committed_chain_used as u64,
-                ),
-                ("bst.used".to_string(), self.committed_bst_used as u64),
-            ];
-            let applied: Vec<u64> = dur.applied_all.iter().copied().collect();
-            let full = match &dur.parent {
-                None => true,
-                Some(_) => dur.deltas_since_full + 1 >= dur.full_every,
-            };
-            let written = if full {
-                let ckpt = Checkpoint::capture(&self.m, &tracked(&self.m), seq, counters, applied);
-                dur.write_generation(&ckpt).map(|()| ckpt.checksums)
-            } else {
-                let (parent_seq, parent_sums) = dur
-                    .parent
-                    .as_ref()
-                    .expect("delta generations have a parent");
+        let Some(dur) = &mut self.dur else { return };
+        dur.commits += 1;
+        if !dur.commits.is_multiple_of(dur.every) {
+            return;
+        }
+        self.settle();
+        let (Some(dur), Some(writer)) = (&mut self.dur, &self.shared.writer) else {
+            return;
+        };
+        let floor = self.shared.log_floor.load(Ordering::Relaxed);
+        dur.applied_all = dur.applied_all.split_off(&floor);
+        dur.ckpt_seq += 1;
+        let seq = dur.ckpt_seq;
+        let counters = vec![
+            (
+                "chain.used_nodes".to_string(),
+                self.committed_chain_used as u64,
+            ),
+            ("bst.used".to_string(), self.committed_bst_used as u64),
+        ];
+        let applied: Vec<u64> = dur.applied_all.iter().copied().collect();
+        let (cut, checksums) = match &dur.parent {
+            Some((parent_seq, parent_sums)) if dur.deltas_since_full + 1 < dur.full_every => {
                 let delta = DeltaCheckpoint::capture(
                     &self.m,
                     seq,
@@ -397,67 +384,39 @@ impl Worker {
                     counters,
                     applied,
                 );
-                dur.write_generation(&delta).map(|()| delta.checksums)
-            };
-            let stats = &self.shared.stats;
-            match written {
-                Ok(checksums) => {
-                    dur.parent = Some((seq, checksums));
-                    if full {
-                        dur.deltas_since_full = 0;
-                        stats.checkpoints_written.fetch_add(1, Ordering::Relaxed);
-                        compact_after = true;
-                    } else {
-                        dur.deltas_since_full += 1;
-                        stats
-                            .delta_checkpoints_written
-                            .fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-                Err(_) => {
-                    // Typed refusal happens at load time; at write time the
-                    // worker keeps serving (the previous generation still
-                    // stands) and the failure is counted. The parent
-                    // baseline is untouched, so the next delta still chains
-                    // onto a file that exists.
-                    stats.checkpoints_refused.fetch_add(1, Ordering::Relaxed);
-                }
+                let sums = delta.checksums.clone();
+                (Cut::Delta(delta), sums)
             }
-        }
-        if compact_after {
-            self.compact();
-        }
+            _ => {
+                let ckpt = Checkpoint::capture(&self.m, &tracked(&self.m), seq, counters, applied);
+                let sums = ckpt.checksums.clone();
+                (Cut::Full(ckpt), sums)
+            }
+        };
+        let full = matches!(cut, Cut::Full(_));
+        dur.in_flight = Some((seq, checksums, full));
+        writer.hand_off(Job {
+            worker: self.id,
+            cut,
+        });
     }
 
-    /// One log-structured compaction pass, run after this worker cut a
-    /// durable full image: rotate the shared request log (sealing the
-    /// segments the new image covers) and let the [`Compactor`] delete
-    /// sealed segments below every worker's retention boundary plus the
-    /// generations those boundaries obsolete. Serialized on the WAL writer
-    /// lock, so appends and concurrent passes never interleave with the
-    /// delete phase. Refusals are typed inside the report; an `Err` (an
-    /// unreadable directory) leaves everything on disk.
-    fn compact(&self) {
-        let Some(dur) = &self.dur else { return };
-        let Some(wal_cell) = &self.shared.wal else {
+    /// Waits until the image in flight is written and counted. A written
+    /// image becomes the next delta's parent; a failed one leaves no
+    /// parent, so the next cut is a full image (the failure is counted in
+    /// `checkpoints_refused`).
+    fn settle(&mut self) {
+        let (Some(dur), Some(writer)) = (&mut self.dur, &self.shared.writer) else {
             return;
         };
-        let mut w = wal_cell.lock().unwrap_or_else(PoisonError::into_inner);
-        if w.rotate().is_err() {
+        let Some((seq, checksums, full)) = dur.in_flight.take() else {
             return;
-        }
-        let prefixes: Vec<String> = (0..self.cfg.workers).map(worker_prefix).collect();
-        let refs: Vec<&str> = prefixes.iter().map(String::as_str).collect();
-        let compactor = Compactor::new(&dur.dir, REQUEST_LOG_PREFIX).keep_full_images(dur.keep);
-        if let Ok(report) = compactor.compact(&refs, classify_record) {
-            self.shared
-                .stats
-                .generations_pruned
-                .fetch_add(report.generations_removed as u64, Ordering::Relaxed);
-            self.shared
-                .stats
-                .wal_segments_pruned
-                .fetch_add(report.wal_segments_removed as u64, Ordering::Relaxed);
+        };
+        if writer.settle(self.id) {
+            dur.parent = Some((seq, checksums));
+            dur.deltas_since_full = if full { 0 } else { dur.deltas_since_full + 1 };
+        } else {
+            dur.parent = None;
         }
     }
 
@@ -698,6 +657,14 @@ impl Worker {
     /// generation chain verifies, the log cannot be read back, or any
     /// redone request is missing its admission record.
     fn try_durable_respawn(&mut self) -> bool {
+        // No compaction pass may delete a file the planner is reading: wait
+        // until the writer is idle, and keep it so until the log is read.
+        let shared = Arc::clone(&self.shared);
+        let Some(writer) = &shared.writer else {
+            return false;
+        };
+        let hold = writer.hold();
+        self.settle();
         let Some(dur) = &self.dur else { return false };
         let (dir, prefix) = (dur.dir.clone(), dur.prefix.clone());
         let applied_all = dur.applied_all.clone();
@@ -720,8 +687,8 @@ impl Worker {
         let Some(ckpt) = plan.checkpoint else {
             return false;
         };
-        // Read the log back under the writer's lock so no in-flight append
-        // can present a half-written frame.
+        // Read the log back under its mutex so no in-flight append can
+        // present a half-written frame.
         let replayed = {
             let Some(wal_cell) = &self.shared.wal else {
                 return false;
@@ -732,6 +699,7 @@ impl Worker {
                 Err(_) => return false,
             }
         };
+        drop(hold);
         let mut by_seq: HashMap<u64, Request> = HashMap::new();
         for rec in &replayed.records {
             if let Ok(DurRecord::Admit { seq, request, .. }) = decode_record(&rec.payload) {

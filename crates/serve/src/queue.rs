@@ -10,6 +10,7 @@
 
 use crate::durability::{encode_admit, encode_complete};
 use crate::request::{Kind, Priority, Request, Response, ServeError, WorkloadClass};
+use crate::writer::ImageWriter;
 use fol_persist::Wal;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -174,7 +175,9 @@ pub struct StatsSnapshot {
     /// Workers whose state was restored from a durable checkpoint at
     /// startup.
     pub checkpoints_restored: u64,
-    /// Durable checkpoints written by pool workers.
+    /// Full checkpoint images of pool workers' state written to disk (by
+    /// the server's writer thread; each is counted once written and, after
+    /// its compaction pass, done).
     pub checkpoints_written: u64,
     /// Checkpoint files refused as corrupt at scan time, plus checkpoint
     /// writes that failed (each refusal is typed, never silent).
@@ -267,6 +270,14 @@ pub(crate) struct Shared {
     /// [`Request::ShardKeys`] filters them by cluster shard for handoff
     /// extraction.
     chain_shards: Mutex<Vec<Vec<fol_vm::Word>>>,
+    /// The durable server's image writer (see [`crate::writer`]); `None`
+    /// without durability.
+    pub(crate) writer: Option<ImageWriter>,
+    /// The newest compaction pass's log floor: no admission record remains
+    /// below it, so workers drop lower sequences from their applied sets.
+    /// Relaxed: it publishes no other data, and a stale read only keeps a
+    /// few more sequences.
+    pub(crate) log_floor: AtomicU64,
 }
 
 /// What a worker drained: a same-kind run of requests to coalesce.
@@ -281,6 +292,7 @@ impl Shared {
         max_batch: usize,
         max_wait: Duration,
         wal: Option<Wal>,
+        writer: Option<ImageWriter>,
         workers: usize,
     ) -> Self {
         Shared {
@@ -297,6 +309,8 @@ impl Shared {
             stats: StatCells::default(),
             wal: wal.map(Mutex::new),
             chain_shards: Mutex::new(vec![Vec::new(); workers]),
+            writer,
+            log_floor: AtomicU64::new(0),
         }
     }
 
@@ -520,33 +534,38 @@ impl Shared {
     /// Completes and removes every queued request whose deadline has
     /// passed. Runs under the queue lock on every drain attempt, so an
     /// expired request is shed the next time any worker looks at the queue.
+    /// The counters and the log record come first, so a caller that sees
+    /// its outcome also sees it counted and logged.
     fn purge_expired(&self, g: &mut Inner, now: Instant) {
-        let mut shed_seqs: Vec<u64> = Vec::new();
+        let mut shed: Vec<(u64, Arc<Slot>)> = Vec::new();
         for deque in &mut g.lanes {
-            let before = deque.len();
-            // Completing under the lock is fine: Slot has its own mutex.
             deque.retain(|p| match p.deadline {
                 Some(d) if d <= now => {
-                    p.slot.complete(Err(ServeError::DeadlineExceeded));
-                    shed_seqs.push(p.seq);
+                    shed.push((p.seq, Arc::clone(&p.slot)));
                     false
                 }
                 _ => true,
             });
-            let shed = before - deque.len();
-            g.total -= shed;
-            self.stats
-                .deadline_expired
-                .fetch_add(shed as u64, Ordering::Relaxed);
-            self.stats
-                .completed
-                .fetch_add(shed as u64, Ordering::Relaxed);
         }
+        if shed.is_empty() {
+            return;
+        }
+        g.total -= shed.len();
+        self.stats
+            .deadline_expired
+            .fetch_add(shed.len() as u64, Ordering::Relaxed);
+        self.stats
+            .completed
+            .fetch_add(shed.len() as u64, Ordering::Relaxed);
         // The shed outcome is terminal: record it so a restart does not
         // re-drive a request whose caller already saw DeadlineExceeded.
         // Best-effort (the caller has its typed outcome either way).
-        for seq in shed_seqs {
-            let _ = self.wal_append(&encode_complete(seq, false));
+        for (seq, _) in &shed {
+            let _ = self.wal_append(&encode_complete(*seq, false));
+        }
+        // Completing under the lock is fine: Slot has its own mutex.
+        for (_, slot) in shed {
+            slot.complete(Err(ServeError::DeadlineExceeded));
         }
     }
 
@@ -638,7 +657,7 @@ mod tests {
     use super::*;
 
     fn shared() -> Shared {
-        Shared::new(4, 8, Duration::from_millis(0), None, 1)
+        Shared::new(4, 8, Duration::from_millis(0), None, None, 1)
     }
 
     #[test]
@@ -752,7 +771,7 @@ mod tests {
             start.elapsed()
         );
         // Lingering: park wakes at the lane's linger deadline, not the tick.
-        let s = Shared::new(4, 8, Duration::from_millis(30), None, 1);
+        let s = Shared::new(4, 8, Duration::from_millis(30), None, None, 1);
         assert!(s.next_batch(&[LANE_CHAIN_INSERT]).is_err());
         let _t = s
             .submit(

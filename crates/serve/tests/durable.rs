@@ -4,12 +4,13 @@
 //! live in the workspace-level `crash_restart` suite.)
 
 use fol_persist::wal::{self, FsyncPolicy};
+use fol_persist::RecoveryPlanner;
 use fol_serve::{
-    DurabilityConfig, Request, Response, ServeError, Server, ServerConfig, WorkloadClass,
-    REQUEST_LOG_PREFIX,
+    decode_record, worker_prefix, DurRecord, DurabilityConfig, Request, Response, ServeError,
+    Server, ServerConfig, WorkloadClass, REQUEST_LOG_PREFIX,
 };
 use fol_vm::Word;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -250,5 +251,173 @@ fn poison_pill_respawns_from_the_durable_checkpoint() {
     );
     let report = server.shutdown();
     assert_eq!(keys_of(&report, WorkloadClass::Chain), vec![10, 11, 12, 13]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The lowest admission sequence left in the request log.
+fn lowest_admission(dir: &Path) -> u64 {
+    wal::replay(dir, REQUEST_LOG_PREFIX)
+        .unwrap()
+        .records
+        .iter()
+        .filter_map(|r| match decode_record(&r.payload) {
+            Ok(DurRecord::Admit { seq, .. }) => Some(seq),
+            _ => None,
+        })
+        .min()
+        .expect("the log holds admissions")
+}
+
+/// An image's applied set is bounded by the retained log, not by the
+/// server's history: sequences below the log floor, whose admission
+/// records compaction deleted, are dropped before each cut.
+#[test]
+fn the_applied_set_stays_bounded_by_the_log() {
+    let dir = temp_dir("bounded");
+    let cfg = ServerConfig {
+        durability: Some(
+            DurabilityConfig::new(&dir)
+                .fsync(FsyncPolicy::Off)
+                .checkpoint_every(1)
+                .full_image_every(4)
+                .keep_full_images(2),
+        ),
+        ..durable_config(&dir, 1)
+    };
+    let (server, _) = Server::try_start(cfg.clone()).unwrap();
+    let mut lengths = Vec::new();
+    for k in 0..160 {
+        assert!(server.call(Request::ChainInsert { keys: vec![k] }).is_ok());
+        // Each call is one batch and one cadence tick. Wait until its
+        // image is written and counted (and, after a full image, the
+        // compaction pass has run), so the next admission lands after it.
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let s = server.stats();
+            if s.checkpoints_written + s.delta_checkpoints_written > k as u64 {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "tick {k}: {s:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        if (k + 1) % 40 == 0 {
+            let plan = RecoveryPlanner::new(&dir, worker_prefix(0)).plan().unwrap();
+            let applied = plan.checkpoint.expect("an image is on disk").applied;
+            let floor = lowest_admission(&dir);
+            assert!(
+                applied.iter().all(|&s| s >= floor),
+                "after {} requests the newest image holds a sequence below the log's \
+                 lowest admission {floor}: {applied:?}",
+                k + 1
+            );
+            lengths.push((server.stats().checkpoints_written, applied.len()));
+        }
+    }
+    assert_eq!(lengths[0].0, 10, "{lengths:?}");
+    assert_eq!(lengths[3].0, 40, "{lengths:?}");
+    assert!(
+        lengths[3].1 <= lengths[0].1,
+        "the applied set grew from {} to {} entries between 10 and 40 full images",
+        lengths[0].1,
+        lengths[3].1
+    );
+    drop(server);
+
+    let (server, restart) = Server::try_start(cfg).unwrap();
+    assert_eq!(restart.replayed, 0, "{restart:?}");
+    let report = server.shutdown();
+    assert_eq!(
+        keys_of(&report, WorkloadClass::Chain),
+        (0..160).collect::<Vec<Word>>()
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A lost worker's outcome is in the log before its caller sees it: the
+/// panic arm appends and commits the `applied = false` records first.
+#[test]
+fn a_lost_workers_outcome_is_logged_before_its_caller_sees_it() {
+    let dir = temp_dir("lost-logged");
+    let (server, _) = Server::try_start(durable_config(&dir, 1)).unwrap();
+    for round in 0..5 {
+        assert_eq!(
+            server.call(Request::PoisonPill {
+                class: WorkloadClass::Chain
+            }),
+            Err(ServeError::WorkerLost)
+        );
+        let records: Vec<DurRecord> = wal::replay(&dir, REQUEST_LOG_PREFIX)
+            .unwrap()
+            .records
+            .iter()
+            .map(|r| decode_record(&r.payload).unwrap())
+            .collect();
+        let pill = records
+            .iter()
+            .rev()
+            .find_map(|r| match r {
+                DurRecord::Admit {
+                    seq,
+                    request: Request::PoisonPill { .. },
+                    ..
+                } => Some(*seq),
+                _ => None,
+            })
+            .expect("the pill was admitted");
+        assert!(
+            records.contains(&DurRecord::Complete {
+                seq: pill,
+                applied: false
+            }),
+            "round {round}: WorkerLost for {pill} reached its caller before the log"
+        );
+    }
+    drop(server);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A failed image write is counted, and the worker's next cut is a full
+/// image rather than a delta chained onto a generation that never reached
+/// disk. The write of generation 3 is made to fail by a directory squatting
+/// on its temp-file name.
+#[test]
+fn a_failed_image_write_is_counted_and_the_next_cut_is_full() {
+    let dir = temp_dir("failed-write");
+    std::fs::create_dir_all(dir.join(format!("{}-{:020}.tmp", worker_prefix(0), 3))).unwrap();
+    let cfg = durable_config(&dir, 1);
+    let (server, _) = Server::try_start(cfg.clone()).unwrap();
+    for k in 0..4 {
+        assert!(server.call(Request::ChainInsert { keys: vec![k] }).is_ok());
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        loop {
+            let s = server.stats();
+            if s.checkpoints_written + s.delta_checkpoints_written + s.checkpoints_refused
+                > k as u64
+            {
+                break;
+            }
+            assert!(std::time::Instant::now() < deadline, "tick {k}: {s:?}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    let stats = server.stats();
+    assert_eq!(stats.checkpoints_refused, 1, "{stats:?}");
+    assert_eq!(
+        (stats.checkpoints_written, stats.delta_checkpoints_written),
+        (2, 1),
+        "generation 1 full, 2 a delta, 3 failed, 4 full: {stats:?}"
+    );
+    drop(server);
+
+    let (server, restart) = Server::try_start(cfg).unwrap();
+    assert_eq!(
+        restart.deltas_applied, 0,
+        "the head is the full image: {restart:?}"
+    );
+    let report = server.shutdown();
+    assert_eq!(
+        keys_of(&report, WorkloadClass::Chain),
+        (0..4).collect::<Vec<Word>>()
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -81,6 +81,51 @@ fn deadline_expired_requests_get_typed_deadline_exceeded() {
     drop(server);
 }
 
+/// A caller never sees its outcome before the server counts it: the
+/// worker bumps `completed` before it completes a batch's tickets, and the
+/// deadline purge bumps both counters (and logs the shed) before it
+/// completes the shed tickets. The window is a few instructions wide, so a
+/// build that completes first passes this test most of the time too.
+#[test]
+fn an_outcome_is_counted_before_its_caller_sees_it() {
+    let server = Server::start(ServerConfig {
+        chain_capacity: 1_000,
+        ..small_config(2)
+    });
+    for i in 0..1_000u64 {
+        assert!(server
+            .call(Request::ChainInsert {
+                keys: vec![i as Word]
+            })
+            .is_ok());
+        let completed = server.stats().completed;
+        assert!(
+            completed > i,
+            "call {i} returned with completed = {completed}"
+        );
+    }
+    drop(server);
+
+    let server = Server::start(ServerConfig {
+        max_wait: Duration::from_secs(5),
+        ..small_config(1)
+    });
+    for shed in 1..=20u64 {
+        let doomed = server
+            .submit_with(
+                Request::BstInsert { keys: vec![1] },
+                Priority::Normal,
+                Some(Duration::from_millis(1)),
+            )
+            .unwrap();
+        assert_eq!(doomed.wait(), Err(ServeError::DeadlineExceeded));
+        let stats = server.stats();
+        assert_eq!(stats.deadline_expired, shed, "{stats:?}");
+        assert_eq!(stats.completed, shed, "{stats:?}");
+    }
+    drop(server);
+}
+
 #[test]
 fn poison_pill_respawns_worker_from_committed_state() {
     let server = Server::start(small_config(1));

@@ -406,8 +406,33 @@ pub(crate) fn block_range(b: usize, len: usize) -> std::ops::Range<usize> {
     b * BLOCK_WORDS..((b + 1) * BLOCK_WORDS).min(len)
 }
 
-/// The block digests of `words`, a region based at `base`.
-pub(crate) fn block_digests(base: Addr, words: &[Word]) -> Vec<u64> {
+/// The block digests one checkpoint cut certified: per region, one digest
+/// per [`BLOCK_WORDS`]-word block, XOR-ing to the region digest the cut's
+/// checksum set records. A delta cut later compares the machine's
+/// incremental block digests against it to find the blocks that changed
+/// ([`crate::Machine::remember_cut`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CutBaseline {
+    /// The cut's state digest: the XOR of its region digests.
+    pub state: u64,
+    /// The regions the cut certified, each with its block digests.
+    pub regions: Vec<(Region, Vec<u64>)>,
+}
+
+impl CutBaseline {
+    /// The block digests the cut certified for exactly `region`.
+    pub fn blocks_of(&self, region: Region) -> Option<&[u64]> {
+        self.regions
+            .iter()
+            .find(|(r, _)| *r == region)
+            .map(|(_, b)| b.as_slice())
+    }
+}
+
+/// The block digests of `words`, a region based at `base`: one
+/// [`digest_words`] per [`BLOCK_WORDS`]-word chunk, XOR-ing to the digest
+/// of the whole region.
+pub fn block_digests(base: Addr, words: &[Word]) -> Vec<u64> {
     words
         .chunks(BLOCK_WORDS)
         .enumerate()

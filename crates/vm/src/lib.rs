@@ -91,7 +91,7 @@ pub use cost::{CostModel, OpKind, Stats};
 pub use fault::{AmalgamMode, FaultEvent, FaultLog, FaultPlan};
 pub use health::{LaneHealthRegistry, LaneSet, LANE_COUNT};
 pub use integrity::{
-    digest_words, BlockScrub, ElsAuditor, IntegrityError, TrackedRegion, BLOCK_WORDS,
+    digest_words, BlockScrub, CutBaseline, ElsAuditor, IntegrityError, TrackedRegion, BLOCK_WORDS,
 };
 pub use journal::{Snapshot, TxnError, WriteJournal};
 pub use machine::{AluOp, CmpOp, Machine, MachineTrap};

@@ -17,8 +17,8 @@ use crate::cost::{CostModel, OpKind, Stats};
 use crate::fault::{FaultEvent, FaultLog, FaultPlan};
 use crate::health::{LaneHealthRegistry, LaneSet, LANE_COUNT};
 use crate::integrity::{
-    block_range, digest_words, mix, BlockScrub, ElsAuditor, IntegrityError, RegionGuard,
-    TrackedRegion, BLOCK_WORDS,
+    block_range, digest_words, mix, BlockScrub, CutBaseline, ElsAuditor, IntegrityError,
+    RegionGuard, TrackedRegion, BLOCK_WORDS,
 };
 use crate::journal::{Snapshot, TxnError, WriteJournal};
 use crate::memory::{Addr, Memory, Region};
@@ -183,6 +183,10 @@ pub struct Machine {
     /// and the open transaction's footprint bits (every tracked block it
     /// stored to or read).
     guards: Vec<RegionGuard>,
+    /// The block digests of the last two checkpoint cuts of distinct state
+    /// ([`Machine::remember_cut`]), oldest first. Behind a lock because
+    /// cuts are taken through `&Machine`.
+    cuts: std::sync::Mutex<Vec<std::sync::Arc<CutBaseline>>>,
     /// The ELS auditor, when round auditing is enabled
     /// ([`Machine::set_els_audit`]); `None` costs nothing on the hot paths.
     auditor: Option<ElsAuditor>,
@@ -222,6 +226,7 @@ impl Machine {
             probe_region: None,
             tracked: Vec::new(),
             guards: Vec::new(),
+            cuts: std::sync::Mutex::new(Vec::new()),
             auditor: None,
             gather_seq: 0,
             stale_shadow: std::collections::HashMap::new(),
@@ -754,31 +759,52 @@ impl Machine {
         self.guards.clear();
     }
 
-    /// The tracked regions whose contents have (detectably) changed since
-    /// `baseline` — a snapshot of [`Machine::tracked_regions`] taken at some
-    /// earlier generation. The comparison uses the incrementally maintained
-    /// digests, so the cost is O(tracked regions) with **no memory rescans**:
-    /// this is what makes delta checkpointing cheap. A region absent from the
-    /// baseline (tracked since) counts as dirty. Digest equality is
-    /// probabilistic in the usual XOR-mix sense; a collision makes a dirty
-    /// region look clean, which downstream consumers guard against by
-    /// verifying materialized state digests end-to-end.
-    pub fn dirty_regions_since(&self, baseline: &[TrackedRegion]) -> Vec<Region> {
-        self.tracked
-            .iter()
-            .filter(|t| {
-                baseline
-                    .iter()
-                    .find(|b| b.region == t.region)
-                    .is_none_or(|b| b.sum != t.sum)
-            })
-            .map(|t| t.region)
-            .collect()
-    }
-
     /// The tracked regions and their incremental digests.
     pub fn tracked_regions(&self) -> &[TrackedRegion] {
         &self.tracked
+    }
+
+    /// The incrementally maintained digest of each [`BLOCK_WORDS`]-word
+    /// block of `region`, when it is tracked. Between transactions these
+    /// are the digests of the committed image's blocks; they XOR to
+    /// [`Machine::checksum_of`].
+    pub fn block_digests(&self, region: Region) -> Option<&[u64]> {
+        self.tracked
+            .iter()
+            .zip(&self.guards)
+            .find(|(t, _)| t.region == region)
+            .map(|(_, g)| g.blocks.as_slice())
+    }
+
+    /// Remembers the block digests a checkpoint cut certified, so a later
+    /// delta whose parent is that cut can carry only the blocks that
+    /// changed since it. Two cuts are kept: a cadence's delta names the
+    /// newest, and a caller that cuts a full image beside it (at the same
+    /// state) still finds the older parent. A cut whose state digest is
+    /// already remembered replaces that entry. The record is volatile: a
+    /// rebuilt machine remembers nothing until a cut (or a restore) is
+    /// recorded on it, and a delta whose parent cut is not remembered
+    /// falls back to whole dirty regions.
+    pub fn remember_cut(&self, cut: CutBaseline) {
+        let mut cuts = self
+            .cuts
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        cuts.retain(|c| c.state != cut.state);
+        cuts.push(std::sync::Arc::new(cut));
+        if cuts.len() > 2 {
+            cuts.remove(0);
+        }
+    }
+
+    /// The remembered cut whose state digest is `state`, if any.
+    pub fn cut_baseline(&self, state: u64) -> Option<std::sync::Arc<CutBaseline>> {
+        self.cuts
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .iter()
+            .find(|c| c.state == state)
+            .cloned()
     }
 
     /// The incrementally maintained digest of `region`, if tracked.
@@ -2893,37 +2919,29 @@ mod tests {
     }
 
     #[test]
-    fn dirty_regions_since_flags_exactly_the_stored_to_regions() {
-        let mut m = machine();
-        let a = m.alloc(8, "a");
-        let b = m.alloc(8, "b");
-        m.track_region(a);
-        m.track_region(b);
-        let baseline = m.tracked_regions().to_vec();
-        assert!(m.dirty_regions_since(&baseline).is_empty());
-
-        let idx = m.vimm(&[1, 3]);
-        let val = m.vimm(&[7, 9]);
-        m.scatter(b, &idx, &val);
-        assert_eq!(m.dirty_regions_since(&baseline), vec![b]);
-
-        // A region tracked after the baseline was taken counts as dirty.
-        let c = m.alloc(4, "c");
-        m.track_region(c);
-        let dirty = m.dirty_regions_since(&baseline);
-        assert!(dirty.contains(&b) && dirty.contains(&c) && !dirty.contains(&a));
-
-        // Writing a value back to what it was keeps the digest equal — the
-        // XOR digest is content-based, not a write counter.
-        let mut n = machine();
-        let r = n.alloc(4, "r");
-        n.mem_mut().write_region(r, &[1, 2, 3, 4]);
-        n.track_region(r);
-        let base = n.tracked_regions().to_vec();
-        let i = n.vimm(&[2]);
-        let v = n.vimm(&[3]);
-        n.scatter(r, &i, &v); // same value as before
-        assert!(n.dirty_regions_since(&base).is_empty());
+    fn remembered_cuts_keep_the_two_newest_states() {
+        let m = machine();
+        let cut = |state| CutBaseline {
+            state,
+            regions: vec![(Region::from_raw(0, 32), vec![state])],
+        };
+        m.remember_cut(cut(1));
+        m.remember_cut(cut(2));
+        m.remember_cut(cut(1)); // same state: replaces, does not evict 2
+        assert!(m.cut_baseline(2).is_some());
+        m.remember_cut(cut(3)); // evicts the oldest, 2
+        assert!(m.cut_baseline(2).is_none());
+        assert_eq!(
+            m.cut_baseline(1)
+                .unwrap()
+                .blocks_of(Region::from_raw(0, 32)),
+            Some(&[1u64][..])
+        );
+        assert!(m
+            .cut_baseline(3)
+            .unwrap()
+            .blocks_of(Region::from_raw(0, 16))
+            .is_none());
     }
 
     #[test]

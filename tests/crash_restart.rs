@@ -266,8 +266,14 @@ fn child_serve_insert(dir: &Path) {
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(4);
-    let (server, _) = Server::try_start(serve_config_with(dir, every, seg, fsync, full_every))
-        .expect("child start");
+    let mut config = serve_config_with(dir, every, seg, fsync, full_every);
+    if let Some(slots) = std::env::var("FOL_CRASH_OA_SLOTS")
+        .ok()
+        .and_then(|v| v.parse().ok())
+    {
+        config.oa_slots = slots;
+    }
+    let (server, _) = Server::try_start(config).expect("child start");
     let mut acks = std::fs::OpenOptions::new()
         .create(true)
         .append(true)
@@ -975,6 +981,130 @@ fn batch_fsync_tear_window_loses_no_acknowledged_request() {
             ("acked", acked.len().to_string()),
             ("window_bytes", window.to_string()),
             ("cuts", cuts.len().to_string()),
+            ("acked_lost", acked_lost.to_string()),
+            ("passed", "true".into()),
+        ],
+    );
+}
+
+// ------------------------------------------- background writer cell
+
+/// Open-addressing slots of the background-write cell's child: a 1 MiB
+/// table of non-zero sentinels, so every full image is a megabyte on its
+/// way to disk and the writer thread is busy long enough to be hit.
+const LARGE_OA_SLOTS: usize = 1 << 17;
+
+/// True while `dir` holds a file whose name ends in `suffix`.
+fn holds_artifact(dir: &Path, suffix: &str) -> bool {
+    std::fs::read_dir(dir).is_ok_and(|entries| {
+        entries
+            .filter_map(|e| e.ok())
+            .any(|e| e.file_name().to_string_lossy().ends_with(suffix))
+    })
+}
+
+/// SIGKILL while the writer thread is writing an image or running a
+/// compaction pass. Images are cut on the worker and written in the
+/// background after the batch's acknowledgements, so the log commit
+/// before the ack stays the only durability point: every cell restarts
+/// with zero acknowledged requests lost, no key applied twice, the stray
+/// `.tmp` of the interrupted write ignored, and a second restart
+/// reproducing the first. Kill points: the first `.tmp` (an image or the
+/// marker mid-write) or `.compacting` marker seen after a number of acks,
+/// or a plain kill after that many acks.
+#[test]
+fn sigkill_during_a_background_image_write_loses_nothing() {
+    let points: [(&str, usize); 6] = [
+        (".tmp", 8),
+        (".tmp", 24),
+        (".compacting", 8),
+        (".compacting", 24),
+        ("", 16),
+        ("", 40),
+    ];
+    let slots = LARGE_OA_SLOTS.to_string();
+    let config = |dir: &Path| ServerConfig {
+        oa_slots: LARGE_OA_SLOTS,
+        ..serve_config(dir, 1, 1 << 20)
+    };
+    let (mut hits, mut acked_total, mut acked_lost) = (0usize, 0usize, 0usize);
+    for (cell, (trigger, arm_after)) in points.iter().enumerate() {
+        let tmp = TempDir::new(&format!("background-write-{cell}"));
+        let child = spawn_child(
+            "serve-insert",
+            tmp.path(),
+            &[
+                ("FOL_CRASH_CKPT_EVERY", "1"),
+                ("FOL_CRASH_OA_SLOTS", slots.as_str()),
+            ],
+        );
+        wait_until("the arming acks", Duration::from_secs(60), || {
+            read_acks(tmp.path()).len() >= *arm_after
+        });
+        let start = Instant::now();
+        while !trigger.is_empty() && start.elapsed() < Duration::from_secs(5) {
+            if holds_artifact(tmp.path(), trigger) {
+                hits += 1;
+                break;
+            }
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        kill(child);
+        let acked = read_acks(tmp.path());
+        acked_total += acked.len();
+
+        // A write the kill interrupted leaves its temp file; plant a torn
+        // one beside the newest generation when this kill left none.
+        if !holds_artifact(tmp.path(), ".tmp") {
+            let newest = generations(tmp.path(), "ckpt")
+                .into_iter()
+                .chain(generations(tmp.path(), "delta"))
+                .max_by_key(|(seq, _)| *seq)
+                .expect("the child wrote a generation");
+            let bytes = std::fs::read(&newest.1).unwrap();
+            let stray = tmp
+                .path()
+                .join(format!("{}-{:020}.tmp", worker_prefix(0), newest.0 + 1));
+            std::fs::write(stray, &bytes[..bytes.len() / 2]).unwrap();
+        }
+
+        let (server, restart) = Server::try_start(config(tmp.path()))
+            .unwrap_or_else(|e| panic!("cell {cell}: restart must succeed: {e}"));
+        assert!(
+            restart
+                .skipped_generations
+                .iter()
+                .all(|s| s.path.extension().is_none_or(|x| x != "tmp")),
+            "cell {cell}: a temp file is never a generation: {restart:?}"
+        );
+        let keys = oa_keys(&server.shutdown());
+        assert!(
+            keys.windows(2).all(|w| w[0] < w[1]),
+            "cell {cell}: replay must not double-apply: {keys:?}"
+        );
+        for k in &acked {
+            if keys.binary_search(k).is_err() {
+                acked_lost += 1;
+                eprintln!("cell {cell}: acknowledged key {k} lost");
+            }
+        }
+        let (server2, _) = Server::try_start(config(tmp.path())).unwrap();
+        assert_eq!(
+            oa_keys(&server2.shutdown()),
+            keys,
+            "cell {cell}: recovery must be deterministic"
+        );
+    }
+    assert_eq!(
+        acked_lost, 0,
+        "a background write cost acknowledged requests"
+    );
+    write_cell_report(
+        "sigkill_background_write",
+        &[
+            ("cells", points.len().to_string()),
+            ("killed_on_artifact", hits.to_string()),
+            ("acked", acked_total.to_string()),
             ("acked_lost", acked_lost.to_string()),
             ("passed", "true".into()),
         ],
