@@ -142,7 +142,7 @@ fn main() {
     let body = format!(
         "{{\"bench\":\"net\",{},\"batch\":{BATCH},\"in_process_ns\":{:.1},\"remote_ns\":{:.1},\
          \"remote_relative_throughput\":{:.4},\"gate\":{GATE},\"passed\":true}}",
-        fol_bench::report::backend_fields("sim"),
+        fol_bench::report::engine_fields(ServerConfig::default().backend),
         in_process,
         remote,
         relative_throughput

@@ -190,7 +190,7 @@ fn main() {
     // JSON artifact for CI (hand-rolled; the workspace is dependency-free).
     let mut body = format!(
         "{{\"bench\":\"persistence\",{},\"end_to_end\":{{",
-        fol_bench::report::backend_fields("sim")
+        fol_bench::report::engine_fields(ServerConfig::default().backend)
     );
     body.push_str(&format!(
         "\"baseline_ns\":{:.1},\"batch_ns\":{:.1},\"always_ns\":{:.1},\"off_ns\":{:.1},\

@@ -231,7 +231,7 @@ fn main() {
           \"checkpoint_bytes\":{{\"full\":{full_bytes},\"delta_1pct\":{delta_bytes},\"ratio\":{bytes_ratio:.2}}},\
           \"time_to_first_ack\":{{\"full_ns\":{full_ttfa:.1},\"delta_ns\":{delta_ttfa:.1},\"overhead\":{ttfa_overhead:.4}}},\
           \"disk_bytes_per_cadence\":[{}]}}",
-        fol_bench::report::backend_fields("sim"),
+        fol_bench::report::engine_fields(ServerConfig::default().backend),
         series.join(",")
     );
     let dir = std::env::var("BENCH_ARTIFACT_DIR").unwrap_or_else(|_| "target/bench".into());

@@ -27,6 +27,13 @@ pub fn backend_fields(backend: &str) -> String {
     format!("\"backend\":\"{backend}\",\"cpu_features\":[{features}]")
 }
 
+/// [`backend_fields`] for an artifact whose machines were built on `kind`,
+/// naming the engine that actually ran: an AVX2 request on a host without
+/// it runs the scalar engine.
+pub fn engine_fields(kind: fol_vm::BackendKind) -> String {
+    backend_fields(fol_simd::engine_for(kind).name())
+}
+
 /// Renders Fig 9's series (CPU time vs load factor) for one table size.
 pub fn fig9_table(table_size: usize, points: &[HashPoint]) -> String {
     let mut s = String::new();

@@ -35,8 +35,8 @@ use crate::durability::{
     decode_record, encode_complete, worker_prefix, DurRecord, REQUEST_LOG_PREFIX,
 };
 use crate::queue::{
-    Batch, Pending, Shared, LANE_BST_INSERT, LANE_CHAIN_INSERT, LANE_CTL_BST, LANE_CTL_CHAIN,
-    LANE_CTL_OA, LANE_OA_INSERT, LANE_OA_LOOKUP,
+    complete_all, Batch, Pending, Shared, LANE_BST_INSERT, LANE_CHAIN_INSERT, LANE_CTL_BST,
+    LANE_CTL_CHAIN, LANE_CTL_OA, LANE_OA_INSERT, LANE_OA_LOOKUP,
 };
 use crate::request::{keys_digest, Kind, Request, Response, ServeError, WorkloadClass};
 use crate::scrub::ScrubCursor;
@@ -272,7 +272,8 @@ impl Worker {
     /// [`ServeError::WorkerLost`] and the worker respawns from the last
     /// committed state. Either way the outcomes are logged, committed and
     /// counted before any caller sees one: an acknowledged outcome is
-    /// never ahead of the log or the stats.
+    /// never ahead of the log or the stats. Every slot of the batch is
+    /// filled before any waiting caller is woken.
     fn execute(&mut self, batch: Batch) {
         let kind = batch.kind;
         let items = batch.items;
@@ -313,9 +314,7 @@ impl Worker {
                     .stats
                     .completed
                     .fetch_add(items.len() as u64, Ordering::Relaxed);
-                for (p, r) in items.iter().zip(results) {
-                    p.slot.complete(r);
-                }
+                complete_all(items.iter().map(|p| &*p.slot).zip(results));
                 if mutating {
                     self.maybe_checkpoint();
                 }
@@ -335,9 +334,11 @@ impl Worker {
                     .stats
                     .completed
                     .fetch_add(items.len() as u64, Ordering::Relaxed);
-                for p in &items {
-                    p.slot.complete(Err(ServeError::WorkerLost));
-                }
+                complete_all(
+                    items
+                        .iter()
+                        .map(|p| (&*p.slot, Err(ServeError::WorkerLost))),
+                );
                 self.respawn();
             }
         }

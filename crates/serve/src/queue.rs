@@ -3,10 +3,18 @@
 //! Clients [`Shared::submit`] under the queue lock; workers drain under the
 //! same lock via [`Shared::next_batch`], which also purges deadline-expired
 //! requests (completing them with a typed [`ServeError::DeadlineExceeded`],
-//! never a silent drop). Batch readiness is linger-based: a kind's lane
-//! flushes when it holds `max_batch` requests, when its oldest request has
-//! waited `max_wait`, or when the server is shutting down (drain
-//! everything).
+//! never a silent drop). Batch readiness is linger-based for the
+//! coalescable kinds: such a lane flushes when it holds `max_batch`
+//! requests, when its oldest request has waited `max_wait`, or when the
+//! server is shutting down (drain everything). A control lane is never
+//! coalesced, so lingering would buy nothing: it is ready as soon as it
+//! holds a request.
+//!
+//! Completion fills a caller's [`Slot`] under the slot's own lock and wakes
+//! the slot only when its [`Ticket`] is already waiting there. A worker
+//! fills every slot of a batch before it wakes any ([`complete_all`]), so
+//! a caller that waits its tickets in order finds the later ones filled
+//! instead of sleeping once per ticket.
 
 use crate::durability::{encode_admit, encode_complete};
 use crate::request::{Kind, Priority, Request, Response, ServeError, WorkloadClass};
@@ -30,22 +38,59 @@ pub(crate) struct Pending {
 /// The rendezvous cell a caller's [`Ticket`] waits on.
 #[derive(Debug)]
 pub(crate) struct Slot {
-    result: Mutex<Option<Result<Response, ServeError>>>,
+    state: Mutex<SlotState>,
     cv: Condvar,
+}
+
+/// What a [`Slot`]'s lock guards.
+#[derive(Debug, Default)]
+struct SlotState {
+    result: Option<Result<Response, ServeError>>,
+    /// Set by [`Ticket::wait`] before it sleeps on the condvar: only then
+    /// does a completion owe a wake.
+    waiting: bool,
 }
 
 impl Slot {
     fn new() -> Self {
         Slot {
-            result: Mutex::new(None),
+            state: Mutex::new(SlotState::default()),
             cv: Condvar::new(),
         }
     }
 
-    pub(crate) fn complete(&self, r: Result<Response, ServeError>) {
-        let mut g = self.result.lock().unwrap_or_else(PoisonError::into_inner);
-        *g = Some(r);
+    /// Stores the outcome; true when the ticket is already waiting and
+    /// must be woken ([`Slot::wake`]).
+    fn fill(&self, r: Result<Response, ServeError>) -> bool {
+        let mut g = self.state.lock().unwrap_or_else(PoisonError::into_inner);
+        g.result = Some(r);
+        g.waiting
+    }
+
+    fn wake(&self) {
         self.cv.notify_all();
+    }
+
+    /// Fills and, when someone waits, wakes: one completion on its own.
+    pub(crate) fn complete(&self, r: Result<Response, ServeError>) {
+        if self.fill(r) {
+            self.wake();
+        }
+    }
+}
+
+/// Completes a batch: fills every slot first, then wakes the callers that
+/// were already waiting. A caller that waits its tickets in order then
+/// wakes once for the batch, not once per ticket.
+pub(crate) fn complete_all<'a>(
+    outcomes: impl IntoIterator<Item = (&'a Slot, Result<Response, ServeError>)>,
+) {
+    let waiting: Vec<&Slot> = outcomes
+        .into_iter()
+        .filter_map(|(slot, r)| slot.fill(r).then_some(slot))
+        .collect();
+    for slot in waiting {
+        slot.wake();
     }
 }
 
@@ -62,13 +107,14 @@ impl Ticket {
     pub fn wait(self) -> Result<Response, ServeError> {
         let mut g = self
             .slot
-            .result
+            .state
             .lock()
             .unwrap_or_else(PoisonError::into_inner);
         loop {
-            if let Some(r) = g.take() {
+            if let Some(r) = g.result.take() {
                 return r;
             }
+            g.waiting = true;
             g = self.slot.cv.wait(g).unwrap_or_else(PoisonError::into_inner);
         }
     }
@@ -414,6 +460,20 @@ impl Shared {
         w.commit().map_err(|error| ServeError::Persist { error })
     }
 
+    /// Logs one admission record; without durability nothing is encoded.
+    fn log_admit(
+        &self,
+        seq: u64,
+        request: &Request,
+        priority: Priority,
+        deadline: Option<Duration>,
+    ) -> Result<(), ServeError> {
+        if self.wal.is_none() {
+            return Ok(());
+        }
+        self.wal_append(&encode_admit(seq, request, priority, deadline))
+    }
+
     /// Admits one request, or refuses it synchronously with a typed error:
     /// [`ServeError::ShuttingDown`] after [`Shared::begin_shutdown`],
     /// [`ServeError::Overloaded`] when the bounded queue is full,
@@ -444,7 +504,7 @@ impl Shared {
         // Log before enqueueing: a failure here burns the sequence number
         // but admits nothing — no ticket, no queue entry, no log record
         // that could replay.
-        self.wal_append(&encode_admit(seq, &request, priority, deadline))?;
+        self.log_admit(seq, &request, priority, deadline)?;
         let ticket = self.enqueue(&mut g, seq, request, priority, deadline);
         drop(g);
         self.work_cv.notify_all();
@@ -476,7 +536,7 @@ impl Shared {
             }
             let seq = g.next_seq;
             g.next_seq += 1;
-            match self.wal_append(&encode_admit(seq, &request, priority, deadline)) {
+            match self.log_admit(seq, &request, priority, deadline) {
                 Ok(()) => out.push(Ok(self.enqueue(&mut g, seq, request, priority, deadline))),
                 Err(e) => out.push(Err(e)),
             }
@@ -569,14 +629,17 @@ impl Shared {
         }
     }
 
-    /// A lane is ready when it holds a full batch, its oldest entry has
-    /// lingered past `max_wait`, or the server is draining.
+    /// A coalescable lane is ready when it holds a full batch, its oldest
+    /// entry has lingered past `max_wait`, or the server is draining. A
+    /// control lane is ready as soon as it is non-empty: its batches hold
+    /// one request, so lingering could only delay it.
     fn lane_ready(&self, g: &Inner, l: usize, now: Instant) -> bool {
         let deque = &g.lanes[l];
         if deque.is_empty() {
             return false;
         }
-        g.shutdown
+        kind_of_lane(l) == Kind::Control
+            || g.shutdown
             || deque.len() >= self.max_batch
             || deque
                 .iter()

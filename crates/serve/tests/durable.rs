@@ -421,3 +421,35 @@ fn a_failed_image_write_is_counted_and_the_next_cut_is_full() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A restart over a torn tail seals the torn segment behind a fresh one, so
+/// it must cut the tear off first: the next restart then reads a whole log
+/// and keeps every key the first restart held plus what came after.
+#[test]
+fn a_second_restart_after_a_torn_tail_is_accepted() {
+    let dir = temp_dir("torn-twice");
+    {
+        let (server, _) = Server::try_start(durable_config(&dir, 1)).unwrap();
+        for k in 0..5 {
+            assert!(server.call(Request::ChainInsert { keys: vec![k] }).is_ok());
+        }
+        server.shutdown();
+    }
+    let segs = wal::segments(&dir, REQUEST_LOG_PREFIX).unwrap();
+    let (_, path) = segs.last().expect("the server wrote a log");
+    let len = std::fs::metadata(path).unwrap().len();
+    let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+    f.set_len(len - 3).unwrap();
+
+    let (server, restart) = Server::try_start(durable_config(&dir, 1)).unwrap();
+    assert!(restart.torn_tail, "the tear is surfaced: {restart:?}");
+    assert!(server.call(Request::ChainInsert { keys: vec![5] }).is_ok());
+    let first = keys_of(&server.shutdown(), WorkloadClass::Chain);
+    assert!(first.contains(&5), "{first:?}");
+
+    let (server, restart) = Server::try_start(durable_config(&dir, 1))
+        .expect("the log the first restart left replays whole");
+    assert!(!restart.torn_tail, "{restart:?}");
+    assert_eq!(keys_of(&server.shutdown(), WorkloadClass::Chain), first);
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -11,6 +11,16 @@
 //! promise; its `VSTX` guarantees element order). To demonstrate — and
 //! property-test — that FOL is correct under *any* ELS-conforming hardware,
 //! the simulator makes the winner a pluggable [`ConflictPolicy`].
+//!
+//! Under [`ConflictPolicy::LastWins`] element order alone settles the
+//! winner, so with no fault plan installed the machine never calls the
+//! resolver: it walks a scatter's surviving lanes backwards and stores
+//! the last one at each address, the `VSTX` semantics
+//! [`crate::Machine::scatter_ordered`] always has. Every other policy, and
+//! every scatter under a [`crate::fault::FaultPlan`], resolves winners
+//! here first ([`ConflictPolicy::resolve_with_state`]) and stores each
+//! once. Where both could run (last-wins under a plan that injects
+//! nothing), they end in the same memory, journal, digests and footprint.
 
 use crate::fault::hash3;
 

@@ -53,7 +53,7 @@ impl Hasher for AddrHasher {
     }
 }
 
-type AddrMap<V> = HashMap<Addr, V, BuildHasherDefault<AddrHasher>>;
+pub(crate) type AddrMap<V> = HashMap<Addr, V, BuildHasherDefault<AddrHasher>>;
 
 /// A byte-exact copy of chosen regions, for before/after comparison.
 ///
@@ -201,7 +201,7 @@ impl WriteJournal {
     /// order — what [`crate::Machine::commit_txn`] copies into the committed
     /// image. The stored word, not memory, is the source: rot that struck a
     /// journaled word after its store never reaches the image.
-    pub(crate) fn entries_stored(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
+    pub fn entries_stored(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
         self.pre.iter().map(|(&a, &(_, stored))| (a, stored))
     }
 

@@ -44,9 +44,11 @@ fn readme_backend_snippet() {
     .unwrap();
     assert_eq!(m.content_digest(), sim.content_digest());
 
-    // The serving pool takes the same selector through its config.
+    // The serving pool takes the same selector through its config, and
+    // defaults to the fastest engine available.
+    assert_eq!(ServerConfig::default().backend, best_available());
     let server = Server::start(ServerConfig {
-        backend: BackendKind::Scalar, // or best_available()
+        backend: BackendKind::Scalar, // or keep the default
         ..ServerConfig::default()
     });
     server.shutdown();
