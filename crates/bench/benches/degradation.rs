@@ -122,7 +122,7 @@ fn main() {
     let body = {
         let mut s = format!(
             "{{\"bench\":\"degradation\",{},\"rows\":[",
-            fol_bench::report::backend_fields("sim")
+            fol_bench::report::engine_fields(Machine::new(CostModel::unit()).backend_kind())
         );
         for (i, (label, ns, cycles)) in rows.iter().enumerate() {
             if i > 0 {

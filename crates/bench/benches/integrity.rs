@@ -262,7 +262,7 @@ fn main() {
     // JSON artifact for CI (hand-rolled; the workspace is dependency-free).
     let mut body = format!(
         "{{\"bench\":\"integrity\",{},\"rows\":[",
-        fol_bench::report::backend_fields("sim")
+        fol_bench::report::engine_fields(Machine::new(CostModel::unit()).backend_kind())
     );
     for (i, (label, ns)) in rows.iter().enumerate() {
         if i > 0 {

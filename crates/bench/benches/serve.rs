@@ -127,11 +127,14 @@ fn main() {
          for size-1 requests at max_batch 256 (got {size1_speedup:.2}x)"
     );
 
+    // The end-to-end pair runs on the engine `Machine::new` builds, like
+    // the gated rows above.
+    let default_kind = Machine::new(CostModel::unit()).backend_kind();
     let batched = bench("serve/end-to-end/max-batch-256", || {
-        run_server(256, fol_vm::BackendKind::Sim)
+        run_server(256, default_kind)
     });
     let unbatched = bench("serve/end-to-end/max-batch-1", || {
-        run_server(1, fol_vm::BackendKind::Sim)
+        run_server(1, default_kind)
     });
     let e2e_speedup = unbatched.ns_per_iter / batched.ns_per_iter;
     println!("end-to-end: coalescing speedup {e2e_speedup:.1}x (informational)");
@@ -141,13 +144,9 @@ fn main() {
     // to the scalar engine (typed fallback), so the row is labelled with
     // what actually ran.
     let mut backend_rows: Vec<(&str, f64)> = Vec::new();
-    for kind in [
-        fol_vm::BackendKind::Sim,
-        fol_vm::BackendKind::Scalar,
-        fol_vm::BackendKind::Avx2,
-    ] {
-        let ran = fol_simd::engine_for(kind).name();
-        if kind == fol_vm::BackendKind::Avx2 && ran != "avx2" {
+    for kind in [fol_vm::BackendKind::Scalar, fol_vm::BackendKind::Avx2] {
+        let ran = fol_simd::engine_for(kind).kind();
+        if ran != kind {
             println!("serve/end-to-end/backend-avx2: SKIPPED (AVX2 not detected; scalar fallback already measured)");
             continue;
         }
@@ -156,13 +155,13 @@ fn main() {
         });
         let ops_per_s = REQUESTS as f64 * 1e9 / m.ns_per_iter;
         println!("backend {ran}: {ops_per_s:.0} requests/s end-to-end");
-        backend_rows.push((ran, ops_per_s));
+        backend_rows.push((ran.as_str(), ops_per_s));
     }
 
     // JSON artifact for CI (hand-rolled; the workspace is dependency-free).
     let mut body = format!(
         "{{\"bench\":\"serve\",{},\"rows\":[",
-        fol_bench::report::backend_fields("sim")
+        fol_bench::report::engine_fields(default_kind)
     );
     for (i, (size, per, coal)) in rows.iter().enumerate() {
         if i > 0 {

@@ -120,7 +120,7 @@ fn main() {
         println!("simd bench: SKIPPED (AVX2 not detected on this CPU; scalar fallback is the fastest backend here)");
         let body = format!(
             "{{\"bench\":\"simd\",{},\"skipped\":true,\"reason\":\"avx2 not detected\"}}",
-            fol_bench::report::backend_fields("scalar")
+            fol_bench::report::engine_fields(BackendKind::Avx2)
         );
         std::fs::write(&path, body + "\n").expect("write bench artifact");
         println!("artifact: {path}");
@@ -129,7 +129,11 @@ fn main() {
 
     let scalar = engine_for(BackendKind::Scalar);
     let avx2 = engine_for(BackendKind::Avx2);
-    assert_eq!(avx2.name(), "avx2", "detection said the kernels are usable");
+    assert_eq!(
+        avx2.kind(),
+        BackendKind::Avx2,
+        "detection said the kernels are usable"
+    );
 
     // A real Region handle for error attribution (the engines' only use of
     // it); the data plane runs on plain slices.
@@ -261,7 +265,7 @@ fn main() {
          {{\"kernel\":\"compress\",\"scalar_ns\":{scalar_compress:.1},\"avx2_ns\":{avx2_compress:.1},\
           \"scalar_ops_per_s\":{:.0},\"avx2_ops_per_s\":{:.0},\"speedup\":{compress_speedup:.3}}}\
          ],\"gate\":2.0,\"gather_gate\":{:?},\"compress_gate\":{:?},\"passed\":{passed}}}",
-        fol_bench::report::backend_fields("avx2"),
+        fol_bench::report::engine_fields(avx2.kind()),
         healthy.len(),
         lanes_per_s(scalar_gather),
         lanes_per_s(avx2_gather),

@@ -13,12 +13,8 @@ pub fn cycles_to_us(cycles: u64) -> f64 {
     cycles as f64 * S810_NS_PER_CYCLE / 1000.0
 }
 
-/// JSON fragment (no braces) stamping a bench artifact with the execution
-/// backend it ran on and the CPU features detected at run time, e.g.
-/// `"backend":"sim","cpu_features":["avx","avx2"]`. Every artifact writer
-/// splices this in so perf trajectories recorded on different machines —
-/// or different backends — stay attributable.
-pub fn backend_fields(backend: &str) -> String {
+/// The fragment [`engine_fields`] returns, for an engine named `backend`.
+fn backend_fields(backend: &str) -> String {
     let features = fol_simd::detected_features()
         .iter()
         .map(|f| format!("\"{f}\""))
@@ -27,11 +23,16 @@ pub fn backend_fields(backend: &str) -> String {
     format!("\"backend\":\"{backend}\",\"cpu_features\":[{features}]")
 }
 
-/// [`backend_fields`] for an artifact whose machines were built on `kind`,
-/// naming the engine that actually ran: an AVX2 request on a host without
-/// it runs the scalar engine.
+/// JSON fragment (no braces) stamping a bench artifact with the execution
+/// backend it ran on and the CPU features detected at run time, e.g.
+/// `"backend":"avx2","cpu_features":["avx","avx2"]`. Every artifact writer
+/// splices this in so perf trajectories recorded on different machines —
+/// or different backends — stay attributable. `kind` is the backend the
+/// artifact's machines were built on; the fragment names the engine that
+/// actually ran, since an AVX2 request on a host without it runs the
+/// scalar engine.
 pub fn engine_fields(kind: fol_vm::BackendKind) -> String {
-    backend_fields(fol_simd::engine_for(kind).name())
+    backend_fields(fol_simd::engine_for(kind).kind().as_str())
 }
 
 /// Renders Fig 9's series (CPU time vs load factor) for one table size.

@@ -123,9 +123,8 @@ pub struct ServerConfig {
     /// the CPU supports it, else the portable scalar engine.
     /// [`fol_vm::BackendKind::Avx2`] asked for on a host without AVX2
     /// falls back to the scalar engine (typed — the machine then reports
-    /// `"scalar"`), and [`fol_vm::BackendKind::Sim`] selects the
-    /// cost-model simulator. All backends are bit-identical, so this knob
-    /// changes wall-clock speed, never results.
+    /// `"scalar"`). Both backends are bit-identical, so this knob changes
+    /// wall-clock speed, never results.
     pub backend: fol_vm::BackendKind,
 }
 

@@ -28,10 +28,10 @@
 //!   the final length is the popcount.
 //! * **sum** — four parallel wrapping accumulators, folded horizontally.
 //!
-//! Everything else (masked scatter/ALU, mask algebra, select, prefix sum,
-//! min/max, iota, splat) delegates to [`ScalarEngine`] — those paths are
-//! either inherently serial, bool-typed, or too cold to matter, and
-//! delegation keeps them bit-identical by construction.
+//! The kernels outside the [`LaneEngine`] seam (masked scatter/ALU, mask
+//! algebra, select, mask compress, prefix sum, min/max, iota, splat) are
+//! either inherently serial, bool-typed, or too cold to matter; the machine
+//! runs their portable bodies from `fol_vm::backend` on every engine.
 //!
 //! # Safety
 //! Every `target_feature(enable = "avx2")` function in this module is only
@@ -379,10 +379,6 @@ unsafe fn sum_kernel(a: &[Word]) -> Word {
 }
 
 impl LaneEngine for Avx2Engine {
-    fn name(&self) -> &'static str {
-        "avx2"
-    }
-
     fn kind(&self) -> BackendKind {
         BackendKind::Avx2
     }
@@ -409,20 +405,6 @@ impl LaneEngine for Avx2Engine {
     fn scatter_last_wins(&self, words: &mut [Word], region: Region, idx: &[Word], val: &[Word]) {
         // SAFETY: constructor asserted AVX2.
         unsafe { scatter_kernel(words, region, idx, val) };
-    }
-
-    #[track_caller]
-    fn scatter_last_wins_masked(
-        &self,
-        words: &mut [Word],
-        region: Region,
-        idx: &[Word],
-        val: &[Word],
-        mask: &[bool],
-    ) {
-        // Masked lanes must not even be validated — shared scalar path.
-        self.scalar
-            .scatter_last_wins_masked(words, region, idx, val, mask);
     }
 
     fn alu(&self, op: AluOp, a: &[Word], b: &[Word]) -> Result<Vec<Word>, usize> {
@@ -464,16 +446,6 @@ impl LaneEngine for Avx2Engine {
         }
     }
 
-    fn alu_masked(
-        &self,
-        op: AluOp,
-        a: &[Word],
-        b: &[Word],
-        mask: &[bool],
-    ) -> Result<Vec<Word>, usize> {
-        self.scalar.alu_masked(op, a, b, mask)
-    }
-
     fn cmp(&self, op: CmpOp, a: &[Word], b: &[Word]) -> Vec<bool> {
         let mut out = vec![false; a.len()];
         // SAFETY: constructor asserted AVX2.
@@ -489,22 +461,6 @@ impl LaneEngine for Avx2Engine {
         out
     }
 
-    fn mask_and(&self, a: &[bool], b: &[bool]) -> Vec<bool> {
-        self.scalar.mask_and(a, b)
-    }
-
-    fn mask_or(&self, a: &[bool], b: &[bool]) -> Vec<bool> {
-        self.scalar.mask_or(a, b)
-    }
-
-    fn mask_not(&self, a: &[bool]) -> Vec<bool> {
-        self.scalar.mask_not(a)
-    }
-
-    fn select(&self, mask: &[bool], a: &[Word], b: &[Word]) -> Vec<Word> {
-        self.scalar.select(mask, a, b)
-    }
-
     fn compress(&self, a: &[Word], mask: &[bool]) -> Vec<Word> {
         let mut out = Vec::new();
         // SAFETY: constructor asserted AVX2.
@@ -512,40 +468,15 @@ impl LaneEngine for Avx2Engine {
         out
     }
 
-    fn compress_mask(&self, a: &[bool], mask: &[bool]) -> Vec<bool> {
-        self.scalar.compress_mask(a, mask)
-    }
-
-    fn prefix_sum(&self, a: &[Word]) -> Vec<Word> {
-        self.scalar.prefix_sum(a)
-    }
-
     fn sum(&self, a: &[Word]) -> Word {
         // SAFETY: constructor asserted AVX2.
         unsafe { sum_kernel(a) }
-    }
-
-    fn min(&self, a: &[Word]) -> Option<Word> {
-        self.scalar.min(a)
-    }
-
-    fn max(&self, a: &[Word]) -> Option<Word> {
-        self.scalar.max(a)
-    }
-
-    fn iota(&self, start: Word, n: usize) -> Vec<Word> {
-        self.scalar.iota(start, n)
-    }
-
-    fn splat(&self, s: Word, n: usize) -> Vec<Word> {
-        self.scalar.splat(s, n)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fol_vm::backend::SimEngine;
     use fol_vm::memory::Memory;
 
     fn hw() -> Option<Avx2Engine> {
@@ -561,12 +492,12 @@ mod tests {
     }
 
     #[test]
-    fn avx2_matches_sim_on_specialized_kernels() {
+    fn avx2_matches_scalar_on_specialized_kernels() {
         let Some(e) = hw() else {
             eprintln!("skipping: AVX2 not detected");
             return;
         };
-        let sim = SimEngine;
+        let scalar = ScalarEngine;
         let mut mem = Memory::new();
         let region = mem.alloc(32, "r");
         for n in [0usize, 1, 3, 4, 5, 7, 8, 9, 33, 100] {
@@ -578,11 +509,11 @@ mod tests {
             let mask: Vec<bool> = (0..n).map(|i| i % 3 != 1).collect();
             let mut w1 = vec![0; 32];
             let mut w2 = vec![0; 32];
-            sim.scatter_last_wins(&mut w1, region, &idx, &a);
+            scalar.scatter_last_wins(&mut w1, region, &idx, &a);
             e.scatter_last_wins(&mut w2, region, &idx, &a);
             assert_eq!(w1, w2, "scatter n={n}");
             assert_eq!(
-                sim.gather(&w1, region, &idx),
+                scalar.gather(&w1, region, &idx),
                 e.gather(&w2, region, &idx),
                 "gather n={n}"
             );
@@ -599,8 +530,12 @@ mod tests {
                 AluOp::Div,
                 AluOp::Shr,
             ] {
-                assert_eq!(e.alu(op, &a, &b), sim.alu(op, &a, &b), "{op:?} n={n}");
-                assert_eq!(e.alu_s(op, &a, 3), sim.alu_s(op, &a, 3), "{op:?}_s n={n}");
+                assert_eq!(e.alu(op, &a, &b), scalar.alu(op, &a, &b), "{op:?} n={n}");
+                assert_eq!(
+                    e.alu_s(op, &a, 3),
+                    scalar.alu_s(op, &a, 3),
+                    "{op:?}_s n={n}"
+                );
             }
             for op in [
                 CmpOp::Eq,
@@ -610,15 +545,15 @@ mod tests {
                 CmpOp::Gt,
                 CmpOp::Ge,
             ] {
-                assert_eq!(e.cmp(op, &a, &b), sim.cmp(op, &a, &b), "{op:?} n={n}");
-                assert_eq!(e.cmp_s(op, &a, 0), sim.cmp_s(op, &a, 0));
+                assert_eq!(e.cmp(op, &a, &b), scalar.cmp(op, &a, &b), "{op:?} n={n}");
+                assert_eq!(e.cmp_s(op, &a, 0), scalar.cmp_s(op, &a, 0));
             }
             assert_eq!(
                 e.compress(&a, &mask),
-                sim.compress(&a, &mask),
+                scalar.compress(&a, &mask),
                 "compress n={n}"
             );
-            assert_eq!(e.sum(&a), sim.sum(&a), "sum n={n}");
+            assert_eq!(e.sum(&a), scalar.sum(&a), "sum n={n}");
         }
     }
 

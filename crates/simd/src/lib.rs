@@ -8,31 +8,30 @@
 //! surface — so the serving stack can report wall-clock ops/sec next to
 //! modelled cycles without touching a single workload.
 //!
-//! Layering: `fol-vm` owns the [`LaneEngine`] trait and the two portable
-//! engines ([`SimEngine`], [`ScalarEngine`]), and forbids `unsafe`; this
-//! crate holds the intrinsics and the runtime feature detection. Selection
-//! goes through [`engine_for`], which degrades **typed, not silently**:
-//! asking for [`BackendKind::Avx2`] on a machine (or a build) without AVX2
-//! hands back the scalar engine, and the machine's
-//! `engine_name()` reports `"scalar"` so benches and reports show what
-//! actually ran.
+//! Layering: `fol-vm` owns the [`LaneEngine`] trait and the portable
+//! [`ScalarEngine`], and forbids `unsafe`; this crate holds the intrinsics
+//! and the runtime feature detection. Selection goes through
+//! [`engine_for`], which degrades **typed, not silently**: asking for
+//! [`BackendKind::Avx2`] on a machine (or a build) without AVX2 hands back
+//! the scalar engine, and the machine's `engine_name()` reports `"scalar"`
+//! so benches and reports show what actually ran.
 //!
 //! Correctness story: every engine must be bit-identical on the delegated
 //! kernels. The differential suite in `tests/` runs the six FOL workloads
-//! across the chaos matrix on simulator vs. scalar vs. AVX2 backends and
-//! requires `content_digest`-equal final structures; edge-case tables pin
-//! masked scatters at vector-length boundaries and empty/full compress
-//! masks.
+//! across the chaos matrix on the scalar and AVX2 backends and requires
+//! `content_digest`-equal final structures; edge-case tables pin gather,
+//! compress, and the machine's masked scatter and mask compress, against
+//! definitions written in the test at the kernels' block boundaries.
 //!
 //! Feature `hw` (default on) gates the intrinsics; building with
 //! `--no-default-features` leaves a fully safe crate whose selector only
-//! produces portable engines — the configuration CI uses to prove the
+//! produces the scalar engine — the configuration CI uses to prove the
 //! fallback path on runners without AVX2.
 
 #![warn(missing_docs)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub use fol_vm::backend::{BackendKind, LaneEngine, ScalarEngine, SimEngine};
+pub use fol_vm::backend::{BackendKind, LaneEngine, ScalarEngine};
 
 #[cfg(all(feature = "hw", target_arch = "x86_64"))]
 mod avx2;
@@ -93,11 +92,10 @@ pub fn best_available() -> BackendKind {
 
 /// Builds the engine for `kind`, degrading typed rather than silently:
 /// [`BackendKind::Avx2`] without compiled-in or detected hardware support
-/// resolves to the scalar engine, whose `name()` honestly reports
-/// `"scalar"`.
+/// resolves to the scalar engine, whose `kind()` honestly reports
+/// [`BackendKind::Scalar`].
 pub fn engine_for(kind: BackendKind) -> Box<dyn LaneEngine> {
     match kind {
-        BackendKind::Sim => Box::new(SimEngine),
         BackendKind::Scalar => Box::new(ScalarEngine),
         BackendKind::Avx2 => {
             #[cfg(all(feature = "hw", target_arch = "x86_64"))]
@@ -117,17 +115,15 @@ mod tests {
 
     #[test]
     fn selector_resolves_every_kind() {
-        assert_eq!(engine_for(BackendKind::Sim).name(), "sim");
-        assert_eq!(engine_for(BackendKind::Scalar).name(), "scalar");
+        assert_eq!(engine_for(BackendKind::Scalar).kind(), BackendKind::Scalar);
         let hw = engine_for(BackendKind::Avx2);
         if avx2_available() {
-            assert_eq!(hw.name(), "avx2");
             assert_eq!(hw.kind(), BackendKind::Avx2);
             assert_eq!(best_available(), BackendKind::Avx2);
             assert!(detected_features().contains(&"avx2"));
         } else {
             // Typed fallback: the engine says what it really is.
-            assert_eq!(hw.name(), "scalar");
+            assert_eq!(hw.kind(), BackendKind::Scalar);
             assert_eq!(best_available(), BackendKind::Scalar);
         }
     }

@@ -1,7 +1,6 @@
 //! Differential harness: the six FOL workloads × the chaos matrix, run on
-//! the simulator, scalar, and AVX2 backends, must produce
-//! `content_digest`-equal structures — bit-identical memory, not just
-//! equivalent answers.
+//! the scalar and AVX2 backends, must produce `content_digest`-equal
+//! structures — bit-identical memory, not just equivalent answers.
 //!
 //! Faults are injected by the machine's control plane from a seeded plan,
 //! so the same (workload, plan, seed) cell sees the same fault sequence on
@@ -11,8 +10,12 @@
 //! fails where another completes is caught even before digests.
 //!
 //! On machines without AVX2, `engine_for(Avx2)` resolves to the scalar
-//! engine (typed fallback) and the suite still proves sim ≡ scalar — the
-//! configuration the CI `simd` job runs with `--no-default-features`.
+//! engine (typed fallback), so the suite compares the scalar engine with
+//! itself — the configuration the CI `simd` job runs with
+//! `--no-default-features`. The kernel tables in `fol_vm::backend` and
+//! `tests/edge_tables.rs` check the scalar engine against definitions
+//! written in the tests, so that build is still checked against
+//! something other than itself.
 
 use fol_core::recover::RetryPolicy;
 use fol_graph::components::{txn_components, union_find_components, Components};
@@ -27,7 +30,7 @@ use fol_vm::{AmalgamMode, CostModel, FaultPlan, Machine, Word};
 
 const SEEDS: [u64; 3] = [1, 42, 20260806];
 
-const BACKENDS: [BackendKind; 3] = [BackendKind::Sim, BackendKind::Scalar, BackendKind::Avx2];
+const BACKENDS: [BackendKind; 2] = [BackendKind::Scalar, BackendKind::Avx2];
 
 /// The scatter-side fault matrix, mirroring the repo-level chaos suite.
 fn fault_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
@@ -91,7 +94,8 @@ struct Observation {
 }
 
 /// Runs `work` once per backend on a fresh machine seeded with the same
-/// fault plan, then requires all observations identical to the simulator's.
+/// fault plan, then requires all observations identical to the first
+/// backend's.
 fn assert_backends_agree(
     cell: &str,
     plan: &FaultPlan,

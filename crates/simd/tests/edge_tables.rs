@@ -1,15 +1,19 @@
 //! Edge-case tables for the hardware kernels, pinned at the widths where
 //! the AVX2 implementations change shape: the 4-lane vector width, the
 //! gather kernel's ×4-unrolled 16-element blocks, and the compress
-//! kernel's ×2-unrolled 16-element blocks. Every cell is a three-way
-//! engine comparison (sim vs scalar vs avx2) on identical inputs, so the
-//! tables double as a boundary-condition differential suite.
+//! kernel's ×2-unrolled 16-element blocks. Every engine cell runs the
+//! scalar and AVX2 engines on identical inputs and checks each against a
+//! definition written in the test, so the tables double as a
+//! boundary-condition differential suite. The mask-compress and
+//! masked-scatter cells check the machine's one implementation of those
+//! kernels, which no engine replaces, against the same definitions.
 //!
 //! Without AVX2 (or with `--no-default-features`) the avx2 slot resolves
-//! to the scalar engine and the tables still pin sim ≡ scalar.
+//! to the scalar engine, and every cell still checks it against the
+//! test's definitions.
 
 use fol_simd::{engine_for, BackendKind, LaneEngine};
-use fol_vm::{CostModel, Machine, Region, Word};
+use fol_vm::{CostModel, Machine, Mask, Region, VReg, Word};
 
 /// Lengths straddling every internal block boundary of the kernels:
 /// the empty and singleton cases, the 4-lane width (3/4/5), the 8-element
@@ -19,7 +23,6 @@ const BOUNDARY_LENGTHS: [usize; 12] = [0, 1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17];
 
 fn engines() -> Vec<Box<dyn LaneEngine>> {
     vec![
-        engine_for(BackendKind::Sim),
         engine_for(BackendKind::Scalar),
         engine_for(BackendKind::Avx2),
     ]
@@ -30,6 +33,22 @@ fn region(len: usize) -> (Machine, Region) {
     let mut m = Machine::new(CostModel::unit());
     let r = m.alloc(len.max(1), "edge.table");
     (m, r)
+}
+
+/// The machine's masked scatter into a fresh `table`-word region holding
+/// [`words`], returning the region afterwards. A fresh machine has no
+/// fault plan, journal or tracked region, so the store takes the data-plane
+/// path that every engine shares.
+fn machine_masked_scatter(table: usize, idx: &[Word], val: &[Word], mask: &[bool]) -> Vec<Word> {
+    let (mut m, r) = region(table);
+    m.mem_mut().write_region(r, &words(table));
+    m.scatter_masked(
+        r,
+        &VReg::from_vec(idx.to_vec()),
+        &VReg::from_vec(val.to_vec()),
+        &Mask::from_vec(mask.to_vec()),
+    );
+    m.mem().read_region(r)
 }
 
 fn words(n: usize) -> Vec<Word> {
@@ -78,7 +97,7 @@ fn compress_agrees_at_every_boundary_and_mask_shape() {
                     e.compress(&a, &mask),
                     reference,
                     "compress n={n} mask={pattern} on {}",
-                    e.name()
+                    e.kind()
                 );
             }
         }
@@ -87,7 +106,7 @@ fn compress_agrees_at_every_boundary_and_mask_shape() {
 
 #[test]
 fn compress_mask_agrees_at_every_boundary_and_mask_shape() {
-    let engines = engines();
+    let mut m = Machine::new(CostModel::unit());
     for n in BOUNDARY_LENGTHS {
         let bits: Vec<bool> = (0..n).map(|i| (i * 7) % 5 < 2).collect();
         for (pattern, mask) in mask_patterns(n) {
@@ -97,14 +116,12 @@ fn compress_mask_agrees_at_every_boundary_and_mask_shape() {
                 .filter(|(_, &keep)| keep)
                 .map(|(&b, _)| b)
                 .collect();
-            for e in &engines {
-                assert_eq!(
-                    e.compress_mask(&bits, &mask),
-                    reference,
-                    "compress_mask n={n} mask={pattern} on {}",
-                    e.name()
-                );
-            }
+            let got = m.compress_mask(&Mask::from_vec(bits.clone()), &Mask::from_vec(mask));
+            assert_eq!(
+                got.as_slice(),
+                reference,
+                "compress_mask n={n} mask={pattern}"
+            );
         }
     }
 }
@@ -125,20 +142,18 @@ fn compress_ignores_mask_overhang() {
             .filter(|(i, _)| *i != 1)
             .map(|(_, &w)| w)
             .collect();
-        assert_eq!(got, want, "mask overhang on {}", e.name());
+        assert_eq!(got, want, "mask overhang on {}", e.kind());
     }
 }
 
 #[test]
 fn masked_scatter_agrees_at_every_boundary_and_mask_shape() {
-    let engines = engines();
     const TABLE: usize = 8;
     for n in BOUNDARY_LENGTHS {
         // Indices deliberately collide (duplicates resolved last-wins in
         // element order) and cover both ends of the table.
         let idx: Vec<Word> = (0..n).map(|i| ((i * 5 + 3) % TABLE) as Word).collect();
         let val: Vec<Word> = (0..n).map(|i| 1000 + i as Word).collect();
-        let (_m, r) = region(TABLE);
         for (pattern, mask) in mask_patterns(n) {
             // Host-side reference: filter then last-wins in element order.
             let mut reference = words(TABLE);
@@ -147,29 +162,22 @@ fn masked_scatter_agrees_at_every_boundary_and_mask_shape() {
                     reference[idx[i] as usize] = val[i];
                 }
             }
-            for e in &engines {
-                let mut table = words(TABLE);
-                e.scatter_last_wins_masked(&mut table, r, &idx, &val, &mask);
-                assert_eq!(
-                    table,
-                    reference,
-                    "masked scatter n={n} mask={pattern} on {}",
-                    e.name()
-                );
-            }
+            assert_eq!(
+                machine_masked_scatter(TABLE, &idx, &val, &mask),
+                reference,
+                "masked scatter n={n} mask={pattern}"
+            );
         }
     }
 }
 
 /// Suppressed lanes are never validated: a wild index under a false mask
-/// bit must not panic on any engine — exactly the machine's filter-first
-/// slow path.
+/// bit must not panic on the data-plane path — exactly the machine's
+/// filter-first slow path.
 #[test]
 fn masked_scatter_never_validates_suppressed_lanes() {
-    let engines = engines();
     const TABLE: usize = 8;
     for n in [1, 3, 4, 5, 8, 9, 16, 17] {
-        let (_m, r) = region(TABLE);
         // Every odd lane is wild (negative or far out of range) but masked
         // off; every even lane is a normal in-bounds write.
         let idx: Vec<Word> = (0..n)
@@ -191,16 +199,11 @@ fn masked_scatter_never_validates_suppressed_lanes() {
         for i in (0..n).step_by(2) {
             reference[idx[i] as usize] = val[i];
         }
-        for e in &engines {
-            let mut table = words(TABLE);
-            e.scatter_last_wins_masked(&mut table, r, &idx, &val, &mask);
-            assert_eq!(
-                table,
-                reference,
-                "wild suppressed lanes n={n} on {}",
-                e.name()
-            );
-        }
+        assert_eq!(
+            machine_masked_scatter(TABLE, &idx, &val, &mask),
+            reference,
+            "wild suppressed lanes n={n}"
+        );
     }
 }
 
@@ -221,13 +224,13 @@ fn gather_agrees_at_every_boundary_length() {
                 e.gather(&table, r, &idx),
                 reference,
                 "gather n={n} on {}",
-                e.name()
+                e.kind()
             );
         }
     }
 }
 
-/// All engines report the same canonical panic for the same first
+/// Both engines report the same canonical panic for the same first
 /// offending index, even when the bad lane hides in an unrolled block's
 /// middle or in the scalar tail.
 #[test]
@@ -261,11 +264,7 @@ fn gather_panic_messages_are_identical_across_engines() {
         }
         assert_eq!(
             messages[0], messages[1],
-            "sim vs scalar message (n={n} lane={lane})"
-        );
-        assert_eq!(
-            messages[0], messages[2],
-            "sim vs avx2 message (n={n} lane={lane})"
+            "scalar vs avx2 message (n={n} lane={lane})"
         );
         let expect = if bad < 0 {
             format!("negative index {bad} into")
@@ -292,7 +291,7 @@ fn gather_names_the_first_offender_in_element_order() {
     idx[6] = -4; // first offender, mid first unrolled block
     idx[18] = 100; // second offender, in the tail
     for e in engines() {
-        let name = e.name();
+        let name = e.kind();
         let err =
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| e.gather(&table, r, &idx)))
                 .expect_err("must panic");

@@ -85,7 +85,7 @@ pub mod program;
 pub mod trace;
 pub mod vreg;
 
-pub use backend::{BackendKind, LaneEngine, ScalarEngine, SimEngine};
+pub use backend::{BackendKind, LaneEngine, ScalarEngine};
 pub use conflict::{AdversaryState, ConflictPolicy};
 pub use cost::{CostModel, OpKind, Stats};
 pub use fault::{AmalgamMode, FaultEvent, FaultLog, FaultPlan};

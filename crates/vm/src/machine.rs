@@ -11,7 +11,7 @@
 //! acceleration ratios are computed exactly this way (same machine, same
 //! memory, two code paths).
 
-use crate::backend::{BackendKind, LaneEngine, SimEngine};
+use crate::backend::{self, BackendKind, LaneEngine, ScalarEngine};
 use crate::conflict::{AdversaryState, ConflictPolicy};
 use crate::cost::{CostModel, OpKind, Stats};
 use crate::fault::{FaultEvent, FaultLog, FaultPlan};
@@ -288,7 +288,7 @@ impl Machine {
             parked_auditor: None,
             gather_seq: 0,
             stale_shadow: std::collections::HashMap::new(),
-            engine: Box::new(SimEngine),
+            engine: Box::new(ScalarEngine),
         }
     }
 
@@ -301,7 +301,7 @@ impl Machine {
     }
 
     /// A machine computing on an explicit execution backend (see
-    /// [`crate::backend`]; the default is the [`SimEngine`] reference).
+    /// [`crate::backend`]; the default is the portable [`ScalarEngine`]).
     pub fn with_engine(cost: CostModel, engine: Box<dyn LaneEngine>) -> Self {
         Self {
             engine,
@@ -309,16 +309,9 @@ impl Machine {
         }
     }
 
-    /// Swaps the execution backend. Memory, cost meter and every other
-    /// piece of machine state are untouched — engines are required to be
-    /// bit-identical, so this is always safe mid-workload.
-    pub fn set_engine(&mut self, engine: Box<dyn LaneEngine>) {
-        self.engine = engine;
-    }
-
-    /// The active execution backend's stable name (e.g. `"sim"`, `"avx2"`).
+    /// The active execution backend's stable name (`"scalar"` or `"avx2"`).
     pub fn engine_name(&self) -> &'static str {
-        self.engine.name()
+        self.engine.kind().as_str()
     }
 
     /// The active execution backend's [`BackendKind`].
@@ -1677,10 +1670,10 @@ impl Machine {
             if self.journal.is_none() && self.tracked.is_empty() {
                 // Data-plane fast path: with no fault plan, journal or
                 // checksummed region active the store choke point has
-                // nothing to record — the engine writes directly.
+                // nothing to record — the lanes are written directly.
                 let words = &mut self.mem.words_mut()[region.base()..region.base() + region.len()];
                 match mask {
-                    Some(m) => self.engine.scatter_last_wins_masked(
+                    Some(m) => backend::scatter_last_wins_masked(
                         words,
                         region,
                         idx.as_slice(),
@@ -1839,8 +1832,7 @@ impl Machine {
         assert_eq!(a.len(), b.len(), "valu_masked: length mismatch");
         assert_eq!(a.len(), mask.len(), "valu_masked: mask length mismatch");
         self.charge_vector(OpKind::VAlu, a.len());
-        self.engine
-            .alu_masked(op, a.as_slice(), b.as_slice(), mask.as_slice())
+        backend::alu_masked(op, a.as_slice(), b.as_slice(), mask.as_slice())
             .map(VReg::from_vec)
             .map_err(|lane| MachineTrap::DivideByZero { op, lane })
     }
@@ -1848,14 +1840,14 @@ impl Machine {
     /// Broadcast: a vector of `n` copies of `s`.
     pub fn vsplat(&mut self, s: Word, n: usize) -> VReg {
         self.charge_vector(OpKind::VAlu, n);
-        VReg::from_vec(self.engine.splat(s, n))
+        VReg::from_vec(backend::splat(s, n))
     }
 
     /// Index generation: `[start, start+1, …, start+n-1]` (the paper's
     /// subscript labels are exactly `iota`).
     pub fn iota(&mut self, start: Word, n: usize) -> VReg {
         self.charge_vector(OpKind::VIota, n);
-        VReg::from_vec(self.engine.iota(start, n))
+        VReg::from_vec(backend::iota(start, n))
     }
 
     // ------------------------------------------------------------------
@@ -1881,7 +1873,7 @@ impl Machine {
     pub fn mask_and(&mut self, a: &Mask, b: &Mask) -> Mask {
         assert_eq!(a.len(), b.len(), "mask_and: length mismatch");
         self.charge_vector(OpKind::VMaskOp, a.len());
-        Mask::from_vec(self.engine.mask_and(a.as_slice(), b.as_slice()))
+        Mask::from_vec(backend::mask_and(a.as_slice(), b.as_slice()))
     }
 
     /// Mask disjunction.
@@ -1889,13 +1881,13 @@ impl Machine {
     pub fn mask_or(&mut self, a: &Mask, b: &Mask) -> Mask {
         assert_eq!(a.len(), b.len(), "mask_or: length mismatch");
         self.charge_vector(OpKind::VMaskOp, a.len());
-        Mask::from_vec(self.engine.mask_or(a.as_slice(), b.as_slice()))
+        Mask::from_vec(backend::mask_or(a.as_slice(), b.as_slice()))
     }
 
     /// Mask negation.
     pub fn mask_not(&mut self, a: &Mask) -> Mask {
         self.charge_vector(OpKind::VMaskOp, a.len());
-        Mask::from_vec(self.engine.mask_not(a.as_slice()))
+        Mask::from_vec(backend::mask_not(a.as_slice()))
     }
 
     /// Merge: `mask[i] ? a[i] : b[i]`.
@@ -1904,10 +1896,7 @@ impl Machine {
         assert_eq!(a.len(), b.len(), "select: length mismatch");
         assert_eq!(a.len(), mask.len(), "select: mask length mismatch");
         self.charge_vector(OpKind::VAlu, a.len());
-        VReg::from_vec(
-            self.engine
-                .select(mask.as_slice(), a.as_slice(), b.as_slice()),
-        )
+        VReg::from_vec(backend::select(mask.as_slice(), a.as_slice(), b.as_slice()))
     }
 
     /// `countTrue(M)`: population count of a mask, charged as a reduction.
@@ -1936,7 +1925,7 @@ impl Machine {
     pub fn compress_mask(&mut self, a: &Mask, mask: &Mask) -> Mask {
         assert_eq!(a.len(), mask.len(), "compress_mask: mask length mismatch");
         self.charge_vector(OpKind::VCompress, a.len());
-        Mask::from_vec(self.engine.compress_mask(a.as_slice(), mask.as_slice()))
+        Mask::from_vec(backend::compress_mask(a.as_slice(), mask.as_slice()))
     }
 
     /// Inverse of [`Machine::compress`]: distributes the elements of `a`
@@ -1978,7 +1967,7 @@ impl Machine {
     /// Distribution counting sort depends on this running at vector speed.
     pub fn vprefix_sum(&mut self, a: &VReg) -> VReg {
         self.charge_vector(OpKind::VPrefix, a.len());
-        VReg::from_vec(self.engine.prefix_sum(a.as_slice()))
+        VReg::from_vec(backend::prefix_sum(a.as_slice()))
     }
 
     /// Sum of all elements (wrapping).
@@ -1990,13 +1979,13 @@ impl Machine {
     /// Minimum element, or `None` for an empty vector.
     pub fn vmin(&mut self, a: &VReg) -> Option<Word> {
         self.charge_vector(OpKind::VReduce, a.len());
-        self.engine.min(a.as_slice())
+        backend::min(a.as_slice())
     }
 
     /// Maximum element, or `None` for an empty vector.
     pub fn vmax(&mut self, a: &VReg) -> Option<Word> {
         self.charge_vector(OpKind::VReduce, a.len());
-        self.engine.max(a.as_slice())
+        backend::max(a.as_slice())
     }
 
     // ------------------------------------------------------------------
@@ -2067,41 +2056,6 @@ mod tests {
 
     fn machine() -> Machine {
         Machine::new(CostModel::unit())
-    }
-
-    #[test]
-    fn engines_are_interchangeable_mid_workload() {
-        // The same program on the default engine and on the scalar engine
-        // (including a mid-run swap) must leave identical memory and charge
-        // identical cycles — engines only change how elements are computed.
-        let run = |swap: bool| {
-            let mut m = machine();
-            assert_eq!(m.engine_name(), "sim");
-            assert_eq!(m.backend_kind(), crate::backend::BackendKind::Sim);
-            let r = m.alloc(16, "r");
-            let idx = m.iota(0, 12);
-            let val = m.valu_s(AluOp::Mul, &idx, 3);
-            m.scatter(r, &idx, &val);
-            if swap {
-                m.set_engine(
-                    crate::backend::engine_of(crate::backend::BackendKind::Scalar).unwrap(),
-                );
-                assert_eq!(m.engine_name(), "scalar");
-            }
-            let dup = m.vimm(&[3, 3, 7, 7, 15]);
-            let w = m.vimm(&[1, 2, 3, 4, 5]);
-            m.scatter(r, &dup, &w);
-            let mask = m.vcmp_s(CmpOp::Gt, &val, 10);
-            let packed = m.compress(&val, &mask);
-            let ids = m.iota(0, packed.len());
-            m.scatter_ordered(r, &ids, &packed);
-            (
-                m.mem().read_region(r),
-                m.content_digest(),
-                m.stats().cycles(),
-            )
-        };
-        assert_eq!(run(false), run(true));
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! [`net`] (a CRC-framed wire protocol with exactly-once retries, seeded
 //! wire-fault injection, and digest-voting replica failover). The [`simd`]
 //! crate swaps real AVX2 hardware lanes in behind the machine's kernels —
-//! selected per backend, differentially tested against the simulator, and
-//! bit-identical to it.
+//! selected per backend, differentially tested against the portable scalar
+//! engine, and bit-identical to it.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -18,7 +18,8 @@ fn readme_backend_snippet() {
     assert!(matches!(m.engine_name(), "avx2" | "scalar"));
 
     // The whole stack is backend-agnostic: same transactional insert, same
-    // journal, same checksums — and byte-identical memory at the end.
+    // journal, same checksums — and byte-identical memory and the same
+    // modelled cycles at the end.
     let keys: Vec<Word> = (1..=24).collect();
     let table = m.alloc(67, "table");
     init_table(&mut m, table);
@@ -31,18 +32,20 @@ fn readme_backend_snippet() {
     )
     .unwrap();
 
-    let mut sim = Machine::new(CostModel::unit()); // the simulator backend
-    let table = sim.alloc(67, "table");
-    init_table(&mut sim, table);
+    let mut portable = Machine::new(CostModel::unit());
+    assert_eq!(portable.engine_name(), "scalar");
+    let table = portable.alloc(67, "table");
+    init_table(&mut portable, table);
     txn_insert_all(
-        &mut sim,
+        &mut portable,
         table,
         &keys,
         ProbeStrategy::KeyDependent,
         &RetryPolicy::default(),
     )
     .unwrap();
-    assert_eq!(m.content_digest(), sim.content_digest());
+    assert_eq!(m.content_digest(), portable.content_digest());
+    assert_eq!(m.stats().cycles(), portable.stats().cycles());
 
     // The serving pool takes the same selector through its config, and
     // defaults to the fastest engine available.
