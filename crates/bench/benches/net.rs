@@ -22,7 +22,10 @@
 //! three pairings, seven runs, median 66%). The gate is that median,
 //! 0.658, minus its run-to-run range, 0.240, rounded down — a floor
 //! against a wire that gets slower, not a parity claim. EXPERIMENTS.md
-//! has the runs.
+//! has the runs. Since the in-process path got faster again (last-wins
+//! stores, the portable lane engine by default), the same bench reads
+//! 43–50% on that host (six runs, best of up to three pairings, also in
+//! EXPERIMENTS.md), still above the floor.
 //!
 //! Emits a JSON artifact (`net.json`) for CI.
 

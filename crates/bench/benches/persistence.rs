@@ -3,8 +3,8 @@
 //!
 //! Three sections:
 //!
-//! * **End-to-end** (gated): a fixed traffic load — 256 chain-insert
-//!   requests of 16 keys each — through a single-worker
+//! * **End-to-end** (gated): a fixed traffic load — 512 chain-insert
+//!   requests of 64 keys each — through a single-worker
 //!   [`fol_serve::Server`], non-durable vs durable at each
 //!   [`FsyncPolicy`]. The `Batch` row is the production setting (the
 //!   submit path stays fsync-free; the worker syncs once per batch), and

@@ -48,24 +48,22 @@ where
 }
 
 /// Applies `f(cell, position)` for every position of every round, rounds in
-/// order, sequentially within a round.
+/// order, sequentially within a round: [`try_apply_rounds`] at
+/// [`Validation::Off`].
 ///
 /// `targets[pos]` is the cell index the unit process at `pos` rewrites.
 ///
 /// # Panics
 /// Panics when a target is out of bounds of `data`.
-pub fn apply_rounds<T, F>(data: &mut [T], targets: &[usize], d: &Decomposition, mut f: F)
+pub fn apply_rounds<T, F>(data: &mut [T], targets: &[usize], d: &Decomposition, f: F)
 where
     F: FnMut(&mut T, usize),
 {
-    for round in d.iter() {
-        for &pos in round {
-            f(&mut data[targets[pos]], pos);
-        }
-    }
+    try_apply_rounds(data, targets, d, Validation::Off, f).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Applies `f(cell, position)` with real parallelism inside each round.
+/// Applies `f(cell, position)` with real parallelism inside each round:
+/// [`try_par_apply_rounds`] at [`Validation::Off`].
 ///
 /// Rounds are executed in order (the sequential-between-rounds condition);
 /// within a round the targeted cells are mutated concurrently. Correctness
@@ -92,9 +90,7 @@ where
     T: Send,
     F: Fn(&mut T, usize) + Sync,
 {
-    for round in d.iter() {
-        par_round(data, targets, round, &f);
-    }
+    try_par_apply_rounds(data, targets, d, Validation::Off, f).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Runs one round with data parallelism: gathers disjoint `&mut` borrows of

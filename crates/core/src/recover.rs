@@ -123,17 +123,6 @@ impl fmt::Display for ExecMode {
     }
 }
 
-impl ExecMode {
-    /// True for the modes that run the full-width or reduced-width vector
-    /// program (as opposed to the sequential fallbacks).
-    pub fn is_vectorized(&self) -> bool {
-        matches!(
-            self,
-            ExecMode::Vector | ExecMode::DegradedVector { .. } | ExecMode::VerifiedReplay { .. }
-        )
-    }
-}
-
 /// Bounded retry with an escalation ladder.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
@@ -211,17 +200,6 @@ impl RetryPolicy {
         Self {
             max_attempts: attempts.max(1),
             ladder: vec![ExecMode::Vector],
-            ..Self::default()
-        }
-    }
-
-    /// The default policy with its ELS audit sampled at 1-in-`rate` rounds
-    /// under `seed` (the ROADMAP "audit sampling" knob). `rate` 0 disables
-    /// the audit entirely.
-    pub fn with_audit_rate(rate: usize, seed: u64) -> Self {
-        Self {
-            audit_rate: rate,
-            audit_seed: seed,
             ..Self::default()
         }
     }
@@ -1171,38 +1149,10 @@ where
     T: Clone + std::hash::Hash,
     F: FnMut(&mut T, usize),
 {
-    let index_vec: Vec<Word> = targets.iter().map(|&t| t as Word).collect();
-    let mut staged: Option<Vec<T>> = None;
-    let shadow: &[T] = data;
-    let (d, report) = run_transaction(m, policy, |m, mode| {
-        let mut wd = policy.watchdog.as_ref().map(Watchdog::start);
-        let d = decompose_with_mode_watched(
-            m,
-            work,
-            &index_vec,
-            mode,
-            policy.validation,
-            &mut |live| wd.as_mut().map_or(Ok(()), |w| w.observe(live)),
-        )?;
-        let mut scratch = shadow.to_vec();
-        try_apply_rounds(&mut scratch, targets, &d, policy.validation, &mut f)?;
-        let expected = stage_digest(&scratch);
-        stage_hook(&mut scratch);
-        let actual = stage_digest(&scratch);
-        if actual != expected {
-            return Err(FolError::Integrity(IntegrityError::ChecksumMismatch {
-                region: "(host stage)".to_string(),
-                base: 0,
-                len: scratch.len(),
-                expected,
-                actual,
-            }));
-        }
-        staged = Some(scratch);
-        Ok(d)
-    })?;
-    data.clone_from_slice(&staged.expect("txn_apply_rounds: success always stages data"));
-    Ok((d, report))
+    let apply = |scratch: &mut [T], d: &Decomposition| {
+        try_apply_rounds(scratch, targets, d, policy.validation, &mut f)
+    };
+    txn_staged_apply(m, work, data, targets, policy, apply, stage_hook)
 }
 
 /// Transactional [`crate::parallel::try_par_apply_rounds`]: like
@@ -1220,25 +1170,26 @@ where
     T: Clone + Send + std::hash::Hash,
     F: Fn(&mut T, usize) + Sync,
 {
-    txn_par_apply_rounds_hooked(m, work, data, targets, policy, f, &mut |_| {})
+    let apply = |scratch: &mut [T], d: &Decomposition| {
+        try_par_apply_rounds(scratch, targets, d, policy.validation, &f)
+    };
+    txn_staged_apply(m, work, data, targets, policy, apply, &mut |_| {})
 }
 
-/// [`txn_par_apply_rounds`] with the same host-stage fault-injection hook
-/// as [`txn_apply_rounds_hooked`].
-#[doc(hidden)]
-pub fn txn_par_apply_rounds_hooked<T, F>(
+/// The one staged-apply body behind [`txn_apply_rounds_hooked`] and
+/// [`txn_par_apply_rounds`]: per attempt, decompose `targets` under the
+/// rung's mode and the policy's watchdog, `apply` the rounds to a scratch
+/// copy of `data`, and check the scratch's host-stage digest across
+/// `stage_hook`. `data` takes the scratch only after a committed attempt.
+fn txn_staged_apply<T: Clone + std::hash::Hash>(
     m: &mut Machine,
     work: Region,
     data: &mut [T],
     targets: &[usize],
     policy: &RetryPolicy,
-    f: F,
+    mut apply: impl FnMut(&mut [T], &Decomposition) -> Result<(), FolError>,
     stage_hook: &mut dyn FnMut(&mut [T]),
-) -> Result<(Decomposition, RecoveryReport), RecoveryError>
-where
-    T: Clone + Send + std::hash::Hash,
-    F: Fn(&mut T, usize) + Sync,
-{
+) -> Result<(Decomposition, RecoveryReport), RecoveryError> {
     let index_vec: Vec<Word> = targets.iter().map(|&t| t as Word).collect();
     let mut staged: Option<Vec<T>> = None;
     let shadow: &[T] = data;
@@ -1253,7 +1204,7 @@ where
             &mut |live| wd.as_mut().map_or(Ok(()), |w| w.observe(live)),
         )?;
         let mut scratch = shadow.to_vec();
-        try_par_apply_rounds(&mut scratch, targets, &d, policy.validation, &f)?;
+        apply(&mut scratch, &d)?;
         let expected = stage_digest(&scratch);
         stage_hook(&mut scratch);
         let actual = stage_digest(&scratch);
@@ -1269,7 +1220,7 @@ where
         staged = Some(scratch);
         Ok(d)
     })?;
-    data.clone_from_slice(&staged.expect("txn_par_apply_rounds: success always stages data"));
+    data.clone_from_slice(&staged.expect("txn_staged_apply: success always stages data"));
     Ok((d, report))
 }
 

@@ -15,11 +15,13 @@
 
 use crate::hash_mod;
 use fol_core::error::{FolError, Validation};
+use fol_core::ordered::try_fol1_machine_ordered;
 use fol_core::recover::{
-    run_transaction, split_retry, with_lane_mask, ExecMode, GroupError, RecoveryError,
-    RecoveryReport, RetryPolicy,
+    decompose_with_mode, run_transaction, split_retry, with_lane_mask, ExecMode, GroupError,
+    RecoveryError, RecoveryReport, RetryPolicy,
 };
-use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
+use fol_core::Decomposition;
+use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
 use std::collections::HashMap;
 
 /// Nil chain pointer.
@@ -110,6 +112,31 @@ impl ChainTable {
         self.used_nodes += n;
         first
     }
+
+    /// The prologue of every vector insert: reserves a node per key and
+    /// fills the nodes' key fields, returning the keys' hashed buckets,
+    /// their node pointers and their positions — all conflict-free vector
+    /// work.
+    fn stage_nodes(&mut self, m: &mut Machine, keys: &[Word]) -> (VReg, VReg, VReg) {
+        let first = self.reserve(keys.len());
+        let key_v = m.vimm(keys);
+        let hv = m.valu_s(AluOp::Mod, &key_v, self.buckets() as Word);
+        let positions = m.iota(0, keys.len());
+        let offs = m.valu_s(AluOp::Add, &positions, first as Word);
+        let node_ptr = m.valu_s(AluOp::Mul, &offs, 2);
+        m.scatter(self.arena, &node_ptr, &key_v);
+        (hv, node_ptr, positions)
+    }
+
+    /// Main processing for one round: links the nodes `ptr_s` in front of
+    /// the old heads of the buckets `hv_s`. Within a round the buckets are
+    /// distinct, so all three list-vector ops are conflict-free.
+    fn link_front(&self, m: &mut Machine, hv_s: &VReg, ptr_s: &VReg) {
+        let old_heads = m.gather(self.heads, hv_s);
+        let next_field = m.valu_s(AluOp::Add, ptr_s, 1);
+        m.scatter(self.arena, &next_field, &old_heads);
+        m.scatter(self.heads, hv_s, ptr_s);
+    }
 }
 
 /// Scalar baseline: insert keys one at a time (Fig 4a's sequential order:
@@ -130,55 +157,25 @@ pub fn scalar_insert_all(m: &mut Machine, table: &mut ChainTable, keys: &[Word])
     }
 }
 
-/// Vectorized insertion by FOL1 (Fig 7). Returns the number of FOL rounds.
+/// Vectorized insertion by FOL1 (Fig 7): [`try_vectorized_insert_all`],
+/// panicking where it returns an error. Returns the number of FOL rounds.
+///
+/// # Panics
+/// Panics if the arena cannot hold `keys.len()` more nodes, or with the
+/// typed [`FolError`] when a faulty scatter path breaks Theorem 1 or 6.
 pub fn vectorized_insert_all(m: &mut Machine, table: &mut ChainTable, keys: &[Word]) -> usize {
-    if keys.is_empty() {
-        return 0;
-    }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
-
-    // Materialize keys, compute hashed values and node pointers, and fill
-    // the nodes' key fields — all conflict-free vector work.
-    let key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let mut node_ptr = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr, &key_v);
-
-    // FOL1 rounds, main processing amalgamated (as in Fig 7).
-    let mut labels = positions;
-    let mut rounds = 0usize;
-    while !hv.is_empty() {
-        rounds += 1;
-        // FOL processes 1-2: write labels through hv, read back, compare.
-        m.scatter(table.work, &hv, &labels);
-        let got = m.gather(table.work, &hv);
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        // Main processing (process 3) for survivors: link nodes in front of
-        // the old heads. Within a round the buckets are distinct, so all
-        // three list-vector ops are conflict-free.
-        let hv_s = m.compress(&hv, &ok);
-        let ptr_s = m.compress(&node_ptr, &ok);
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
-        // Process 4: repeat for the filtered keys.
-        let rest = m.mask_not(&ok);
-        hv = m.compress(&hv, &rest);
-        node_ptr = m.compress(&node_ptr, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-    rounds
+    try_vectorized_insert_all(m, table, keys).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible vectorized insertion: [`vectorized_insert_all`] with the FOL1
-/// loop bounded by `keys.len()` rounds (the worst legal case, Theorem 6)
-/// and every detection pass checked for a survivor (Theorem 1). Under
-/// ELS-violating hardware ([`fol_vm::fault`]) the loop returns a typed
-/// error instead of spinning or silently dropping keys.
+/// Vectorized insertion by FOL1 (Fig 7), the loop every vector rung of
+/// [`txn_insert_all`] runs. Returns the number of FOL rounds.
+///
+/// The loop is bounded by `keys.len()` rounds (the worst legal case,
+/// Theorem 6) and every detection pass must leave a survivor (Theorem 1),
+/// so under ELS-violating hardware ([`fol_vm::fault`]) it returns a typed
+/// error instead of spinning or silently dropping keys. Neither guard
+/// charges a cycle: the survivor test reads the compress the round does
+/// anyway.
 ///
 /// Rounds already executed stay applied on failure — run it inside a
 /// machine transaction ([`txn_insert_all`]) for all-or-nothing semantics.
@@ -190,18 +187,10 @@ pub fn try_vectorized_insert_all(
     if keys.is_empty() {
         return Ok(0);
     }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
+    let (mut hv, mut node_ptr, mut labels) = table.stage_nodes(m, keys);
 
-    let key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let mut node_ptr = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr, &key_v);
-
+    // FOL1 rounds, main processing amalgamated (as in Fig 7).
     let budget = keys.len();
-    let mut labels = positions;
     let mut rounds = 0usize;
     while !hv.is_empty() {
         if rounds == budget {
@@ -211,24 +200,24 @@ pub fn try_vectorized_insert_all(
                 completed_rounds: rounds,
             });
         }
+        // FOL processes 1-2: write labels through hv, read back, compare.
         m.audit_note_scatter(table.work, &hv, &labels);
         m.scatter(table.work, &hv, &labels);
         let got = m.gather(table.work, &hv);
         m.audit_check_gather(table.work, &hv, &got)
             .map_err(FolError::from)?;
         let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        if m.count_true(&ok) == 0 {
+        // Main processing (process 3) for survivors.
+        let hv_s = m.compress(&hv, &ok);
+        if hv_s.is_empty() {
             return Err(FolError::NoSurvivors {
                 iteration: rounds,
                 live: hv.len(),
             });
         }
-        let hv_s = m.compress(&hv, &ok);
         let ptr_s = m.compress(&node_ptr, &ok);
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
+        table.link_front(m, &hv_s, &ptr_s);
+        // Process 4: repeat for the filtered keys.
         let rest = m.mask_not(&ok);
         hv = m.compress(&hv, &rest);
         node_ptr = m.compress(&node_ptr, &rest);
@@ -238,39 +227,28 @@ pub fn try_vectorized_insert_all(
     Ok(rounds)
 }
 
-/// Decompose-then-apply insertion under an explicit [`ExecMode`]: the
-/// decomposition comes from [`fol_core::recover::decompose_with_mode`] (so
-/// `ForcedSequential` issues tear-immune length-1 label scatters) and the
-/// main processing runs round by round, conflict-free within each round.
+/// Decompose-then-apply insertion: `decompose` splits the hashed values
+/// into FOL rounds over the work area, then the main processing runs round
+/// by round. [`vectorized_insert_all_ordered`] decomposes with the
+/// order-preserving FOL1; the `ForcedSequential` rung of
+/// [`txn_insert_all`] with [`decompose_with_mode`], whose length-1 label
+/// scatters cannot tear.
 fn insert_via_decomposition(
     m: &mut Machine,
     table: &mut ChainTable,
     keys: &[Word],
-    mode: ExecMode,
-    validation: Validation,
+    decompose: impl FnOnce(&mut Machine, Region, &[Word]) -> Result<Decomposition, FolError>,
 ) -> Result<usize, FolError> {
     if keys.is_empty() {
         return Ok(0);
     }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
-
-    let key_v = m.vimm(keys);
-    let hv_all = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let node_ptr_all = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr_all, &key_v);
-
+    let (hv_all, node_ptr_all, _) = table.stage_nodes(m, keys);
     let hv_words: Vec<Word> = hv_all.iter().collect();
-    let d = fol_core::recover::decompose_with_mode(m, table.work, &hv_words, mode, validation)?;
+    let d = decompose(m, table.work, &hv_words)?;
     for round in d.iter() {
-        let hv_s: fol_vm::VReg = round.iter().map(|&p| hv_all.get(p)).collect();
-        let ptr_s: fol_vm::VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
+        let hv_s: VReg = round.iter().map(|&p| hv_all.get(p)).collect();
+        let ptr_s: VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
+        table.link_front(m, &hv_s, &ptr_s);
     }
     Ok(d.num_rounds())
 }
@@ -435,7 +413,9 @@ pub fn txn_insert_all(
                 })?
             }
             ExecMode::ForcedSequential => {
-                insert_via_decomposition(m, table, keys, mode, validation)?
+                insert_via_decomposition(m, table, keys, |m, work, hv| {
+                    decompose_with_mode(m, work, hv, mode, validation)
+                })?
             }
             ExecMode::ScalarTail => {
                 scalar_insert_all(m, table, keys);
@@ -513,7 +493,9 @@ pub fn txn_insert_groups(
 /// but uses [`fol_core::ordered::fol1_machine_ordered`] so that colliding
 /// keys enter their chain in *exactly* the sequential order — the resulting
 /// chains are identical to [`scalar_insert_all`]'s, not merely equal as
-/// sets. This is the paper's footnote 5/7 scenario made concrete.
+/// sets. This is the paper's footnote 5/7 scenario made concrete: round k
+/// holds the k-th colliding key per bucket, so head insertion reproduces
+/// the sequential chain order.
 ///
 /// Returns the number of FOL rounds.
 pub fn vectorized_insert_all_ordered(
@@ -521,33 +503,10 @@ pub fn vectorized_insert_all_ordered(
     table: &mut ChainTable,
     keys: &[Word],
 ) -> usize {
-    if keys.is_empty() {
-        return 0;
-    }
-    let first = table.reserve(keys.len());
-    let buckets = table.buckets() as Word;
-
-    let key_v = m.vimm(keys);
-    let hv_all = m.valu_s(AluOp::Mod, &key_v, buckets);
-    let positions = m.iota(0, keys.len());
-    let offs = m.valu_s(AluOp::Add, &positions, first as Word);
-    let node_ptr_all = m.valu_s(AluOp::Mul, &offs, 2);
-    m.scatter(table.arena, &node_ptr_all, &key_v);
-
-    // Decompose with the ordered variant, then run the main processing
-    // round by round; round k holds the k-th colliding key per bucket, so
-    // head insertion reproduces the sequential chain order.
-    let hv_words: Vec<Word> = hv_all.iter().collect();
-    let d = fol_core::ordered::fol1_machine_ordered(m, table.work, &hv_words);
-    for round in d.iter() {
-        let hv_s: fol_vm::VReg = round.iter().map(|&p| hv_all.get(p)).collect();
-        let ptr_s: fol_vm::VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
-        let old_heads = m.gather(table.heads, &hv_s);
-        let next_field = m.valu_s(AluOp::Add, &ptr_s, 1);
-        m.scatter(table.arena, &next_field, &old_heads);
-        m.scatter(table.heads, &hv_s, &ptr_s);
-    }
-    d.num_rounds()
+    insert_via_decomposition(m, table, keys, |m, work, hv| {
+        try_fol1_machine_ordered(m, work, hv, Validation::Off)
+    })
+    .unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Collects every stored key with lock-step vector chain walks (read-only
@@ -767,19 +726,6 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_matches_infallible_on_healthy_hardware() {
-        let keys: Vec<Word> = (0..40).map(|i| i * 7 + 1).collect();
-        let mut m1 = Machine::new(CostModel::unit());
-        let mut t1 = ChainTable::alloc(&mut m1, 11, 48);
-        let r1 = vectorized_insert_all(&mut m1, &mut t1, &keys);
-        let mut m2 = Machine::new(CostModel::unit());
-        let mut t2 = ChainTable::alloc(&mut m2, 11, 48);
-        let r2 = try_vectorized_insert_all(&mut m2, &mut t2, &keys).expect("no faults");
-        assert_eq!(r1, r2);
-        assert_eq!(all_keys(&m1, &t1), all_keys(&m2, &t2));
-    }
-
-    #[test]
     fn try_insert_reports_round_budget_exhaustion() {
         // 100% lane drops: no label ever lands, the gather always
         // disagrees... actually with every write dropped the gather sees
@@ -793,6 +739,19 @@ mod tests {
             err,
             FolError::NoSurvivors { .. } | FolError::RoundBudgetExceeded { .. }
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "ELS guarantee (Theorem 1) violated")]
+    fn vectorized_insert_inherits_the_survivor_guard() {
+        // Near-total lane drops: after the one label that matches the
+        // zeroed work area, no label lands. The paper's entry point stops at
+        // the first survivor-free pass instead of repeating it until a lane
+        // happens to land.
+        let mut m = Machine::new(CostModel::unit());
+        m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(7, 65535)));
+        let mut t = ChainTable::alloc(&mut m, 37, 16);
+        let _ = vectorized_insert_all(&mut m, &mut t, &[1, 2, 3]);
     }
 
     #[test]

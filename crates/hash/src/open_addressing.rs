@@ -83,7 +83,9 @@ pub fn scalar_insert_all(
     }
 }
 
-/// Vectorized insertion (Fig 8): overwrite-and-check with masked scatters.
+/// Vectorized insertion (Fig 8): [`try_vectorized_insert_all`] under the
+/// iteration budget [`txn_insert_all`] gives it, panicking where it returns
+/// an error.
 ///
 /// Returns the number of iterations of the outer retry loop (1 when no key
 /// collides, per Theorem 3).
@@ -103,71 +105,25 @@ pub fn scalar_insert_all(
 /// let snapshot = m.mem().read_region(table);
 /// assert!(contains(&snapshot, 79, ProbeStrategy::KeyDependent));
 /// ```
+///
+/// # Panics
+/// Panics on an empty table, more keys than slots or key-dependent probing
+/// on a table of at most 32 slots (and, in debug builds, on negative or
+/// duplicate keys), or with the typed [`FolError`] when a faulty scatter
+/// path exhausts the budget.
 pub fn vectorized_insert_all(
     m: &mut Machine,
     table: Region,
     keys: &[Word],
     probe: ProbeStrategy,
 ) -> InsertReport {
-    let size = table.len() as Word;
-    validate_keys(keys, size, probe);
-    if keys.is_empty() {
-        return InsertReport {
-            iterations: 0,
-            probes: 0,
-        };
-    }
-
-    // hashedValue[1:n] := hash(key[1:n])
-    let mut key_v = m.vimm(keys);
-    let mut hv = m.valu_s(AluOp::Mod, &key_v, size);
-    let mut iterations = 0usize;
-    let mut probes = 0u64;
-
-    // First entry: where table[hv] = unentered do table[hv] := key.
-    let slots = m.gather(table, &hv);
-    let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
-    m.scatter_masked(table, &hv, &key_v, &empty);
-    probes += key_v.len() as u64;
-
-    loop {
-        iterations += 1;
-        // entered[1:n] := key[1:n] = table[hashedValue[1:n]]
-        let readback = m.gather(table, &hv);
-        let entered = m.vcmp(CmpOp::Eq, &readback, &key_v);
-        let n_entered = m.count_true(&entered);
-        let not_entered = m.mask_not(&entered);
-        // Pack the unentered keys and their slots.
-        hv = m.compress(&hv, &not_entered);
-        key_v = m.compress(&key_v, &not_entered);
-        if key_v.is_empty() {
-            break;
-        }
-        let _ = n_entered; // counted for parity with Fig 8's countTrue
-                           // Recompute subscripts: h := (h + step) mod size.
-        hv = match probe {
-            ProbeStrategy::Linear => {
-                let inc = m.valu_s(AluOp::Add, &hv, 1);
-                m.valu_s(AluOp::Mod, &inc, size)
-            }
-            ProbeStrategy::KeyDependent => {
-                let step = m.valu_s(AluOp::And, &key_v, 31);
-                let step = m.valu_s(AluOp::Add, &step, 1);
-                let sum = m.valu(AluOp::Add, &hv, &step);
-                m.valu_s(AluOp::Mod, &sum, size)
-            }
-        };
-        // where table[hv] = unentered do table[hv] := key end where
-        let slots = m.gather(table, &hv);
-        let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
-        m.scatter_masked(table, &hv, &key_v, &empty);
-        probes += key_v.len() as u64;
-    }
-    InsertReport { iterations, probes }
+    try_vectorized_insert_all(m, table, keys, probe, default_budget(table, keys))
+        .unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible vectorized insertion: [`vectorized_insert_all`] with the outer
-/// retry loop bounded by `max_iterations`. Under ELS every iteration makes
+/// Vectorized insertion (Fig 8), overwrite-and-check with masked scatters:
+/// the loop every vector rung of [`txn_insert_all`] runs. The outer retry
+/// loop is bounded by `max_iterations`. Under ELS every iteration makes
 /// progress (at least one key reads itself back, Theorem 1) and chains are
 /// no longer than the table, so a healthy run never trips a budget of
 /// `2 * table.len() + keys.len()`; a persistently faulty scatter path
@@ -189,11 +145,13 @@ pub fn try_vectorized_insert_all(
         });
     }
 
+    // hashedValue[1:n] := hash(key[1:n])
     let mut key_v = m.vimm(keys);
     let mut hv = m.valu_s(AluOp::Mod, &key_v, size);
     let mut iterations = 0usize;
     let mut probes = 0u64;
 
+    // First entry: where table[hv] = unentered do table[hv] := key.
     let slots = m.gather(table, &hv);
     let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
     audit_masked_probe_scatter(m, table, &hv, &key_v, &slots, &empty);
@@ -209,16 +167,21 @@ pub fn try_vectorized_insert_all(
             });
         }
         iterations += 1;
+        // entered[1:n] := key[1:n] = table[hashedValue[1:n]]
         let readback = m.gather(table, &hv);
         m.audit_check_gather(table, &hv, &readback)
             .map_err(FolError::from)?;
         let entered = m.vcmp(CmpOp::Eq, &readback, &key_v);
+        // Fig 8's countTrue, charged as the figure issues it.
+        let _ = m.count_true(&entered);
         let not_entered = m.mask_not(&entered);
+        // Pack the unentered keys and their slots.
         hv = m.compress(&hv, &not_entered);
         key_v = m.compress(&key_v, &not_entered);
         if key_v.is_empty() {
             break;
         }
+        // Recompute subscripts: h := (h + step) mod size.
         hv = match probe {
             ProbeStrategy::Linear => {
                 let inc = m.valu_s(AluOp::Add, &hv, 1);
@@ -231,6 +194,7 @@ pub fn try_vectorized_insert_all(
                 m.valu_s(AluOp::Mod, &sum, size)
             }
         };
+        // where table[hv] = unentered do table[hv] := key end where
         let slots = m.gather(table, &hv);
         let empty = m.vcmp_s(CmpOp::Eq, &slots, UNENTERED);
         audit_masked_probe_scatter(m, table, &hv, &key_v, &slots, &empty);
@@ -265,8 +229,9 @@ fn audit_masked_probe_scatter(
     m.audit_note_scatter(table, &note_idx, &note_vals);
 }
 
-/// The iteration budget [`txn_insert_all`] hands to the fallible loop:
-/// generous enough that no healthy (or recoverable) run ever trips it.
+/// The iteration budget [`txn_insert_all`] and [`vectorized_insert_all`]
+/// hand to the fallible loop: generous enough that no healthy (or
+/// recoverable) run ever trips it.
 fn default_budget(table: Region, keys: &[Word]) -> usize {
     2 * table.len() + keys.len()
 }
@@ -869,25 +834,10 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_matches_infallible_on_healthy_hardware() {
-        let keys: Vec<Word> = (0..40).map(|i| i * 13 + 1).collect();
-        let mut m1 = machine();
-        let t1 = m1.alloc(101, "table");
-        init_table(&mut m1, t1);
-        let r1 = vectorized_insert_all(&mut m1, t1, &keys, ProbeStrategy::KeyDependent);
-        let mut m2 = machine();
-        let t2 = m2.alloc(101, "table");
-        init_table(&mut m2, t2);
-        let r2 = try_vectorized_insert_all(&mut m2, t2, &keys, ProbeStrategy::KeyDependent, 300)
-            .expect("no faults");
-        assert_eq!(r1, r2);
-        assert_eq!(m1.mem().read_region(t1), m2.mem().read_region(t2));
-    }
-
-    #[test]
     fn try_insert_budget_stops_a_faulty_scatter_path() {
-        // 100% dropped lanes: no key is ever entered, the infallible loop
-        // would spin forever. The budget converts that into a typed error.
+        // Near-total dropped lanes: almost no key is ever entered, and an
+        // unbounded loop would spin for tens of thousands of iterations. The
+        // budget converts that into a typed error.
         let mut m = machine();
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(7, 65535)));
         let t = m.alloc(37, "table");
@@ -902,6 +852,19 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "round budget 77 exhausted")]
+    fn vectorized_insert_inherits_the_transactional_budget() {
+        // The same faulty scatter path as above: the paper's entry point
+        // stops at `txn_insert_all`'s budget (2 * 37 + 3) instead of running
+        // until a lane happens to land.
+        let mut m = machine();
+        m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(7, 65535)));
+        let t = m.alloc(37, "table");
+        init_table(&mut m, t);
+        let _ = vectorized_insert_all(&mut m, t, &[1, 2, 3], ProbeStrategy::Linear);
     }
 
     #[test]

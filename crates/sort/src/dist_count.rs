@@ -16,12 +16,13 @@
 //!   `cum[key] - 1` and decrement `cum[key]`.
 
 use crate::validate_range;
-use fol_core::error::FolError;
+use fol_core::error::{FolError, Validation};
 use fol_core::recover::{
     decompose_with_mode, run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport,
     RetryPolicy,
 };
-use fol_vm::{AluOp, CmpOp, Machine, Region, Word};
+use fol_core::Decomposition;
+use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
 
 /// Statistics from a distribution counting sort run.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -86,76 +87,14 @@ pub fn scalar_sort(m: &mut Machine, a: Region, range: Word) -> DistReport {
     DistReport::default()
 }
 
-/// Vectorized distribution counting sort: FOL histogram + recurrence
-/// cumulative sum + FOL permutation. Sorts `a` in place.
+/// Vectorized distribution counting sort: [`try_vectorized_sort`],
+/// panicking where it returns an error. Sorts `a` in place.
+///
+/// # Panics
+/// Panics if a key lies outside `[0, range)`, or with the typed
+/// [`FolError`] when a faulty scatter path breaks a guard.
 pub fn vectorized_sort(m: &mut Machine, a: Region, range: Word) -> DistReport {
-    let n = a.len();
-    let data_check = m.mem().read_region(a);
-    validate_range(&data_check, range);
-    let r = range as usize;
-    let count = m.alloc(r, "dist.count");
-    let work = m.alloc(r, "dist.work");
-    let out = m.alloc(n, "dist.out");
-    m.vfill(count, 0);
-
-    let av = m.vload(a, 0, n);
-    let mut report = DistReport::default();
-
-    // Phase 1: histogram via FOL1 rounds.
-    let mut histogram_rounds = 0usize;
-    m.measure_phase("dist_count.histogram", |m| {
-        let mut keys = av.clone();
-        let mut labels = m.iota(0, n);
-        while !keys.is_empty() {
-            histogram_rounds += 1;
-            m.scatter(work, &keys, &labels);
-            let got = m.gather(work, &keys);
-            let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-            // Survivors increment their counters (conflict-free).
-            let k_s = m.compress(&keys, &ok);
-            let c_s = m.gather(count, &k_s);
-            let c_s = m.valu_s(AluOp::Add, &c_s, 1);
-            m.scatter(count, &k_s, &c_s);
-            let rest = m.mask_not(&ok);
-            keys = m.compress(&keys, &rest);
-            labels = m.compress(&labels, &rest);
-        }
-    });
-    report.histogram_rounds = histogram_rounds;
-
-    // Phase 2: cumulative counts with the recurrence macro instruction.
-    m.measure_phase("dist_count.prefix", |m| {
-        let counts = m.vload(count, 0, r);
-        let cum = m.vprefix_sum(&counts);
-        m.vstore(count, 0, &cum);
-    });
-
-    // Phase 3: permutation via FOL1 rounds.
-    let mut permute_rounds = 0usize;
-    m.measure_phase("dist_count.permute", |m| {
-        let mut keys = av;
-        let mut labels = m.iota(0, n);
-        while !keys.is_empty() {
-            permute_rounds += 1;
-            m.scatter(work, &keys, &labels);
-            let got = m.gather(work, &keys);
-            let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-            let k_s = m.compress(&keys, &ok);
-            let pos = m.gather(count, &k_s);
-            let pos = m.valu_s(AluOp::Sub, &pos, 1);
-            m.scatter(out, &pos, &k_s);
-            m.scatter(count, &k_s, &pos);
-            let rest = m.mask_not(&ok);
-            keys = m.compress(&keys, &rest);
-            labels = m.compress(&labels, &rest);
-        }
-    });
-    report.permute_rounds = permute_rounds;
-
-    // Copy the permuted data back into `a`.
-    let sorted = m.vload(out, 0, n);
-    m.vstore(a, 0, &sorted);
-    report
+    try_vectorized_sort(m, a, range).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Typed version of the range precondition: every key must lie in
@@ -174,176 +113,162 @@ fn check_range(data: &[Word], range: Word) -> Result<(), FolError> {
     Ok(())
 }
 
-/// Fallible vectorized distribution counting sort: [`vectorized_sort`]
-/// with a typed range check, both FOL phases bounded by `n` rounds (the
-/// maximum multiplicity cannot exceed `n`, Theorem 6), every detection
-/// pass checked for a survivor, and the permutation's claimed output slots
-/// bounds-checked before the scatter — a torn counter would otherwise send
-/// the output scatter out of bounds. Scratch regions (`count`, `work`,
-/// `out`) are freshly allocated per call.
+/// FOL1 rounds over `keys` with subscript labels in `work`: each round's
+/// survivors — distinct keys, so their counter updates are conflict-free —
+/// go to `apply` with the 0-based round index. Bounded by `keys.len()`
+/// rounds (the maximum multiplicity cannot exceed `n`, Theorem 6), and
+/// every detection pass must leave a survivor (Theorem 1); the survivor
+/// test reads the compress the round does anyway, so neither guard charges
+/// a cycle. Returns the number of rounds.
+fn fol1_rounds(
+    m: &mut Machine,
+    work: Region,
+    mut keys: VReg,
+    apply: &mut dyn FnMut(&mut Machine, &VReg, usize) -> Result<(), FolError>,
+) -> Result<usize, FolError> {
+    let budget = keys.len();
+    let mut labels = m.iota(0, budget);
+    let mut rounds = 0usize;
+    while !keys.is_empty() {
+        if rounds == budget {
+            return Err(FolError::RoundBudgetExceeded {
+                budget,
+                live: keys.len(),
+                completed_rounds: rounds,
+            });
+        }
+        m.scatter(work, &keys, &labels);
+        let got = m.gather(work, &keys);
+        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
+        let k_s = m.compress(&keys, &ok);
+        if k_s.is_empty() {
+            return Err(FolError::NoSurvivors {
+                iteration: rounds,
+                live: keys.len(),
+            });
+        }
+        apply(m, &k_s, rounds)?;
+        let rest = m.mask_not(&ok);
+        keys = m.compress(&keys, &rest);
+        labels = m.compress(&labels, &rest);
+        rounds += 1;
+    }
+    Ok(rounds)
+}
+
+/// One FOL phase over `keys`: the rounds of `fixed` when given, else FOL1
+/// label rounds through `work` ([`fol1_rounds`]). `apply` gets each round's
+/// keys and its 0-based index. Returns the number of rounds.
+fn run_phase(
+    m: &mut Machine,
+    work: Region,
+    keys: &VReg,
+    fixed: Option<&Decomposition>,
+    apply: &mut dyn FnMut(&mut Machine, &VReg, usize) -> Result<(), FolError>,
+) -> Result<usize, FolError> {
+    let Some(d) = fixed else {
+        return fol1_rounds(m, work, keys.clone(), apply);
+    };
+    for (k, round) in d.iter().enumerate() {
+        let k_s: VReg = round.iter().map(|&p| keys.get(p)).collect();
+        apply(m, &k_s, k)?;
+    }
+    Ok(d.num_rounds())
+}
+
+/// Vectorized distribution counting sort: FOL histogram + recurrence
+/// cumulative sum + FOL permutation, each phase measured on its own, the
+/// loop every vector rung of [`txn_sort`] runs. Sorts `a` in place.
 pub fn try_vectorized_sort(
     m: &mut Machine,
     a: Region,
     range: Word,
 ) -> Result<DistReport, FolError> {
-    let n = a.len();
-    let data_check = m.mem().read_region(a);
-    check_range(&data_check, range)?;
-    if n == 0 {
-        return Ok(DistReport::default());
-    }
-    let r = range as usize;
-    let count = m.alloc(r, "dist.count");
-    let work = m.alloc(r, "dist.work");
-    let out = m.alloc(n, "dist.out");
-    m.vfill(count, 0);
-
-    let av = m.vload(a, 0, n);
-    let mut report = DistReport::default();
-
-    // Phase 1: histogram via FOL1 rounds.
-    let mut keys = av.clone();
-    let mut labels = m.iota(0, n);
-    while !keys.is_empty() {
-        if report.histogram_rounds == n {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: n,
-                live: keys.len(),
-                completed_rounds: report.histogram_rounds,
-            });
-        }
-        report.histogram_rounds += 1;
-        m.scatter(work, &keys, &labels);
-        let got = m.gather(work, &keys);
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        if m.count_true(&ok) == 0 {
-            return Err(FolError::NoSurvivors {
-                iteration: report.histogram_rounds - 1,
-                live: keys.len(),
-            });
-        }
-        let k_s = m.compress(&keys, &ok);
-        let c_s = m.gather(count, &k_s);
-        let c_s = m.valu_s(AluOp::Add, &c_s, 1);
-        m.scatter(count, &k_s, &c_s);
-        let rest = m.mask_not(&ok);
-        keys = m.compress(&keys, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-
-    // Phase 2: cumulative counts.
-    let counts = m.vload(count, 0, r);
-    let cum = m.vprefix_sum(&counts);
-    m.vstore(count, 0, &cum);
-
-    // Phase 3: permutation via FOL1 rounds.
-    let mut keys = av;
-    let mut labels = m.iota(0, n);
-    while !keys.is_empty() {
-        if report.permute_rounds == n {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: n,
-                live: keys.len(),
-                completed_rounds: report.permute_rounds,
-            });
-        }
-        report.permute_rounds += 1;
-        m.scatter(work, &keys, &labels);
-        let got = m.gather(work, &keys);
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        if m.count_true(&ok) == 0 {
-            return Err(FolError::NoSurvivors {
-                iteration: report.permute_rounds - 1,
-                live: keys.len(),
-            });
-        }
-        let k_s = m.compress(&keys, &ok);
-        let pos = m.gather(count, &k_s);
-        let pos = m.valu_s(AluOp::Sub, &pos, 1);
-        // A counter mangled by a torn write could claim a slot outside the
-        // output — catch it as a typed error, not a scatter panic.
-        for (i, p) in pos.iter().enumerate() {
-            if !(0..n as Word).contains(&p) {
-                return Err(FolError::TargetOutOfBounds {
-                    round: Some(report.permute_rounds - 1),
-                    position: i,
-                    target: p,
-                    domain: n,
-                });
-            }
-        }
-        m.scatter(out, &pos, &k_s);
-        m.scatter(count, &k_s, &pos);
-        let rest = m.mask_not(&ok);
-        keys = m.compress(&keys, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-
-    let sorted = m.vload(out, 0, n);
-    m.vstore(a, 0, &sorted);
-    Ok(report)
+    sort_in_rounds(m, a, range, None)
 }
 
-/// Distribution counting sort over an explicit decomposition from
-/// [`decompose_with_mode`]: both FOL phases reuse one decomposition of the
-/// keys (histogram and permutation target the same `count` cells), and the
-/// per-round payload work is conflict-free. Under `ForcedSequential` the
-/// label scatters are tear-immune singletons.
-fn sort_via_decomposition(
+/// The sort behind [`try_vectorized_sort`] (`fixed` is `None`: FOL1 label
+/// rounds in each phase, under [`fol1_rounds`]'s guards) and the
+/// `ForcedSequential` rung of [`txn_sort`] (one [`decompose_with_mode`]
+/// decomposition of the keys under `fixed`'s mode and validation, reused
+/// by both phases, which target the same `count` cells; its label scatters
+/// are tear-immune singletons). Keys are range-checked typed, and the
+/// permutation's claimed output slots are bounds-checked before the
+/// scatter — a torn counter would otherwise send the output scatter out of
+/// bounds. Scratch regions (`count`, `work`, `out`) are freshly allocated
+/// per call.
+fn sort_in_rounds(
     m: &mut Machine,
     a: Region,
     range: Word,
-    mode: ExecMode,
-    validation: fol_core::error::Validation,
+    fixed: Option<(ExecMode, Validation)>,
 ) -> Result<DistReport, FolError> {
     let n = a.len();
     let data = m.mem().read_region(a);
     check_range(&data, range)?;
-    if n == 0 {
-        return Ok(DistReport::default());
-    }
     let r = range as usize;
     let count = m.alloc(r, "dist.count");
     let work = m.alloc(r, "dist.work");
     let out = m.alloc(n, "dist.out");
     m.vfill(count, 0);
 
-    let d = decompose_with_mode(m, work, &data, mode, validation)?;
-
-    for round in d.iter() {
-        let k_s: fol_vm::VReg = round.iter().map(|&p| data[p]).collect();
-        let c_s = m.gather(count, &k_s);
-        let c_s = m.valu_s(AluOp::Add, &c_s, 1);
-        m.scatter(count, &k_s, &c_s);
-    }
-
-    let counts = m.vload(count, 0, r);
-    let cum = m.vprefix_sum(&counts);
-    m.vstore(count, 0, &cum);
-
-    for round in d.iter() {
-        let k_s: fol_vm::VReg = round.iter().map(|&p| data[p]).collect();
-        let pos = m.gather(count, &k_s);
-        let pos = m.valu_s(AluOp::Sub, &pos, 1);
-        for (i, p) in pos.iter().enumerate() {
-            if !(0..n as Word).contains(&p) {
-                return Err(FolError::TargetOutOfBounds {
-                    round: None,
-                    position: i,
-                    target: p,
-                    domain: n,
-                });
-            }
+    // The vector program loads its keys; a fixed decomposition keeps the
+    // host's copy beside it.
+    let (keys, d) = match fixed {
+        None => (m.vload(a, 0, n), None),
+        Some((mode, validation)) => {
+            let d = decompose_with_mode(m, work, &data, mode, validation)?;
+            (data.iter().copied().collect(), Some(d))
         }
-        m.scatter(out, &pos, &k_s);
-        m.scatter(count, &k_s, &pos);
-    }
+    };
 
+    // Phase 1: histogram; each round's keys increment their counters.
+    let histogram_rounds = m.measure_phase("dist_count.histogram", |m| {
+        run_phase(m, work, &keys, d.as_ref(), &mut |m, k_s, _| {
+            let c_s = m.gather(count, k_s);
+            let c_s = m.valu_s(AluOp::Add, &c_s, 1);
+            m.scatter(count, k_s, &c_s);
+            Ok(())
+        })
+    })?;
+
+    // Phase 2: cumulative counts with the recurrence macro instruction.
+    m.measure_phase("dist_count.prefix", |m| {
+        let counts = m.vload(count, 0, r);
+        let cum = m.vprefix_sum(&counts);
+        m.vstore(count, 0, &cum);
+    });
+
+    // Phase 3: permutation; each round's keys claim output slot
+    // `cum[key] - 1` and decrement `cum[key]`.
+    let permute_rounds = m.measure_phase("dist_count.permute", |m| {
+        run_phase(m, work, &keys, d.as_ref(), &mut |m, k_s, round| {
+            let pos = m.gather(count, k_s);
+            let pos = m.valu_s(AluOp::Sub, &pos, 1);
+            // A counter mangled by a torn write could claim a slot outside
+            // the output — catch it as a typed error, not a scatter panic.
+            for (i, p) in pos.iter().enumerate() {
+                if !(0..n as Word).contains(&p) {
+                    return Err(FolError::TargetOutOfBounds {
+                        round: Some(round),
+                        position: i,
+                        target: p,
+                        domain: n,
+                    });
+                }
+            }
+            m.scatter(out, &pos, k_s);
+            m.scatter(count, k_s, &pos);
+            Ok(())
+        })
+    })?;
+
+    // Copy the permuted data back into `a`.
     let sorted = m.vload(out, 0, n);
     m.vstore(a, 0, &sorted);
     Ok(DistReport {
-        histogram_rounds: d.num_rounds(),
-        permute_rounds: d.num_rounds(),
+        histogram_rounds,
+        permute_rounds,
     })
 }
 
@@ -378,7 +303,7 @@ pub fn txn_sort(
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
                 with_lane_mask(m, quarantined, |m| try_vectorized_sort(m, a, range))?
             }
-            ExecMode::ForcedSequential => sort_via_decomposition(m, a, range, mode, validation)?,
+            ExecMode::ForcedSequential => sort_in_rounds(m, a, range, Some((mode, validation)))?,
             ExecMode::ScalarTail => {
                 let data = m.mem().read_region(a);
                 check_range(&data, range)?;
@@ -495,21 +420,6 @@ mod tests {
             ]
         );
         assert!(m.phases().iter().all(|(_, s)| s.vector_cycles > 0));
-    }
-
-    #[test]
-    fn try_sort_matches_infallible_on_healthy_hardware() {
-        let data = [5, 1, 4, 1, 5, 9, 2, 6, 5, 3];
-        let mut m1 = Machine::new(CostModel::unit());
-        let a1 = m1.alloc(data.len(), "A");
-        m1.mem_mut().write_region(a1, &data);
-        let r1 = vectorized_sort(&mut m1, a1, 10);
-        let mut m2 = Machine::new(CostModel::unit());
-        let a2 = m2.alloc(data.len(), "A");
-        m2.mem_mut().write_region(a2, &data);
-        let r2 = try_vectorized_sort(&mut m2, a2, 10).expect("no faults");
-        assert_eq!(r1, r2);
-        assert_eq!(m1.mem().read_region(a1), m2.mem().read_region(a2));
     }
 
     #[test]

@@ -193,7 +193,9 @@ pub struct BstReport {
     pub retries: u64,
 }
 
-/// Vectorized multiple insertion (the Fig 14 experiment's subject).
+/// Vectorized multiple insertion (the Fig 14 experiment's subject):
+/// [`try_vectorized_insert_all`] under the iteration budget
+/// [`txn_insert_all`] gives it, panicking where it returns an error.
 ///
 /// ```
 /// use fol_vm::{Machine, CostModel};
@@ -205,84 +207,31 @@ pub struct BstReport {
 /// assert_eq!(tree.inorder(&m), vec![20, 20, 50, 70]);
 /// assert!(tree.contains(&m, 70));
 /// ```
+///
+/// # Panics
+/// Panics if the arena cannot hold `keys.len()` more nodes, or with the
+/// typed [`FolError`] when a faulty scatter path breaks a guard.
 pub fn vectorized_insert_all(m: &mut Machine, tree: &mut Bst, keys: &[Word]) -> BstReport {
-    if keys.is_empty() {
-        return BstReport::default();
-    }
-    let first = tree.reserve(keys.len());
-    let n = keys.len();
-
-    // Write the new nodes' keys (conflict-free scatter).
-    let key_v = m.vimm(keys);
-    let idx = m.iota(first as Word, n);
-    m.scatter(tree.keys, &idx, &key_v);
-
-    // Pending keys: (key, node index, current links slot, label).
-    let mut keyv = key_v;
-    let mut node = idx;
-    let mut cur = m.vsplat(0, n); // everyone starts at the root slot
-    let mut label = m.iota(0, n);
-    let mut report = BstReport::default();
-
-    while !keyv.is_empty() {
-        report.iterations += 1;
-        let val = m.gather(tree.links, &cur);
-        let at_nil = m.vcmp_s(CmpOp::Eq, &val, NIL);
-        let descending = m.mask_not(&at_nil);
-
-        // --- Insertion attempts (slots at NIL) ---
-        let ins_cur = m.compress(&cur, &at_nil);
-        let ins_node = m.compress(&node, &at_nil);
-        let ins_label = m.compress(&label, &at_nil);
-        let ins_key = m.compress(&keyv, &at_nil);
-        // FOL on the slot itself: scatter labels, read back, compare. The
-        // winner's label survives and is immediately overwritten with the
-        // real node pointer, so every labelled slot ends the iteration
-        // holding a valid pointer again.
-        m.scatter(tree.links, &ins_cur, &ins_label);
-        let got = m.gather(tree.links, &ins_cur);
-        let won = m.vcmp(CmpOp::Eq, &got, &ins_label);
-        let win_cur = m.compress(&ins_cur, &won);
-        let win_node = m.compress(&ins_node, &won);
-        m.scatter(tree.links, &win_cur, &win_node);
-        report.retries += (ins_cur.len() - win_cur.len()) as u64;
-        // Losers retry the same slot next iteration (it now holds the
-        // winner's node, so they will descend through it).
-        let lost = m.mask_not(&won);
-        let lose_cur = m.compress(&ins_cur, &lost);
-        let lose_node = m.compress(&ins_node, &lost);
-        let lose_label = m.compress(&ins_label, &lost);
-        let lose_key = m.compress(&ins_key, &lost);
-
-        // --- Descent steps (slots holding a node index) ---
-        // next slot = 1 + 2*child + (key >= child key ? 1 : 0)
-        let desc_val = m.compress(&val, &descending);
-        let desc_key = m.compress(&keyv, &descending);
-        let desc_node = m.compress(&node, &descending);
-        let desc_label = m.compress(&label, &descending);
-        let child_keys = m.gather(tree.keys, &desc_val);
-        let go_right = m.vcmp(CmpOp::Ge, &desc_key, &child_keys);
-        let base = m.valu_s(AluOp::Mul, &desc_val, 2);
-        let left_slot = m.valu_s(AluOp::Add, &base, 1);
-        let right_slot = m.valu_s(AluOp::Add, &base, 2);
-        let new_cur_desc = m.select(&go_right, &right_slot, &left_slot);
-
-        // --- Merge: descending keys plus insertion losers stay pending ---
-        keyv = m.vconcat(&desc_key, &lose_key);
-        node = m.vconcat(&desc_node, &lose_node);
-        cur = m.vconcat(&new_cur_desc, &lose_cur);
-        label = m.vconcat(&desc_label, &lose_label);
-    }
-    report
+    let budget = default_budget(tree, keys);
+    try_vectorized_insert_all(m, tree, keys, budget).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// Fallible vectorized multiple insertion: [`vectorized_insert_all`] with
-/// the lock-step loop bounded by `max_iterations` and every gathered link
-/// checked to be [`NIL`] or a valid node index before anything descends
-/// through it. Under ELS neither guard can fire (every insertion round has
-/// a winner, Theorem 1, and slots only ever hold real pointers); under
-/// injected scatter faults a torn label amalgam or an orphaned label
-/// surfaces as a typed error instead of a wild gather or a livelock.
+/// The iteration budget [`txn_insert_all`] and [`vectorized_insert_all`]
+/// hand to the fallible loops: a key descends at most one level per
+/// iteration and loses at most one insertion attempt per level, so no
+/// healthy run needs more.
+fn default_budget(tree: &Bst, keys: &[Word]) -> usize {
+    2 * (tree.used + keys.len()) + 4
+}
+
+/// Vectorized multiple insertion, the loop every vector rung of
+/// [`txn_insert_all`] runs. The lock-step loop is bounded by
+/// `max_iterations` and every gathered link is checked to be [`NIL`] or a
+/// valid node index before anything descends through it. Under ELS neither
+/// guard can fire (every insertion round has a winner, Theorem 1, and slots
+/// only ever hold real pointers); under injected scatter faults a torn
+/// label amalgam or an orphaned label surfaces as a typed error instead of
+/// a wild gather or a livelock.
 pub fn try_vectorized_insert_all(
     m: &mut Machine,
     tree: &mut Bst,
@@ -296,13 +245,15 @@ pub fn try_vectorized_insert_all(
     let n = keys.len();
     let limit = (first + n) as Word; // valid node indices are 0..limit
 
+    // Write the new nodes' keys (conflict-free scatter).
     let key_v = m.vimm(keys);
     let idx = m.iota(first as Word, n);
     m.scatter(tree.keys, &idx, &key_v);
 
+    // Pending keys: (key, node index, current links slot, label).
     let mut keyv = key_v;
     let mut node = idx;
-    let mut cur = m.vsplat(0, n);
+    let mut cur = m.vsplat(0, n); // everyone starts at the root slot
     let mut label = m.iota(0, n);
     let mut report = BstReport::default();
 
@@ -331,6 +282,7 @@ pub fn try_vectorized_insert_all(
         let at_nil = m.vcmp_s(CmpOp::Eq, &val, NIL);
         let descending = m.mask_not(&at_nil);
 
+        // --- Insertion attempts (slots at NIL) ---
         let ins_cur = m.compress(&cur, &at_nil);
         let ins_node = m.compress(&node, &at_nil);
         let ins_label = m.compress(&label, &at_nil);
@@ -346,6 +298,10 @@ pub fn try_vectorized_insert_all(
             let note_vals = m.vconcat(&ins_label, &nil_v);
             m.audit_note_scatter(tree.links, &note_idx, &note_vals);
         }
+        // FOL on the slot itself: scatter labels, read back, compare. The
+        // winner's label survives and is immediately overwritten with the
+        // real node pointer, so every labelled slot ends the iteration
+        // holding a valid pointer again.
         m.scatter(tree.links, &ins_cur, &ins_label);
         let got = m.gather(tree.links, &ins_cur);
         m.audit_check_gather(tree.links, &ins_cur, &got)
@@ -361,12 +317,16 @@ pub fn try_vectorized_insert_all(
                 live: keyv.len(),
             });
         }
+        // Losers retry the same slot next iteration (it now holds the
+        // winner's node, so they will descend through it).
         let lost = m.mask_not(&won);
         let lose_cur = m.compress(&ins_cur, &lost);
         let lose_node = m.compress(&ins_node, &lost);
         let lose_label = m.compress(&ins_label, &lost);
         let lose_key = m.compress(&ins_key, &lost);
 
+        // --- Descent steps (slots holding a node index) ---
+        // next slot = 1 + 2*child + (key >= child key ? 1 : 0)
         let desc_val = m.compress(&val, &descending);
         let desc_key = m.compress(&keyv, &descending);
         let desc_node = m.compress(&node, &descending);
@@ -378,6 +338,7 @@ pub fn try_vectorized_insert_all(
         let right_slot = m.valu_s(AluOp::Add, &base, 2);
         let new_cur_desc = m.select(&go_right, &right_slot, &left_slot);
 
+        // --- Merge: descending keys plus insertion losers stay pending ---
         keyv = m.vconcat(&desc_key, &lose_key);
         node = m.vconcat(&desc_node, &lose_node);
         cur = m.vconcat(&new_cur_desc, &lose_cur);
@@ -447,7 +408,7 @@ pub fn txn_insert_all(
     expected.sort_unstable();
 
     let saved_used = tree.used;
-    let budget = 2 * (saved_used + keys.len()) + 4;
+    let budget = default_budget(tree, keys);
     let result = run_transaction(m, policy, |m, mode| {
         tree.used = saved_used;
         let report = match mode {
@@ -756,19 +717,6 @@ mod tests {
     }
 
     #[test]
-    fn try_insert_matches_infallible_on_healthy_hardware() {
-        let keys = [50, 20, 70, 10, 30, 60, 80, 20];
-        let mut m1 = Machine::new(CostModel::unit());
-        let mut t1 = Bst::alloc(&mut m1, 16);
-        let r1 = vectorized_insert_all(&mut m1, &mut t1, &keys);
-        let mut m2 = Machine::new(CostModel::unit());
-        let mut t2 = Bst::alloc(&mut m2, 16);
-        let r2 = try_vectorized_insert_all(&mut m2, &mut t2, &keys, 100).expect("no faults");
-        assert_eq!(r1, r2);
-        assert_eq!(t1.inorder(&m1), t2.inorder(&m2));
-    }
-
-    #[test]
     fn try_insert_turns_total_lane_loss_into_a_typed_error() {
         let mut m = Machine::new(CostModel::unit());
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(3, 65535)));
@@ -780,6 +728,18 @@ mod tests {
                 | FolError::RoundBudgetExceeded { .. }
                 | FolError::TargetOutOfBounds { .. }
         ));
+    }
+
+    #[test]
+    #[should_panic(expected = "ELS guarantee (Theorem 1) violated")]
+    fn vectorized_insert_inherits_the_survivor_guard() {
+        // Near-total lane drops: no label lands in the root slot, so the
+        // first insertion attempt has no winner. The paper's entry point
+        // stops there instead of repeating it until a lane happens to land.
+        let mut m = Machine::new(CostModel::unit());
+        m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(7, 65535)));
+        let mut t = Bst::alloc(&mut m, 8);
+        let _ = vectorized_insert_all(&mut m, &mut t, &[1, 2, 3]);
     }
 
     #[test]

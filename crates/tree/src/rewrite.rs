@@ -20,7 +20,7 @@
 
 use crate::NIL;
 use fol_core::error::FolError;
-use fol_core::fol_star::{fol_star_first_round, try_fol_star_first_round};
+use fol_core::fol_star::try_fol_star_first_round;
 use fol_core::recover::{
     run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport, RetryPolicy,
 };
@@ -164,35 +164,54 @@ impl OpTree {
 
 /// Finds all applicable sites with vector operations: node indices `n` with
 /// `tags[n] = OP` and `tags[rights[n]] = OP`.
+///
+/// # Panics
+/// Panics with the typed [`FolError`] on a right-child index outside the
+/// arena, the check [`try_vectorized_rewrite_to_normal_form`] makes on
+/// every pass.
 pub fn find_sites(m: &mut Machine, t: &OpTree) -> VReg {
+    try_find_sites(m, t).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Finds all applicable sites, the right-child gather guarded: a wild
+/// right-child index (fault debris from a torn scatter in an earlier pass)
+/// returns a typed error instead of an out-of-bounds gather panic.
+fn try_find_sites(m: &mut Machine, t: &OpTree) -> Result<VReg, FolError> {
     if t.used == 0 {
-        return VReg::empty();
+        return Ok(VReg::empty());
     }
     let tags = m.vload(t.tags, 0, t.used);
     let is_op = m.vcmp_s(CmpOp::Eq, &tags, OP);
     let idx = m.iota(0, t.used);
     let ops = m.compress(&idx, &is_op);
     if ops.is_empty() {
-        return VReg::empty();
+        return Ok(VReg::empty());
     }
     let right = m.gather(t.rights, &ops);
+    for (i, v) in right.iter().enumerate() {
+        if !(0..t.used as Word).contains(&v) {
+            return Err(FolError::TargetOutOfBounds {
+                round: None,
+                position: i,
+                target: v,
+                domain: t.used,
+            });
+        }
+    }
     let rtags = m.gather(t.tags, &right);
     let site_mask = m.vcmp_s(CmpOp::Eq, &rtags, OP);
-    m.compress(&ops, &site_mask)
+    Ok(m.compress(&ops, &site_mask))
 }
 
 /// Applies the rewrite at the given (parallel-processable) sites: for each
 /// site `n` with right child `r`, `X = lefts[n]`, `Y = lefts[r]`,
 /// `Z = rights[r]`, then `r ← (X * Y)` and `n ← r * Z`.
-fn apply_sites(m: &mut Machine, t: &OpTree, sites: &VReg) {
-    try_apply_sites(m, t, sites).expect("apply_sites: corrupted right-child gather");
-}
-
-/// Fallible [`apply_sites`]: the right-child gather is re-validated before
-/// any dependent gather chases it. The sites themselves were validated when
-/// they were found, but a read-side fault (gather flip, stale read, torn
-/// gather) can hand this gather a wild index even when memory is intact —
-/// that must surface as a typed error, not an out-of-bounds panic.
+///
+/// The right-child gather is re-validated before any dependent gather
+/// chases it. The sites themselves were validated when they were found, but
+/// a read-side fault (gather flip, stale read, torn gather) can hand this
+/// gather a wild index even when memory is intact — that must surface as a
+/// typed error, not an out-of-bounds panic.
 fn try_apply_sites(m: &mut Machine, t: &OpTree, sites: &VReg) -> Result<(), FolError> {
     let r = m.gather(t.rights, sites);
     for (i, v) in r.iter().enumerate() {
@@ -292,85 +311,39 @@ fn try_scalar_rewrite_to_normal_form(
     }
 }
 
-/// Vectorized rewriting: per pass, find all sites, take FOL\*'s first
-/// parallel-processable set (`L = 2`: sites and their right children), and
-/// apply it with conflict-free list-vector operations.
+/// Vectorized rewriting: [`try_vectorized_rewrite_to_normal_form`] under
+/// the pass budget [`txn_rewrite_to_normal_form`] gives it, panicking where
+/// it returns an error.
 pub fn vectorized_rewrite_to_normal_form(m: &mut Machine, t: &OpTree) -> RewriteReport {
-    let mut report = RewriteReport::default();
-    loop {
-        let sites = find_sites(m, t);
-        if sites.is_empty() {
-            break;
-        }
-        report.passes += 1;
-        let rights = m.gather(t.rights, &sites);
-        let v1: Vec<Word> = sites.iter().collect();
-        let v2: Vec<Word> = rights.iter().collect();
-        let safe = fol_star_first_round(m, t.work, &[v1, v2]);
-        let safe_sites: VReg = safe.iter().map(|&p| sites.get(p)).collect();
-        report.applications += safe_sites.len();
-        apply_sites(m, t, &safe_sites);
-    }
-    report
+    try_vectorized_rewrite_to_normal_form(m, t, default_budget(t)).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`find_sites`] with the right-child gather guarded: a wild right-child
-/// index (fault debris from a torn scatter in an earlier pass) returns a
-/// typed error instead of an out-of-bounds gather panic.
-fn try_find_sites(m: &mut Machine, t: &OpTree) -> Result<VReg, FolError> {
-    if t.used == 0 {
-        return Ok(VReg::empty());
-    }
-    let tags = m.vload(t.tags, 0, t.used);
-    let is_op = m.vcmp_s(CmpOp::Eq, &tags, OP);
-    let idx = m.iota(0, t.used);
-    let ops = m.compress(&idx, &is_op);
-    if ops.is_empty() {
-        return Ok(VReg::empty());
-    }
-    let right = m.gather(t.rights, &ops);
-    for (i, v) in right.iter().enumerate() {
-        if !(0..t.used as Word).contains(&v) {
-            return Err(FolError::TargetOutOfBounds {
-                round: None,
-                position: i,
-                target: v,
-                domain: t.used,
-            });
-        }
-    }
-    let rtags = m.gather(t.tags, &right);
-    let site_mask = m.vcmp_s(CmpOp::Eq, &rtags, OP);
-    Ok(m.compress(&ops, &site_mask))
+/// The pass budget [`txn_rewrite_to_normal_form`] and
+/// [`vectorized_rewrite_to_normal_form`] hand to the fallible loops: every
+/// pass applies at least one rewrite, and each rewrite moves a `*` node onto
+/// the left spine for good, so no healthy run comes near it.
+fn default_budget(t: &OpTree) -> usize {
+    t.used * t.used + 8
 }
 
-/// Fallible vectorized rewriting: [`vectorized_rewrite_to_normal_form`]
-/// with the outer loop bounded by `max_passes`, wild child indices caught
+/// Vectorized rewriting, the loop every vector rung of
+/// [`txn_rewrite_to_normal_form`] runs: per pass, find all sites, take
+/// FOL\*'s first parallel-processable set (`L = 2`: sites and their right
+/// children), and apply it with conflict-free list-vector operations.
+///
+/// The outer loop is bounded by `max_passes`, wild child indices are caught
 /// before any gather chases them, and FOL\*'s "parallel-processable" claim
-/// re-checked (sites and their right children must be pairwise distinct —
+/// is re-checked (sites and their right children must be pairwise distinct —
 /// Lemma 2 for `L = 2`) before the sites are applied, so a fault-fooled
-/// detection pass cannot force [`apply_sites`]'s conflict-free scatters
-/// into a conflict.
+/// detection pass cannot force the conflict-free scatters into a conflict.
+/// The checks are host-side and charge no cycles.
 pub fn try_vectorized_rewrite_to_normal_form(
     m: &mut Machine,
     t: &OpTree,
     max_passes: usize,
 ) -> Result<RewriteReport, FolError> {
-    let mut report = RewriteReport::default();
-    loop {
-        let sites = try_find_sites(m, t)?;
-        if sites.is_empty() {
-            return Ok(report);
-        }
-        if report.passes == max_passes {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: max_passes,
-                live: sites.len(),
-                completed_rounds: report.passes,
-            });
-        }
-        report.passes += 1;
-        let rights = m.gather(t.rights, &sites);
+    rewrite_passes(m, t, max_passes, |m, sites, pass| {
+        let rights = m.gather(t.rights, sites);
         // Re-validate after the gather, not just after try_find_sites: a
         // read-side fault (gather flip, stale read, torn gather) can hand
         // back a wild child index even when memory itself is intact, and
@@ -385,27 +358,54 @@ pub fn try_vectorized_rewrite_to_normal_form(
                 });
             }
         }
-        let v1: Vec<Word> = sites.iter().collect();
-        let v2: Vec<Word> = rights.iter().collect();
-        let safe = try_fol_star_first_round(m, t.work, &[v1.clone(), v2.clone()])?;
+        let vs: [Vec<Word>; 2] = [sites.iter().collect(), rights.iter().collect()];
+        let safe = try_fol_star_first_round(m, t.work, &vs)?;
         // Re-check disjointness across both index vectors on the host: the
         // rewrite touches site n AND its right child r, so all 2L targets
         // must be distinct for the batch to be parallel-processable.
         let mut touched = Vec::with_capacity(2 * safe.len());
         for &p in &safe {
-            touched.push(v1[p]);
-            touched.push(v2[p]);
+            touched.push(vs[0][p]);
+            touched.push(vs[1][p]);
         }
         touched.sort_unstable();
         if let Some(w) = touched.windows(2).find(|w| w[0] == w[1]) {
             return Err(FolError::DuplicateTargetInRound {
-                round: report.passes - 1,
+                round: pass,
                 target: w[0] as usize,
             });
         }
-        let safe_sites: VReg = safe.iter().map(|&p| sites.get(p)).collect();
-        report.applications += safe_sites.len();
-        try_apply_sites(m, t, &safe_sites)?;
+        Ok(safe.iter().map(|&p| sites.get(p)).collect())
+    })
+}
+
+/// The pass loop of every rewriting rung but the scalar tail: per pass,
+/// find all sites, let `pick` choose the batch to apply (it gets the
+/// 0-based pass index), and apply it. At most `max_passes` passes run, so
+/// a cycle returns [`FolError::RoundBudgetExceeded`] instead of spinning.
+fn rewrite_passes(
+    m: &mut Machine,
+    t: &OpTree,
+    max_passes: usize,
+    mut pick: impl FnMut(&mut Machine, &VReg, usize) -> Result<VReg, FolError>,
+) -> Result<RewriteReport, FolError> {
+    let mut report = RewriteReport::default();
+    loop {
+        let sites = try_find_sites(m, t)?;
+        if sites.is_empty() {
+            return Ok(report);
+        }
+        if report.passes == max_passes {
+            return Err(FolError::RoundBudgetExceeded {
+                budget: max_passes,
+                live: sites.len(),
+                completed_rounds: report.passes,
+            });
+        }
+        let batch = pick(m, &sites, report.passes)?;
+        report.passes += 1;
+        report.applications += batch.len();
+        try_apply_sites(m, t, &batch)?;
     }
 }
 
@@ -486,7 +486,7 @@ pub fn txn_rewrite_to_normal_form(
         "txn_rewrite_to_normal_form: input tree is malformed"
     );
     let (ref leaves0, val0, _) = expected.unwrap();
-    let budget = t.used * t.used + 8;
+    let budget = default_budget(t);
 
     run_transaction(m, policy, |m, mode| {
         let report = match mode {
@@ -496,26 +496,9 @@ pub fn txn_rewrite_to_normal_form(
                     try_vectorized_rewrite_to_normal_form(m, t, budget)
                 })?
             }
-            ExecMode::ForcedSequential => {
-                let mut report = RewriteReport::default();
-                loop {
-                    let sites = try_find_sites(m, t)?;
-                    if sites.is_empty() {
-                        break report;
-                    }
-                    if report.passes == budget {
-                        return Err(FolError::RoundBudgetExceeded {
-                            budget,
-                            live: sites.len(),
-                            completed_rounds: report.passes,
-                        });
-                    }
-                    report.passes += 1;
-                    report.applications += 1;
-                    let one: VReg = [sites.get(0)].into_iter().collect();
-                    try_apply_sites(m, t, &one)?;
-                }
-            }
+            ExecMode::ForcedSequential => rewrite_passes(m, t, budget, |_, sites, _| {
+                Ok([sites.get(0)].into_iter().collect())
+            })?,
             ExecMode::ScalarTail => try_scalar_rewrite_to_normal_form(m, t, budget)?,
         };
         match checked_summary(m, t) {
@@ -532,6 +515,7 @@ pub fn txn_rewrite_to_normal_form(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fol_core::fol_star::fol_star_first_round;
     use fol_vm::{ConflictPolicy, CostModel};
 
     #[test]
@@ -638,20 +622,6 @@ mod tests {
     }
 
     #[test]
-    fn try_rewrite_matches_infallible_on_healthy_hardware() {
-        let symbols: Vec<Word> = (0..20).map(|i| i * 3 + 1).collect();
-        let mut m1 = Machine::new(CostModel::unit());
-        let t1 = OpTree::right_comb(&mut m1, &symbols);
-        let r1 = vectorized_rewrite_to_normal_form(&mut m1, &t1);
-        let mut m2 = Machine::new(CostModel::unit());
-        let t2 = OpTree::right_comb(&mut m2, &symbols);
-        let r2 = try_vectorized_rewrite_to_normal_form(&mut m2, &t2, 10_000).expect("no faults");
-        assert_eq!(r1, r2);
-        assert_eq!(t1.leaves_inorder(&m1), t2.leaves_inorder(&m2));
-        assert_eq!(t1.eval_affine(&m1), t2.eval_affine(&m2));
-    }
-
-    #[test]
     fn scalar_tail_refuses_a_wild_right_child_typed() {
         // Fault debris in a right-child word: the scalar scan must refuse it
         // typed before dereferencing it, not index past the arena.
@@ -684,7 +654,7 @@ mod tests {
 
     #[test]
     fn try_rewrite_budget_stops_a_faulty_scatter_path() {
-        // 100% dropped lanes: apply_sites never lands a write, the site set
+        // 100% dropped lanes: no rewrite scatter lands, the site set
         // never shrinks — the budget turns the livelock into a typed error.
         let mut m = Machine::new(CostModel::unit());
         m.set_fault_plan(Some(fol_vm::FaultPlan::dropped_lanes(9, 65535)));
