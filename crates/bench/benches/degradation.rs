@@ -7,14 +7,17 @@
 //!   * `vector_full`        — all 64 lanes, the healthy-hardware baseline.
 //!   * `degraded_Kof64`     — `DegradedVector` with K ∈ {1, 4, 16} lanes
 //!     quarantined; the same program at width 64 − K.
-//!   * `forced_sequential`  — the rung a quarantine-blind supervisor would
-//!     fall to: singleton scatters, one element per op.
+//!   * `scalar_tail`        — the ladder's sequential rung, the one a
+//!     quarantine-blind supervisor would fall to: scalar label writes and
+//!     reads, one element per op.
 //!
 //! Wall-clock comes from the harness; modelled cycles come from the
 //! S-810-calibrated [`CostModel`], whose width-scaled charging is the
-//! paper-faithful metric. The run asserts the tentpole's pricing claim —
-//! one quarantined lane must stay ≥2x cheaper than falling all the way to
-//! `ForcedSequential` — and writes a JSON artifact for CI.
+//! paper-faithful metric. The run asserts the pricing claim — one
+//! quarantined lane must stay ≥2x cheaper in modelled cycles than falling
+//! all the way to `ScalarTail` — and writes a JSON artifact for CI. On the
+//! host the scalar path skips the vector unit's per-op bookkeeping, so its
+//! wall-clock ratio reads below 1; the gate is on modelled cycles only.
 
 use fol_bench::harness::bench;
 use fol_bench::workloads::duplicated_targets;
@@ -67,8 +70,8 @@ fn main() {
                 )
             }))
             .chain(std::iter::once((
-                "forced_sequential".into(),
-                ExecMode::ForcedSequential,
+                "scalar_tail".into(),
+                ExecMode::ScalarTail,
             )))
             .collect();
 
@@ -105,12 +108,12 @@ fn main() {
             .map(|&(_, ns, _)| ns)
             .expect("row present")
     };
-    let seq_cycles = cycles_of("forced_sequential");
+    let seq_cycles = cycles_of("scalar_tail");
     let d1_cycles = cycles_of("degraded_1of64");
     let cycle_speedup = seq_cycles as f64 / d1_cycles as f64;
-    let wall_speedup = ns_of("forced_sequential") / ns_of("degraded_1of64");
+    let wall_speedup = ns_of("scalar_tail") / ns_of("degraded_1of64");
     println!(
-        "degraded 1/64 vs forced-sequential: {cycle_speedup:.2}x modelled, {wall_speedup:.2}x wall-clock"
+        "degraded 1/64 vs scalar tail: {cycle_speedup:.2}x modelled, {wall_speedup:.2}x wall-clock"
     );
     assert!(
         cycle_speedup >= 2.0,

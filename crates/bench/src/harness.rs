@@ -35,7 +35,8 @@ impl Measurement {
 /// Times `f`, printing and returning the measurement.
 ///
 /// Calibrates the per-sample iteration count so each sample runs for about
-/// [`SAMPLE_TARGET`], then takes [`SAMPLES`] samples and reports the median.
+/// 120 ms (`SAMPLE_TARGET`), then takes 7 samples (`SAMPLES`) and reports
+/// the median.
 /// The closure's result is passed through [`black_box`] so the work is not
 /// optimized away.
 pub fn bench<R>(name: &str, mut f: impl FnMut() -> R) -> Measurement {

@@ -143,10 +143,10 @@ pub enum FolError {
     },
     /// The machine's integrity layer caught silent data corruption: a
     /// checksummed work area diverged from its incremental digest (bit-rot),
-    /// the ELS auditor saw a gathered label that was never scattered (torn
-    /// gather / phantom read), or verified replay could not assemble a
-    /// majority. The attempt is rolled back; the supervisor escalates
-    /// through the verified-replay rung instead of trusting the data.
+    /// or the ELS auditor saw a gathered label that was never scattered
+    /// (torn gather / phantom read). The attempt is rolled back; the
+    /// supervisor escalates, down to the scalar tail, instead of trusting
+    /// the data.
     Integrity(fol_vm::IntegrityError),
     /// Execution failed *after* some rounds were fully applied: rounds
     /// `0..completed_rounds` are committed to the data, the failing round
@@ -516,9 +516,12 @@ mod tests {
 
     #[test]
     fn integrity_error_wraps_into_fol_error() {
-        let e: FolError = fol_vm::IntegrityError::ReplayDivergence {
-            replays: 3,
-            distinct: 3,
+        let e: FolError = fol_vm::IntegrityError::GatherMismatch {
+            region: "work".into(),
+            addr: 12,
+            lane: 5,
+            got: 99,
+            scattered: vec![3, 4],
         }
         .into();
         assert!(e.to_string().contains("integrity violation"));

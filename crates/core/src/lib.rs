@@ -52,7 +52,7 @@
 //! * [`recover`] — transactional execution: every attempt runs inside a
 //!   machine transaction ([`fol_vm::Machine::begin_txn`]) and a failed
 //!   attempt is rolled back byte-exact; a [`RetryPolicy`] escalates
-//!   `Vector → ForcedSequential → ScalarTail` until a rung completes, and
+//!   `Vector → DegradedVector → ScalarTail` until a rung completes, and
 //!   the whole run is audited in a [`RecoveryReport`].
 //! * [`theory`] — executable statements of the paper's lemmas and theorems
 //!   (disjoint cover, minimality, monotone round sizes, complexity bounds),

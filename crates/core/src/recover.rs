@@ -9,21 +9,23 @@
 //!    ([`fol_vm::Machine::begin_txn`]); a failed attempt is rolled back
 //!    byte-exact before the next one starts.
 //! 2. **Retry with escalation** — a [`RetryPolicy`] bounds the attempts and
-//!    names an escalation ladder of [`ExecMode`]s. The default ladder walks
-//!    [`ExecMode::Vector`] → [`ExecMode::DegradedVector`] →
-//!    [`ExecMode::ForcedSequential`] → [`ExecMode::ScalarTail`]: first the
-//!    full-width vector path; then the same vector program with the
-//!    machine's quarantined lanes masked out of the execution schedule
-//!    (sticky per-lane faults are *routed around*, not retreated from); then
-//!    singleton scatters (a lone writer can never tear, defeating torn-write
-//!    adversaries); finally the scalar path, which bypasses the vector
-//!    scatter unit entirely and is therefore immune to every fault a
-//!    [`fol_vm::FaultPlan`] can inject. A run starts at the rung the
-//!    machine's previous committed run predicts
+//!    names an escalation ladder of [`ExecMode`]s. The default ladder has
+//!    three rungs, [`ExecMode::Vector`] → [`ExecMode::DegradedVector`] →
+//!    [`ExecMode::ScalarTail`]: first the full-width vector path; then the
+//!    same vector program with the machine's quarantined lanes masked out
+//!    of the execution schedule (sticky per-lane faults are *routed
+//!    around*, not retreated from); finally the scalar path, which bypasses
+//!    the vector scatter unit entirely and is therefore immune to every
+//!    fault a [`fol_vm::FaultPlan`] can inject. A run starts at the rung
+//!    the machine's previous committed run predicts
 //!    ([`fol_vm::Machine::start_rung`]), and attempts follow each other
 //!    without sleeping: in-process faults come from a seeded plan reseeded
 //!    per attempt, so waiting would clear nothing (the paper's own livelock
-//!    remedy, FOL\* §3.3, is a scalar tail, not a timed retry).
+//!    remedy, FOL\* §3.3, is a scalar tail, not a timed retry). Two rules
+//!    steer the rung: a failed `DegradedVector` attempt that is not the
+//!    run's first holds its rung while the quarantine grows, and a
+//!    first-attempt commit steps the next run's start back one rung, except
+//!    on `DegradedVector`, which keeps it.
 //! 3. **Graceful degradation** — the machine's
 //!    [`fol_vm::LaneHealthRegistry`] correlates fault-log entries and
 //!    rollbacks to physical lanes; when the supervisor reaches a
@@ -58,7 +60,7 @@ use crate::decompose::try_fol1_machine_observed;
 use crate::error::{validate_decomposition, FolError, Validation};
 use crate::parallel::{try_apply_rounds, try_par_apply_rounds};
 use crate::Decomposition;
-use fol_vm::{BackendKind, CmpOp, ConflictPolicy, IntegrityError, LaneSet, Machine, Region, Word};
+use fol_vm::{BackendKind, ConflictPolicy, IntegrityError, LaneSet, Machine, Region, Word};
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -81,25 +83,20 @@ pub enum ExecMode {
         /// Lanes excluded from the execution schedule for this attempt.
         quarantined: LaneSet,
     },
-    /// The quarantine-masked vector path re-run under **replay voting**: the
-    /// supervisor executes the attempt up to three times, each in its own
-    /// sub-transaction, and commits the first execution whose post-state
-    /// memory digest ([`fol_vm::Machine::content_digest`]) matches an
-    /// earlier one — a 2-of-3 majority. Read-side faults (gather flips,
-    /// stale reads, torn gathers) and bit-rot are *transient*: two
-    /// executions corrupted the same way are overwhelmingly unlikely, so a
-    /// digest match certifies the data and a persistent disagreement
-    /// surfaces as [`fol_vm::IntegrityError::ReplayDivergence`] and
-    /// escalates. This is the rung the ladder inserts when checksums or the
-    /// ELS auditor say the machine *lies* rather than merely drops writes.
+    /// Retired: runs, displays and is reported exactly as
+    /// [`ExecMode::DegradedVector`] ([`run_transaction`] turns a rung of
+    /// this mode into one). It was a replay-voting rung between
+    /// `DegradedVector` and `ScalarTail` that rescued no run `ScalarTail`
+    /// would not. The variant is kept because the benchmark's replay
+    /// counts commits on every variant by name.
     VerifiedReplay {
         /// Lanes excluded from the execution schedule, as in
         /// [`ExecMode::DegradedVector`].
         quarantined: LaneSet,
     },
-    /// One length-1 scatter per live element. Conflicting lanes never share
-    /// a scatter, so torn writes (amalgams need at least two competing
-    /// values) cannot fire; lane drops still can.
+    /// Retired: runs exactly as [`ExecMode::ScalarTail`]. It was a
+    /// singleton-scatter rung that rescued no run `ScalarTail` would not.
+    /// Kept for the same reason as [`ExecMode::VerifiedReplay`].
     ForcedSequential,
     /// Scalar stores and loads only (`s_write`/`s_read`). The vector
     /// scatter unit is never touched, so no [`fol_vm::FaultPlan`] fault can
@@ -110,15 +107,10 @@ pub enum ExecMode {
 impl fmt::Display for ExecMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecMode::Vector => f.write_str("Vector"),
-            ExecMode::DegradedVector { quarantined } => {
+            ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
                 write!(f, "DegradedVector{quarantined}")
             }
-            ExecMode::VerifiedReplay { quarantined } => {
-                write!(f, "VerifiedReplay{quarantined}")
-            }
-            ExecMode::ForcedSequential => f.write_str("ForcedSequential"),
-            ExecMode::ScalarTail => f.write_str("ScalarTail"),
+            unit => fmt::Debug::fmt(unit, f),
         }
     }
 }
@@ -164,24 +156,22 @@ pub struct RetryPolicy {
 }
 
 impl Default for RetryPolicy {
-    /// Five attempts walking the full ladder (`Vector`, then
-    /// `DegradedVector` with the machine's own quarantine set, then
-    /// `VerifiedReplay` — quarantine-masked re-execution under 2-of-3
-    /// replay voting — then `ForcedSequential`, then `ScalarTail`),
-    /// reseeding between attempts, validating the whole FOL contract,
-    /// auditing every round, no watchdog.
+    /// Three attempts, one per rung of the three-rung ladder (`Vector`,
+    /// then `DegradedVector` with the machine's own quarantine set, then
+    /// `ScalarTail`), reseeding between attempts, validating the whole FOL
+    /// contract, auditing every round, no watchdog. A failed
+    /// `DegradedVector` attempt that is not the run's first holds its rung
+    /// while the quarantine grows, and a first-attempt commit steps the
+    /// next run's start back one rung unless it committed on
+    /// `DegradedVector` (see [`run_transaction`]).
     fn default() -> Self {
         Self {
-            max_attempts: 5,
+            max_attempts: 3,
             ladder: vec![
                 ExecMode::Vector,
                 ExecMode::DegradedVector {
                     quarantined: LaneSet::empty(),
                 },
-                ExecMode::VerifiedReplay {
-                    quarantined: LaneSet::empty(),
-                },
-                ExecMode::ForcedSequential,
                 ExecMode::ScalarTail,
             ],
             reseed: true,
@@ -334,8 +324,9 @@ pub struct RecoveryReport {
     /// escalated — never
     /// passed through.
     pub corruption_detected: usize,
-    /// Sub-transaction executions spent inside [`ExecMode::VerifiedReplay`]
-    /// rungs, voting included (a clean 2-of-3 majority costs 2).
+    /// Always 0: it counted the replay votes of the retired
+    /// [`ExecMode::VerifiedReplay`] rung. Kept because the benchmark's
+    /// replay reads it.
     pub replays: usize,
     /// The execution backend the machine computed on — recovery is
     /// backend-generic, and the report says which lanes actually ran
@@ -396,12 +387,8 @@ impl fmt::Display for RecoveryReport {
             "{} attempt(s), {} round(s) replayed, finished in {} mode, {} fault(s) consumed",
             self.attempts, self.rounds_replayed, self.final_mode, self.faults_consumed
         )?;
-        if self.corruption_detected > 0 || self.replays > 0 {
-            write!(
-                f,
-                ", {} corruption(s) detected, {} replay(s) voted",
-                self.corruption_detected, self.replays
-            )?;
+        if self.corruption_detected > 0 {
+            write!(f, ", {} corruption(s) detected", self.corruption_detected)?;
         }
         Ok(())
     }
@@ -596,27 +583,31 @@ fn derive_seed(seed: u64, attempt: usize) -> u64 {
 /// The first attempt runs on rung `min(m.start_rung(), ladder.len() - 1)`
 /// ([`fol_vm::Machine::start_rung`]): the rung a run committed on predicts
 /// the rung the next run on the same machine needs. A commit records its
-/// rung as the hint, stepped back one rung toward [`ExecMode::Vector`]
-/// when it was the run's first attempt, so a machine whose faults have
-/// cleared walks back to the full-width path one clean run at a time. A
-/// failed run leaves the hint unchanged. The hint is volatile: a fresh
-/// machine starts at rung 0.
+/// rung as the hint. A first-attempt commit steps it back one rung toward
+/// [`ExecMode::Vector`], so a machine whose faults have cleared walks back
+/// to the full-width path one clean run at a time — except on
+/// [`ExecMode::DegradedVector`], which keeps the hint: that rung folds in
+/// the current quarantine, so it already runs at full width once every
+/// lane is restored. A failed run leaves the hint unchanged. The hint is
+/// volatile: a fresh machine starts at rung 0.
 ///
 /// # Lane health
 ///
-/// When the attempt's rung is [`ExecMode::DegradedVector`] or
-/// [`ExecMode::VerifiedReplay`], the machine's current quarantine set is
-/// folded into the rung's own before `body` sees it — so the mode the body
-/// (and the report) carries names the lanes that were actually masked.
-/// After a failed attempt the lane circuit breaker
+/// When the attempt's rung is [`ExecMode::DegradedVector`], the machine's
+/// current quarantine set is folded into the rung's own before `body` sees
+/// it — so the mode the body (and the report) carries names the lanes that
+/// were actually masked. After a failed attempt the lane circuit breaker
 /// ([`fol_vm::Machine::reprobe_quarantined`]) re-probes quarantined lanes
 /// whose cooldown has elapsed, *before* that failure's scrub and repair, so
 /// whatever a probe scatter disturbs is repaired before the next attempt
-/// reads it. A failed degraded attempt holds its rung, without consuming
-/// ladder budget, only while the quarantine it leaves is larger than at the
-/// start of the run and after every earlier failure: the evidence indicts
-/// the stale mask, not the rung. Each hold needs a strictly wider
-/// quarantine, so holds are bounded by the lane count.
+/// reads it. A failed degraded attempt that is not the run's first holds
+/// its rung, without consuming ladder budget, only while the quarantine it
+/// leaves is larger than at the start of the run and after every earlier
+/// failure: the evidence indicts the stale mask, not the rung. A run that
+/// starts on the degraded rung and fails there moves on at once, since its
+/// start already carried the quarantine the last commit needed. Each hold
+/// needs a strictly wider quarantine, so holds are bounded by the lane
+/// count.
 ///
 /// A [`FolError::Stalled`] from `body` (the armed [`Watchdog`] tripping) is
 /// fatal: the attempt is rolled back and the supervisor returns
@@ -689,10 +680,8 @@ where
     while budget_spent < attempts {
         let quarantined = m.health().quarantined();
         let mode = match policy.mode_for(rung) {
-            ExecMode::DegradedVector { quarantined: q } => ExecMode::DegradedVector {
-                quarantined: q.union(quarantined),
-            },
-            ExecMode::VerifiedReplay { quarantined: q } => ExecMode::VerifiedReplay {
+            ExecMode::DegradedVector { quarantined: q }
+            | ExecMode::VerifiedReplay { quarantined: q } => ExecMode::DegradedVector {
                 quarantined: q.union(quarantined),
             },
             other => other,
@@ -720,61 +709,14 @@ where
             }
         }
         let started = Instant::now();
-        let exec: Result<R, FolError> = if matches!(mode, ExecMode::VerifiedReplay { .. }) {
-            // Replay voting: up to three sub-transactions; the first whose
-            // post-state memory digest matches an earlier one commits
-            // (2-of-3 majority certifies the data against transient read
-            // faults). No majority is a typed ReplayDivergence.
-            let mut digests: Vec<u64> = Vec::new();
-            let mut verdict: Option<Result<R, FolError>> = None;
-            for _ in 0..3 {
-                m.audit_clear_notes();
-                m.begin_txn()
-                    .expect("run_transaction: transaction state already checked");
-                report.replays += 1;
-                match body(m, mode) {
-                    Ok(r) => {
-                        // Digest while the sub-transaction is still open:
-                        // the vote is on the post-state this execution
-                        // would commit.
-                        let digest = m.content_digest();
-                        if digests.contains(&digest) {
-                            // Majority found. Rot that struck *before* the
-                            // first replay would be shared by both voters,
-                            // so scrub what this execution touched before
-                            // certifying.
-                            verdict = Some(commit_certified(m).map(|()| r));
-                            break;
-                        }
-                        digests.push(digest);
-                        abort(m);
-                    }
-                    Err(e) => {
-                        abort(m);
-                        let fatal = matches!(e, FolError::Stalled { .. });
-                        verdict = Some(Err(e));
-                        if fatal {
-                            break;
-                        }
-                        // A failed replay casts no vote; later replays may
-                        // still assemble a majority.
-                    }
-                }
-            }
-            verdict.unwrap_or(Err(FolError::Integrity(IntegrityError::ReplayDivergence {
-                replays: 3,
-                distinct: digests.len(),
-            })))
-        } else {
-            m.audit_clear_notes();
-            m.begin_txn()
-                .expect("run_transaction: transaction state already checked");
-            match body(m, mode) {
-                Ok(r) => commit_certified(m).map(|()| r),
-                Err(e) => {
-                    abort(m);
-                    Err(e)
-                }
+        m.audit_clear_notes();
+        m.begin_txn()
+            .expect("run_transaction: transaction state already checked");
+        let exec = match body(m, mode) {
+            Ok(r) => commit_certified(m).map(|()| r),
+            Err(e) => {
+                abort(m);
+                Err(e)
             }
         };
         report.attempt_trace.push(AttemptRecord {
@@ -817,13 +759,12 @@ where
             break;
         }
         // Hold a degraded rung only while its quarantine keeps growing: the
-        // failure then indicts the stale mask, not the rung.
+        // failure then indicts the stale mask, not the rung. A run that
+        // started on the degraded rung already carried the quarantine its
+        // predecessor committed with, so it moves on.
         let width = m.health().quarantined().len();
-        let degraded = matches!(
-            mode,
-            ExecMode::DegradedVector { .. } | ExecMode::VerifiedReplay { .. }
-        );
-        if !(degraded && width > widest) {
+        let degraded = matches!(mode, ExecMode::DegradedVector { .. });
+        if !(degraded && attempt > 0 && width > widest) {
             rung += 1;
             budget_spent += 1;
         }
@@ -845,9 +786,12 @@ where
     match result {
         Some(r) => {
             // The next run starts where this one committed; a first-attempt
-            // commit steps the hint back toward Vector.
+            // commit steps the hint back toward Vector, except on the
+            // degraded rung, which runs at full width once the breaker has
+            // restored every lane.
             let committed = rung.min(last_rung);
-            m.set_start_rung(if report.attempts == 1 {
+            let degraded = matches!(report.final_mode, ExecMode::DegradedVector { .. });
+            m.set_start_rung(if report.attempts == 1 && !degraded {
                 committed.saturating_sub(1)
             } else {
                 committed
@@ -921,7 +865,7 @@ pub fn decompose_with_mode(
 
 /// [`decompose_with_mode`] with a per-pass observer — the hook the armed
 /// [`Watchdog`] uses. `observe` is called with the live count at the top of
-/// every detection pass in *every* mode (the sequential fallbacks included);
+/// every detection pass in *every* mode (the scalar tail included);
 /// an `Err` aborts the decomposition with that error.
 pub fn decompose_with_mode_watched(
     m: &mut Machine,
@@ -936,19 +880,15 @@ pub fn decompose_with_mode_watched(
             let labels = m.iota(0, index_vec.len());
             try_fol1_machine_observed(m, work, index_vec, &labels, validation, observe)
         }
-        // VerifiedReplay runs the same masked vector program as
-        // DegradedVector — the voting that distinguishes the rung lives in
-        // the supervisor (`run_transaction`), which replays this whole body.
         ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
             with_lane_mask(m, quarantined, |m| {
                 let labels = m.iota(0, index_vec.len());
                 try_fol1_machine_observed(m, work, index_vec, &labels, validation, observe)
             })
         }
-        ExecMode::ForcedSequential => {
-            fol1_singleton_scatters(m, work, index_vec, validation, observe)
+        ExecMode::ForcedSequential | ExecMode::ScalarTail => {
+            fol1_scalar(m, work, index_vec, validation, observe)
         }
-        ExecMode::ScalarTail => fol1_scalar(m, work, index_vec, validation, observe),
     }
 }
 
@@ -964,66 +904,6 @@ fn check_bounds(index_vec: &[Word], domain: usize) -> Result<(), FolError> {
         }
     }
     Ok(())
-}
-
-/// FOL1 whose label-writing phase issues one length-1 scatter per live
-/// element. Within-scatter conflicts never occur, so torn-write faults
-/// (which need at least two competing values in one scatter) cannot fire;
-/// the last writer per cell survives, as under
-/// [`fol_vm::ConflictPolicy::LastWins`].
-fn fol1_singleton_scatters(
-    m: &mut Machine,
-    work: Region,
-    index_vec: &[Word],
-    validation: Validation,
-    observe: &mut dyn FnMut(usize) -> Result<(), FolError>,
-) -> Result<Decomposition, FolError> {
-    check_bounds(index_vec, work.len())?;
-    let n = index_vec.len();
-    let mut v = m.vimm(index_vec);
-    let mut positions = m.iota(0, n);
-    let mut labels = m.iota(0, n);
-    let mut rounds: Vec<Vec<usize>> = Vec::new();
-    while !v.is_empty() {
-        if rounds.len() >= n {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: n,
-                live: v.len(),
-                completed_rounds: rounds.len(),
-            });
-        }
-        observe(v.len())?;
-        // One note for the whole pass (not per singleton): the audit judges
-        // the ELS condition itself — the cell may hold *any* competing label
-        // — so a benign dropped singleton (an earlier writer survives) is
-        // not flagged, while an amalgam or phantom read still is.
-        m.audit_note_scatter(work, &v, &labels);
-        for k in 0..v.len() {
-            let idx1 = m.vimm(&[v.get(k)]);
-            let val1 = m.vimm(&[labels.get(k)]);
-            m.scatter(work, &idx1, &val1);
-        }
-        let got = m.gather(work, &v);
-        m.audit_check_gather(work, &v, &got)
-            .map_err(FolError::from)?;
-        let ok = m.vcmp(CmpOp::Eq, &got, &labels);
-        let survivors = m.compress(&positions, &ok);
-        if survivors.is_empty() {
-            return Err(FolError::NoSurvivors {
-                iteration: rounds.len(),
-                live: v.len(),
-            });
-        }
-        rounds.push(survivors.iter().map(|p| p as usize).collect());
-        let rest = m.mask_not(&ok);
-        v = m.compress(&v, &rest);
-        positions = m.compress(&positions, &rest);
-        labels = m.compress(&labels, &rest);
-    }
-    let d = Decomposition::new(rounds);
-    let targets: Vec<usize> = index_vec.iter().map(|&t| t as usize).collect();
-    validate_decomposition(&d, &targets, work.len(), validation)?;
-    Ok(d)
 }
 
 /// FOL1 on the scalar unit only: labels are written with `s_write` and read
@@ -1243,16 +1123,12 @@ mod tests {
         assert!(theory::is_minimal(d, v));
     }
 
-    fn all_modes() -> [ExecMode; 5] {
+    fn all_modes() -> [ExecMode; 3] {
         [
             ExecMode::Vector,
             ExecMode::DegradedVector {
                 quarantined: LaneSet::from_bits(0b1010),
             },
-            ExecMode::VerifiedReplay {
-                quarantined: LaneSet::from_bits(0b100),
-            },
-            ExecMode::ForcedSequential,
             ExecMode::ScalarTail,
         ]
     }
@@ -1316,26 +1192,6 @@ mod tests {
             assert_eq!(m.active_lanes().len(), 62);
         });
         assert_eq!(m.active_lanes(), LaneSet::all());
-    }
-
-    #[test]
-    fn singleton_scatters_defeat_torn_writes() {
-        // A tear-everything plan: the vector path cannot survive it without
-        // reseeding, but singleton scatters never present two competing
-        // values to one scatter, so the fault cannot fire at all.
-        let mut m = machine();
-        m.set_fault_plan(Some(FaultPlan::torn_writes(11, u16::MAX, AmalgamMode::Xor)));
-        let work = m.alloc(10, "work");
-        let d = decompose_with_mode(
-            &mut m,
-            work,
-            V,
-            ExecMode::ForcedSequential,
-            Validation::Full,
-        )
-        .expect("singleton scatters are tear-immune");
-        check_valid(&d, V);
-        assert!(m.fault_log().is_empty(), "no fault should have fired");
     }
 
     #[test]
@@ -1437,7 +1293,7 @@ mod tests {
             }],
             faults_consumed: 5,
             corruption_detected: 1,
-            replays: 2,
+            replays: 0,
             backend: BackendKind::Avx2,
             attempt_trace: vec![
                 AttemptRecord {
@@ -1461,7 +1317,7 @@ mod tests {
             "\"rounds_replayed\":3",
             "\"faults_consumed\":5",
             "\"corruption_detected\":1",
-            "\"replays\":2",
+            "\"replays\":0",
             "\"backend\":\"avx2\"",
             "\"final_mode\":\"ScalarTail\"",
             "\"start_mode\":\"DegradedVector{3,17}\"",
@@ -1619,20 +1475,55 @@ mod tests {
     fn the_next_run_starts_on_the_committing_rung_and_steps_back_on_clean_commits() {
         let mut m = machine();
         let policy = RetryPolicy::default();
-        // Three failures, then a commit on rung 3 (ForcedSequential).
-        let ((), report) = run_transaction(&mut m, &policy, fails_until(3)).unwrap();
-        assert_eq!(report.attempts, 4);
-        assert_eq!(report.final_mode, ExecMode::ForcedSequential);
-        assert_eq!(m.start_rung(), 3, "a commit on rung k sets the hint to k");
-        // Each clean run starts where the hint says and, committing on its
-        // first attempt, steps the hint one rung back toward Vector.
-        for expect in [3, 2, 1, 0, 0] {
+        // Two failures, then a commit on rung 2 (ScalarTail).
+        let ((), report) = run_transaction(&mut m, &policy, fails_until(2)).unwrap();
+        assert_eq!(report.attempts, 3);
+        assert_eq!(report.final_mode, ExecMode::ScalarTail);
+        assert_eq!(m.start_rung(), 2, "a commit on rung k sets the hint to k");
+        // Each clean run starts where the hint says and commits on its first
+        // attempt. That steps the hint one rung back toward Vector, except
+        // on DegradedVector, which keeps it: with no lane quarantined it
+        // already runs at full width.
+        for (expect, next) in [(2, 1), (1, 1), (1, 1)] {
             let ((), report) = run_transaction(&mut m, &policy, fails_until(0)).unwrap();
             assert_eq!(report.attempts, 1);
             assert_eq!(report.start_mode, policy.mode_for(expect), "hint {expect}");
             assert_eq!(report.final_mode, report.start_mode);
-            assert_eq!(m.start_rung(), expect.saturating_sub(1));
+            assert_eq!(m.start_rung(), next);
         }
+    }
+
+    #[test]
+    fn a_run_that_starts_degraded_does_not_hold_its_first_failure() {
+        // The first attempt starts on DegradedVector, widens the quarantine
+        // and fails. A later attempt would hold the rung; the first moves
+        // straight on to ScalarTail, because the start already carried the
+        // quarantine the previous commit needed.
+        let mut m = machine();
+        m.set_start_rung(1);
+        let ((), report) = run_transaction(&mut m, &RetryPolicy::default(), |m, mode| {
+            if mode == ExecMode::ScalarTail {
+                return Ok(());
+            }
+            m.health_mut().quarantine(7);
+            Err(FolError::NoSurvivors {
+                iteration: 0,
+                live: 1,
+            })
+        })
+        .unwrap();
+        let modes: Vec<ExecMode> = report.attempt_trace.iter().map(|a| a.mode).collect();
+        assert_eq!(
+            modes,
+            [
+                ExecMode::DegradedVector {
+                    quarantined: LaneSet::empty()
+                },
+                ExecMode::ScalarTail
+            ]
+        );
+        assert!(m.health().is_quarantined(7), "the quarantine grew");
+        assert_eq!(m.start_rung(), 2);
     }
 
     #[test]
@@ -1707,8 +1598,7 @@ mod tests {
                         m.s_write(arena.at(i), k);
                     }
                 }
-                ExecMode::DegradedVector { quarantined }
-                | ExecMode::VerifiedReplay { quarantined } => {
+                ExecMode::DegradedVector { quarantined } => {
                     with_lane_mask(m, quarantined, |m| m.scatter(arena, &idx, &vals));
                 }
                 _ => m.scatter(arena, &idx, &vals),
@@ -1864,14 +1754,8 @@ mod tests {
                 quarantined: LaneSet::empty()
             }
         );
-        assert_eq!(
-            policy.mode_for(2),
-            ExecMode::VerifiedReplay {
-                quarantined: LaneSet::empty()
-            }
-        );
-        assert_eq!(policy.mode_for(3), ExecMode::ForcedSequential);
-        assert_eq!(policy.mode_for(4), ExecMode::ScalarTail);
+        assert_eq!(policy.mode_for(2), ExecMode::ScalarTail);
+        assert_eq!(policy.mode_for(3), ExecMode::ScalarTail);
         assert_eq!(policy.mode_for(99), ExecMode::ScalarTail);
         assert_eq!(
             RetryPolicy {
@@ -1881,98 +1765,6 @@ mod tests {
             .mode_for(5),
             ExecMode::Vector
         );
-    }
-
-    fn replay_only_policy() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 1,
-            ladder: vec![ExecMode::VerifiedReplay {
-                quarantined: LaneSet::empty(),
-            }],
-            reseed: false,
-            validation: Validation::Off,
-            watchdog: None,
-            audit_rate: 1,
-            audit_seed: 0,
-        }
-    }
-
-    #[test]
-    fn verified_replay_commits_on_first_majority() {
-        // A deterministic body produces the same post-state digest on the
-        // first two replays: the majority forms at replay two and the third
-        // sub-transaction is never opened.
-        let mut m = machine();
-        let work = m.alloc(4, "work");
-        m.track_region(work);
-        let ((), report) = run_transaction(&mut m, &replay_only_policy(), |m, _| {
-            m.s_write(work.at(0), 42);
-            Ok(())
-        })
-        .expect("a deterministic body must assemble a majority");
-        assert_eq!(report.replays, 2);
-        assert_eq!(report.attempts, 1);
-        assert_eq!(report.corruption_detected, 0);
-        assert_eq!(m.mem().read_region(work)[0], 42, "the majority committed");
-        assert!(!m.in_txn());
-    }
-
-    #[test]
-    fn verified_replay_outvotes_a_transient_corruption() {
-        // The first replay writes a corrupt value; the next two agree on the
-        // true one. 2-of-3 voting must certify the honest post-state and the
-        // corrupt replay must leave no trace in memory.
-        let mut m = machine();
-        let work = m.alloc(4, "work");
-        m.track_region(work);
-        let mut calls = 0;
-        let ((), report) = run_transaction(&mut m, &replay_only_policy(), |m, _| {
-            calls += 1;
-            m.s_write(work.at(0), if calls == 1 { 99 } else { 7 });
-            Ok(())
-        })
-        .expect("two honest replays outvote one corrupt one");
-        assert_eq!(report.replays, 3);
-        assert_eq!(m.mem().read_region(work)[0], 7, "the majority value wins");
-        assert!(!m.in_txn());
-    }
-
-    #[test]
-    fn verified_replay_divergence_is_typed_and_counted() {
-        // Three replays, three distinct digests: no majority exists. The
-        // failure must be a typed ReplayDivergence — never a silent commit of
-        // an unverifiable post-state — and memory must be rolled back.
-        let mut m = machine();
-        let work = m.alloc(4, "work");
-        m.track_region(work);
-        let snap = Snapshot::capture(m.mem(), &[work]);
-        let mut calls: Word = 0;
-        let err = run_transaction(
-            &mut m,
-            &replay_only_policy(),
-            |m, _| -> Result<(), FolError> {
-                calls += 1;
-                m.s_write(work.at(0), calls);
-                Ok(())
-            },
-        )
-        .unwrap_err();
-        assert!(matches!(err, RecoveryError::Exhausted { .. }));
-        assert_eq!(err.report().replays, 3);
-        assert_eq!(err.report().corruption_detected, 1);
-        assert!(
-            matches!(
-                err.report().errors.last(),
-                Some(FolError::Integrity(IntegrityError::ReplayDivergence {
-                    replays: 3,
-                    distinct: 3,
-                }))
-            ),
-            "{:?}",
-            err.report().errors
-        );
-        assert!(snap.matches(m.mem()), "no replay may leave partial state");
-        assert!(!m.in_txn());
     }
 
     #[test]

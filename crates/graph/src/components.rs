@@ -143,11 +143,11 @@ pub fn vectorized_components(m: &mut Machine, g: &Components) -> usize {
 
 /// Fallible vectorized label propagation under an explicit [`ExecMode`]:
 /// the per-sweep decomposition of the aliased min-updates comes from
-/// [`decompose_with_mode`] (typed errors instead of panics; tear-immune
-/// singleton label scatters under `ForcedSequential`), and the sweep loop
-/// is bounded by `n + 1` sweeps — the minimum-label fixpoint needs at most
-/// `n` sweeps on healthy hardware, so exceeding the budget is the typed
-/// signature of updates being persistently dropped. `ScalarTail` runs
+/// [`decompose_with_mode`] (typed errors instead of panics), and the sweep
+/// loop is bounded by `n + 1` sweeps — the minimum-label fixpoint needs at
+/// most `n` sweeps on healthy hardware, so exceeding the budget is the
+/// typed signature of updates being persistently dropped. `ScalarTail` (and
+/// the retired `ForcedSequential`, which runs as it) runs
 /// [`scalar_components`], which no scatter fault can touch.
 pub fn try_vectorized_components(
     m: &mut Machine,
@@ -155,7 +155,7 @@ pub fn try_vectorized_components(
     mode: ExecMode,
     validation: Validation,
 ) -> Result<usize, FolError> {
-    if mode == ExecMode::ScalarTail {
+    if matches!(mode, ExecMode::ForcedSequential | ExecMode::ScalarTail) {
         return Ok(scalar_components(m, g));
     }
     if let ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } =
@@ -232,7 +232,7 @@ fn propagate_sweeps(
 /// transaction and the finished labelling must equal the host union-find
 /// oracle ([`union_find_components`]) exactly. A failed attempt rolls back
 /// byte-exact and escalates along the [`RetryPolicy`] ladder:
-/// `Vector` → `ForcedSequential` → `ScalarTail`. Returns the sweep count
+/// `Vector` → `DegradedVector` → `ScalarTail`. Returns the sweep count
 /// of the winning attempt and the [`RecoveryReport`] audit trail.
 ///
 /// # Panics
@@ -378,7 +378,9 @@ mod tests {
         let expect = g0.labelling(&m0);
         for mode in [
             ExecMode::Vector,
-            ExecMode::ForcedSequential,
+            ExecMode::DegradedVector {
+                quarantined: fol_vm::LaneSet::from_bits(0b1010),
+            },
             ExecMode::ScalarTail,
         ] {
             let mut m = Machine::new(CostModel::unit());

@@ -17,10 +17,9 @@ use crate::hash_mod;
 use fol_core::error::{FolError, Validation};
 use fol_core::ordered::try_fol1_machine_ordered;
 use fol_core::recover::{
-    decompose_with_mode, run_transaction, split_retry, with_lane_mask, ExecMode, GroupError,
-    RecoveryError, RecoveryReport, RetryPolicy,
+    run_transaction, split_retry, with_lane_mask, ExecMode, GroupError, RecoveryError,
+    RecoveryReport, RetryPolicy,
 };
-use fol_core::Decomposition;
 use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
 use std::collections::HashMap;
 
@@ -227,32 +226,6 @@ pub fn try_vectorized_insert_all(
     Ok(rounds)
 }
 
-/// Decompose-then-apply insertion: `decompose` splits the hashed values
-/// into FOL rounds over the work area, then the main processing runs round
-/// by round. [`vectorized_insert_all_ordered`] decomposes with the
-/// order-preserving FOL1; the `ForcedSequential` rung of
-/// [`txn_insert_all`] with [`decompose_with_mode`], whose length-1 label
-/// scatters cannot tear.
-fn insert_via_decomposition(
-    m: &mut Machine,
-    table: &mut ChainTable,
-    keys: &[Word],
-    decompose: impl FnOnce(&mut Machine, Region, &[Word]) -> Result<Decomposition, FolError>,
-) -> Result<usize, FolError> {
-    if keys.is_empty() {
-        return Ok(0);
-    }
-    let (hv_all, node_ptr_all, _) = table.stage_nodes(m, keys);
-    let hv_words: Vec<Word> = hv_all.iter().collect();
-    let d = decompose(m, table.work, &hv_words)?;
-    for round in d.iter() {
-        let hv_s: VReg = round.iter().map(|&p| hv_all.get(p)).collect();
-        let ptr_s: VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
-        table.link_front(m, &hv_s, &ptr_s);
-    }
-    Ok(d.num_rounds())
-}
-
 /// Like [`all_keys`] but refuses to panic on a corrupted table: a wild head
 /// or next pointer (outside the arena) or a chain cycle returns `None`
 /// instead. The whole-table reference oracle the footprint-scoped
@@ -366,13 +339,13 @@ fn insert_landed_exactly(m: &Machine, table: &ChainTable, keys: &[Word], first: 
 /// transaction and is checked end-to-end against the scalar reference
 /// semantics (the stored multiset must equal the old contents plus `keys`)
 /// by a post-condition that reads only what the attempt wrote
-/// ([`insert_landed_exactly`]).
+/// (`insert_landed_exactly`).
 /// A failed attempt — decomposition error, budget exhaustion, or a
 /// post-condition divergence such as a dropped lane in a payload scatter —
 /// is rolled back byte-exact (including `used_nodes`) and retried under the
-/// [`RetryPolicy`]'s next rung: `Vector` → `ForcedSequential` (tear-immune
-/// label scatters) → `ScalarTail` ([`scalar_insert_all`], immune to every
-/// scatter fault).
+/// [`RetryPolicy`]'s next rung: `Vector` → `DegradedVector` (the same loop
+/// with quarantined lanes masked out) → `ScalarTail` ([`scalar_insert_all`],
+/// immune to every scatter fault).
 ///
 /// Returns the FOL round count of the winning attempt (0 for a scalar
 /// rescue) and the [`RecoveryReport`] audit trail.
@@ -402,7 +375,6 @@ pub fn txn_insert_all(
     m.track_region(table.work);
 
     let saved_used = table.used_nodes;
-    let validation = policy.validation;
     let result = run_transaction(m, policy, |m, mode| {
         table.used_nodes = saved_used;
         let rounds = match mode {
@@ -412,12 +384,7 @@ pub fn txn_insert_all(
                     try_vectorized_insert_all(m, table, keys)
                 })?
             }
-            ExecMode::ForcedSequential => {
-                insert_via_decomposition(m, table, keys, |m, work, hv| {
-                    decompose_with_mode(m, work, hv, mode, validation)
-                })?
-            }
-            ExecMode::ScalarTail => {
+            ExecMode::ForcedSequential | ExecMode::ScalarTail => {
                 scalar_insert_all(m, table, keys);
                 0
             }
@@ -503,10 +470,19 @@ pub fn vectorized_insert_all_ordered(
     table: &mut ChainTable,
     keys: &[Word],
 ) -> usize {
-    insert_via_decomposition(m, table, keys, |m, work, hv| {
-        try_fol1_machine_ordered(m, work, hv, Validation::Off)
-    })
-    .unwrap_or_else(|e| panic!("{e}"))
+    if keys.is_empty() {
+        return 0;
+    }
+    let (hv_all, node_ptr_all, _) = table.stage_nodes(m, keys);
+    let hv_words: Vec<Word> = hv_all.iter().collect();
+    let d = try_fol1_machine_ordered(m, table.work, &hv_words, Validation::Off)
+        .unwrap_or_else(|e| panic!("{e}"));
+    for round in d.iter() {
+        let hv_s: VReg = round.iter().map(|&p| hv_all.get(p)).collect();
+        let ptr_s: VReg = round.iter().map(|&p| node_ptr_all.get(p)).collect();
+        table.link_front(m, &hv_s, &ptr_s);
+    }
+    d.num_rounds()
 }
 
 /// Collects every stored key with lock-step vector chain walks (read-only
@@ -873,31 +849,6 @@ mod tests {
         expect.sort_unstable();
         assert_eq!(all_keys(&m, &t), expect);
         assert!(!m.in_txn());
-    }
-
-    #[test]
-    fn forced_sequential_rung_survives_max_rate_torn_writes() {
-        // Torn writes at the maximum rate, but no lane drops: the
-        // ForcedSequential rung's length-1 label scatters never present two
-        // competing values, so the second attempt must succeed.
-        let keys: Vec<Word> = (0..16).map(|i| (i * 3) % 20).collect();
-        let mut m = Machine::new(CostModel::unit());
-        m.set_fault_plan(Some(fol_vm::FaultPlan::torn_writes(
-            5,
-            65535,
-            fol_vm::AmalgamMode::Xor,
-        )));
-        let mut t = ChainTable::alloc(&mut m, 5, 24);
-        let policy = RetryPolicy {
-            ladder: vec![ExecMode::ForcedSequential],
-            reseed: false,
-            ..RetryPolicy::default()
-        };
-        let (_, report) = txn_insert_all(&mut m, &mut t, &keys, &policy).expect("tear-immune");
-        assert_eq!(report.final_mode, ExecMode::ForcedSequential);
-        let mut expect = keys;
-        expect.sort_unstable();
-        assert_eq!(all_keys(&m, &t), expect);
     }
 
     /// One attempt's post-state judged by both post-conditions: runs the

@@ -292,12 +292,12 @@ fn whole_table_accepts(
 /// Transactional multiple insertion: every attempt runs inside a machine
 /// transaction, bounded by an iteration budget, and checked end-to-end —
 /// the stored multiset must equal the old contents plus `keys` and every
-/// key must be reachable along its probe chain ([`insert_landed_exactly`],
+/// key must be reachable along its probe chain (`insert_landed_exactly`,
 /// which reads only what the attempt touched). A failed attempt rolls
 /// back byte-exact and escalates along the [`RetryPolicy`] ladder:
-/// `Vector` → `ForcedSequential` (one key at a time, so a masked scatter
-/// never carries two competing values and cannot tear) → `ScalarTail`
-/// ([`scalar_insert_all`], immune to every scatter fault).
+/// `Vector` → `DegradedVector` (the same loop with quarantined lanes
+/// masked out) → `ScalarTail` ([`scalar_insert_all`], immune to every
+/// scatter fault).
 ///
 /// # Panics
 /// Panics on the same contract violations as [`vectorized_insert_all`]
@@ -325,23 +325,9 @@ pub fn txn_insert_all(
                     try_vectorized_insert_all(m, table, keys, probe, budget)
                 })?
             }
-            ExecMode::ForcedSequential => {
-                let mut iterations = 0usize;
-                let mut probes = 0u64;
-                for key in keys {
-                    let r = try_vectorized_insert_all(
-                        m,
-                        table,
-                        std::slice::from_ref(key),
-                        probe,
-                        budget,
-                    )?;
-                    iterations += r.iterations;
-                    probes += r.probes;
-                }
-                InsertReport { iterations, probes }
+            ExecMode::ForcedSequential | ExecMode::ScalarTail => {
+                scalar_insert_all(m, table, keys, probe)
             }
-            ExecMode::ScalarTail => scalar_insert_all(m, table, keys, probe),
         };
         if !insert_landed_exactly(m, table, keys, probe) {
             return Err(FolError::PostConditionFailed {

@@ -16,12 +16,10 @@
 //!   `cum[key] - 1` and decrement `cum[key]`.
 
 use crate::validate_range;
-use fol_core::error::{FolError, Validation};
+use fol_core::error::FolError;
 use fol_core::recover::{
-    decompose_with_mode, run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport,
-    RetryPolicy,
+    run_transaction, with_lane_mask, ExecMode, RecoveryError, RecoveryReport, RetryPolicy,
 };
-use fol_core::Decomposition;
 use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
 
 /// Statistics from a distribution counting sort run.
@@ -156,52 +154,19 @@ fn fol1_rounds(
     Ok(rounds)
 }
 
-/// One FOL phase over `keys`: the rounds of `fixed` when given, else FOL1
-/// label rounds through `work` ([`fol1_rounds`]). `apply` gets each round's
-/// keys and its 0-based index. Returns the number of rounds.
-fn run_phase(
-    m: &mut Machine,
-    work: Region,
-    keys: &VReg,
-    fixed: Option<&Decomposition>,
-    apply: &mut dyn FnMut(&mut Machine, &VReg, usize) -> Result<(), FolError>,
-) -> Result<usize, FolError> {
-    let Some(d) = fixed else {
-        return fol1_rounds(m, work, keys.clone(), apply);
-    };
-    for (k, round) in d.iter().enumerate() {
-        let k_s: VReg = round.iter().map(|&p| keys.get(p)).collect();
-        apply(m, &k_s, k)?;
-    }
-    Ok(d.num_rounds())
-}
-
 /// Vectorized distribution counting sort: FOL histogram + recurrence
 /// cumulative sum + FOL permutation, each phase measured on its own, the
-/// loop every vector rung of [`txn_sort`] runs. Sorts `a` in place.
-pub fn try_vectorized_sort(
-    m: &mut Machine,
-    a: Region,
-    range: Word,
-) -> Result<DistReport, FolError> {
-    sort_in_rounds(m, a, range, None)
-}
-
-/// The sort behind [`try_vectorized_sort`] (`fixed` is `None`: FOL1 label
-/// rounds in each phase, under [`fol1_rounds`]'s guards) and the
-/// `ForcedSequential` rung of [`txn_sort`] (one [`decompose_with_mode`]
-/// decomposition of the keys under `fixed`'s mode and validation, reused
-/// by both phases, which target the same `count` cells; its label scatters
-/// are tear-immune singletons). Keys are range-checked typed, and the
+/// loop every vector rung of [`txn_sort`] runs. Sorts `a` in place. Both
+/// FOL phases run FOL1 label rounds, bounded by `n` rounds and refusing a
+/// pass without survivors. Keys are range-checked typed, and the
 /// permutation's claimed output slots are bounds-checked before the
 /// scatter — a torn counter would otherwise send the output scatter out of
 /// bounds. Scratch regions (`count`, `work`, `out`) are freshly allocated
 /// per call.
-fn sort_in_rounds(
+pub fn try_vectorized_sort(
     m: &mut Machine,
     a: Region,
     range: Word,
-    fixed: Option<(ExecMode, Validation)>,
 ) -> Result<DistReport, FolError> {
     let n = a.len();
     let data = m.mem().read_region(a);
@@ -211,20 +176,11 @@ fn sort_in_rounds(
     let work = m.alloc(r, "dist.work");
     let out = m.alloc(n, "dist.out");
     m.vfill(count, 0);
-
-    // The vector program loads its keys; a fixed decomposition keeps the
-    // host's copy beside it.
-    let (keys, d) = match fixed {
-        None => (m.vload(a, 0, n), None),
-        Some((mode, validation)) => {
-            let d = decompose_with_mode(m, work, &data, mode, validation)?;
-            (data.iter().copied().collect(), Some(d))
-        }
-    };
+    let keys = m.vload(a, 0, n);
 
     // Phase 1: histogram; each round's keys increment their counters.
     let histogram_rounds = m.measure_phase("dist_count.histogram", |m| {
-        run_phase(m, work, &keys, d.as_ref(), &mut |m, k_s, _| {
+        fol1_rounds(m, work, keys.clone(), &mut |m, k_s, _| {
             let c_s = m.gather(count, k_s);
             let c_s = m.valu_s(AluOp::Add, &c_s, 1);
             m.scatter(count, k_s, &c_s);
@@ -242,7 +198,7 @@ fn sort_in_rounds(
     // Phase 3: permutation; each round's keys claim output slot
     // `cum[key] - 1` and decrement `cum[key]`.
     let permute_rounds = m.measure_phase("dist_count.permute", |m| {
-        run_phase(m, work, &keys, d.as_ref(), &mut |m, k_s, round| {
+        fol1_rounds(m, work, keys, &mut |m, k_s, round| {
             let pos = m.gather(count, k_s);
             let pos = m.valu_s(AluOp::Sub, &pos, 1);
             // A counter mangled by a torn write could claim a slot outside
@@ -276,9 +232,10 @@ fn sort_in_rounds(
 /// machine transaction and the finished array must be exactly the sorted
 /// permutation of the input (checked against a host-side sort). A failed
 /// attempt rolls back byte-exact and escalates along the [`RetryPolicy`]
-/// ladder: `Vector` → `ForcedSequential` (singleton label scatters) →
-/// `ScalarTail` ([`scalar_sort`], immune to every scatter fault). Scratch
-/// regions are allocated per attempt and abandoned on rollback.
+/// ladder: `Vector` → `DegradedVector` (the same sort with quarantined
+/// lanes masked out) → `ScalarTail` ([`scalar_sort`], immune to every
+/// scatter fault). Scratch regions are allocated per attempt and abandoned
+/// on rollback.
 ///
 /// The array region is checksum-tracked for the duration of the call, so
 /// resident bit-rot in the data being sorted is caught by the supervisor's
@@ -295,7 +252,6 @@ pub fn txn_sort(
     m.track_region(a);
     let mut expected = m.mem().read_region(a);
     expected.sort_unstable();
-    let validation = policy.validation;
 
     run_transaction(m, policy, |m, mode| {
         let report = match mode {
@@ -303,8 +259,7 @@ pub fn txn_sort(
             ExecMode::DegradedVector { quarantined } | ExecMode::VerifiedReplay { quarantined } => {
                 with_lane_mask(m, quarantined, |m| try_vectorized_sort(m, a, range))?
             }
-            ExecMode::ForcedSequential => sort_in_rounds(m, a, range, Some((mode, validation)))?,
-            ExecMode::ScalarTail => {
+            ExecMode::ForcedSequential | ExecMode::ScalarTail => {
                 let data = m.mem().read_region(a);
                 check_range(&data, range)?;
                 scalar_sort(m, a, range)
@@ -506,34 +461,6 @@ mod tests {
             "rollback restored the unsorted input"
         );
         assert!(!m.in_txn());
-    }
-
-    #[test]
-    fn forced_sequential_rung_sorts_through_max_rate_tears() {
-        // Pure torn writes: the ForcedSequential decomposition uses
-        // singleton label scatters (never two competing values), and the
-        // per-round payload scatters are conflict-free — so the first
-        // ForcedSequential attempt must succeed.
-        let data: Vec<Word> = (0..40).map(|i| (i * 7) % 16).collect();
-        let mut expect = data.clone();
-        expect.sort_unstable();
-        let mut m = Machine::new(CostModel::unit());
-        m.set_fault_plan(Some(fol_vm::FaultPlan::torn_writes(
-            3,
-            65535,
-            fol_vm::AmalgamMode::Xor,
-        )));
-        let a = m.alloc(data.len(), "A");
-        m.mem_mut().write_region(a, &data);
-        let policy = RetryPolicy {
-            ladder: vec![ExecMode::ForcedSequential],
-            reseed: false,
-            ..RetryPolicy::default()
-        };
-        let (report, rec) = txn_sort(&mut m, a, 16, &policy).expect("tear-immune");
-        assert_eq!(rec.final_mode, ExecMode::ForcedSequential);
-        assert_eq!(report.histogram_rounds, report.permute_rounds);
-        assert_eq!(m.mem().read_region(a), expect);
     }
 
     #[test]

@@ -377,10 +377,10 @@ fn checked_inorder(m: &Machine, tree: &Bst) -> Option<Vec<Word>> {
 /// contents plus `keys`, sorted — which simultaneously proves the multiset
 /// is exact and the search-tree property holds. A failed attempt rolls
 /// back byte-exact (including the node allocator) and escalates along the
-/// [`RetryPolicy`] ladder: `Vector` → `ForcedSequential` (one key per
-/// batch, so label scatters are singletons and cannot tear) →
-/// `ScalarTail` ([`scalar_insert_all`], immune to every scatter fault, under
-/// the same link checks and step budget as the vector rungs).
+/// [`RetryPolicy`] ladder: `Vector` → `DegradedVector` (the same loop with
+/// quarantined lanes masked out) → `ScalarTail` ([`scalar_insert_all`],
+/// immune to every scatter fault, under the same link checks and step
+/// budget as the vector rungs).
 ///
 /// # Panics
 /// Panics if the arena cannot hold `keys.len()` more nodes (checked before
@@ -418,16 +418,7 @@ pub fn txn_insert_all(
                     try_vectorized_insert_all(m, tree, keys, budget)
                 })?
             }
-            ExecMode::ForcedSequential => {
-                let mut report = BstReport::default();
-                for key in keys {
-                    let r = try_vectorized_insert_all(m, tree, std::slice::from_ref(key), budget)?;
-                    report.iterations += r.iterations;
-                    report.retries += r.retries;
-                }
-                report
-            }
-            ExecMode::ScalarTail => {
+            ExecMode::ForcedSequential | ExecMode::ScalarTail => {
                 try_scalar_insert_all(m, tree, keys, budget)?;
                 BstReport::default()
             }

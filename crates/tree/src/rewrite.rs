@@ -331,8 +331,9 @@ fn default_budget(t: &OpTree) -> usize {
 /// FOL\*'s first parallel-processable set (`L = 2`: sites and their right
 /// children), and apply it with conflict-free list-vector operations.
 ///
-/// The outer loop is bounded by `max_passes`, wild child indices are caught
-/// before any gather chases them, and FOL\*'s "parallel-processable" claim
+/// The outer loop is bounded by `max_passes` (a cycle returns
+/// [`FolError::RoundBudgetExceeded`] instead of spinning), wild child
+/// indices are caught before any gather chases them, and FOL\*'s "parallel-processable" claim
 /// is re-checked (sites and their right children must be pairwise distinct —
 /// Lemma 2 for `L = 2`) before the sites are applied, so a fault-fooled
 /// detection pass cannot force the conflict-free scatters into a conflict.
@@ -342,8 +343,20 @@ pub fn try_vectorized_rewrite_to_normal_form(
     t: &OpTree,
     max_passes: usize,
 ) -> Result<RewriteReport, FolError> {
-    rewrite_passes(m, t, max_passes, |m, sites, pass| {
-        let rights = m.gather(t.rights, sites);
+    let mut report = RewriteReport::default();
+    loop {
+        let sites = try_find_sites(m, t)?;
+        if sites.is_empty() {
+            return Ok(report);
+        }
+        if report.passes == max_passes {
+            return Err(FolError::RoundBudgetExceeded {
+                budget: max_passes,
+                live: sites.len(),
+                completed_rounds: report.passes,
+            });
+        }
+        let rights = m.gather(t.rights, &sites);
         // Re-validate after the gather, not just after try_find_sites: a
         // read-side fault (gather flip, stale read, torn gather) can hand
         // back a wild child index even when memory itself is intact, and
@@ -371,38 +384,11 @@ pub fn try_vectorized_rewrite_to_normal_form(
         touched.sort_unstable();
         if let Some(w) = touched.windows(2).find(|w| w[0] == w[1]) {
             return Err(FolError::DuplicateTargetInRound {
-                round: pass,
+                round: report.passes,
                 target: w[0] as usize,
             });
         }
-        Ok(safe.iter().map(|&p| sites.get(p)).collect())
-    })
-}
-
-/// The pass loop of every rewriting rung but the scalar tail: per pass,
-/// find all sites, let `pick` choose the batch to apply (it gets the
-/// 0-based pass index), and apply it. At most `max_passes` passes run, so
-/// a cycle returns [`FolError::RoundBudgetExceeded`] instead of spinning.
-fn rewrite_passes(
-    m: &mut Machine,
-    t: &OpTree,
-    max_passes: usize,
-    mut pick: impl FnMut(&mut Machine, &VReg, usize) -> Result<VReg, FolError>,
-) -> Result<RewriteReport, FolError> {
-    let mut report = RewriteReport::default();
-    loop {
-        let sites = try_find_sites(m, t)?;
-        if sites.is_empty() {
-            return Ok(report);
-        }
-        if report.passes == max_passes {
-            return Err(FolError::RoundBudgetExceeded {
-                budget: max_passes,
-                live: sites.len(),
-                completed_rounds: report.passes,
-            });
-        }
-        let batch = pick(m, &sites, report.passes)?;
+        let batch: VReg = safe.iter().map(|&p| sites.get(p)).collect();
         report.passes += 1;
         report.applications += batch.len();
         try_apply_sites(m, t, &batch)?;
@@ -462,10 +448,10 @@ fn checked_summary(m: &Machine, t: &OpTree) -> Option<(Vec<Word>, (Word, Word), 
 /// the in-order leaf sequence and the associative value both unchanged —
 /// the §2 correctness contract, checked end-to-end. A failed attempt rolls
 /// back byte-exact and escalates along the [`RetryPolicy`] ladder:
-/// `Vector` → `ForcedSequential` (one site per pass, so every rewrite
-/// scatter is a tear-immune singleton) → `ScalarTail`
-/// ([`scalar_rewrite_to_normal_form`], immune to every scatter fault, under
-/// the same bounds checks and pass budget as the vector rungs).
+/// `Vector` → `DegradedVector` (the same loop with quarantined lanes masked
+/// out) → `ScalarTail` ([`scalar_rewrite_to_normal_form`], immune to every
+/// scatter fault, under the same bounds checks and pass budget as the
+/// vector rungs).
 ///
 /// # Panics
 /// Panics if a transaction is already open on `m`.
@@ -496,10 +482,9 @@ pub fn txn_rewrite_to_normal_form(
                     try_vectorized_rewrite_to_normal_form(m, t, budget)
                 })?
             }
-            ExecMode::ForcedSequential => rewrite_passes(m, t, budget, |_, sites, _| {
-                Ok([sites.get(0)].into_iter().collect())
-            })?,
-            ExecMode::ScalarTail => try_scalar_rewrite_to_normal_form(m, t, budget)?,
+            ExecMode::ForcedSequential | ExecMode::ScalarTail => {
+                try_scalar_rewrite_to_normal_form(m, t, budget)?
+            }
         };
         match checked_summary(m, t) {
             Some((leaves, val, normal)) if normal && leaves == *leaves0 && val == val0 => {

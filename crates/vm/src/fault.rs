@@ -205,12 +205,6 @@ impl FaultPlan {
         self
     }
 
-    /// Sets the initial bit-rot rate (per 65536), returning the plan.
-    pub fn with_bit_rot(mut self, rate: u16) -> Self {
-        self.rot_rate = rate;
-        self
-    }
-
     /// Sets the torn-write rate (per 65536) and mode, returning the plan.
     pub fn with_torn_writes(mut self, rate: u16, mode: AmalgamMode) -> Self {
         self.amalgam_rate = rate;

@@ -200,12 +200,6 @@ impl LaneHealthRegistry {
         }
     }
 
-    /// Replaces the quarantine threshold.
-    pub fn with_threshold(mut self, threshold: u32) -> Self {
-        self.threshold = threshold.max(1);
-        self
-    }
-
     /// Replaces the score half-life (in scatter sequence numbers).
     pub fn with_half_life(mut self, half_life: u64) -> Self {
         self.half_life = half_life.max(1);

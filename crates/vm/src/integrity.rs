@@ -35,7 +35,7 @@
 //!
 //! Both detectors report typed [`IntegrityError`]s, which `fol-core`
 //! converts into its `FolError` taxonomy so the retry ladder can react
-//! (verified replay, snapshot repair, escalation) instead of the run
+//! (snapshot repair, escalation to the scalar tail) instead of the run
 //! silently returning corrupted data.
 
 use crate::fault::hash3;
@@ -109,15 +109,6 @@ pub enum IntegrityError {
         /// have satisfied ELS).
         scattered: Vec<Word>,
     },
-    /// Verified replay could not find two executions agreeing on a memory
-    /// digest: the fault environment is too hot for majority voting and
-    /// the supervisor must escalate.
-    ReplayDivergence {
-        /// Number of replays executed.
-        replays: usize,
-        /// Number of distinct digests observed among successful replays.
-        distinct: usize,
-    },
 }
 
 impl std::fmt::Display for IntegrityError {
@@ -147,11 +138,6 @@ impl std::fmt::Display for IntegrityError {
                 "ELS audit: gather lane {lane} read {got} from \"{region}\" addr {addr}, \
                  but the round scattered {scattered:?} there — \
                  the stored-label-is-one-of-the-written-labels invariant (§3.2) is broken"
-            ),
-            IntegrityError::ReplayDivergence { replays, distinct } => write!(
-                f,
-                "verified replay: {replays} replays produced {distinct} distinct memory \
-                 digests, no 2-of-3 majority — escalating past the replay rung"
             ),
         }
     }
@@ -870,10 +856,15 @@ mod tests {
         let s = e.to_string();
         assert!(s.contains("work"), "{s}");
         assert!(s.contains("bit-rot"), "{s}");
-        let e = IntegrityError::ReplayDivergence {
-            replays: 3,
-            distinct: 3,
+        let e = IntegrityError::GatherMismatch {
+            region: "work".into(),
+            addr: 12,
+            lane: 5,
+            got: 99,
+            scattered: vec![3, 4],
         };
-        assert!(e.to_string().contains("2-of-3"));
+        let s = e.to_string();
+        assert!(s.contains("lane 5 read 99"), "{s}");
+        assert!(s.contains("[3, 4]"), "{s}");
     }
 }

@@ -190,7 +190,7 @@ impl WriteJournal {
     }
 
     /// The journaled `(addr, pre-image)` pairs in reverse first-write order
-    /// — the order [`WriteJournal::rollback`] replays them. Exposed so the
+    /// — the order the journal's own rollback replays them. Exposed so the
     /// machine can roll back through its checksum-maintaining store path
     /// instead of writing behind the integrity layer's back.
     pub fn entries_rev(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {

@@ -323,11 +323,6 @@ impl Machine {
     // Configuration, statistics, memory plumbing
     // ------------------------------------------------------------------
 
-    /// The active cost model.
-    pub fn cost_model(&self) -> &CostModel {
-        &self.cost
-    }
-
     /// The active conflict policy.
     pub fn policy(&self) -> &ConflictPolicy {
         &self.policy
@@ -392,18 +387,23 @@ impl Machine {
         &self.health
     }
 
-    /// Mutable access to the health registry (tuning thresholds, manual
-    /// quarantine/restore).
+    /// Mutable access to the health registry (manual quarantine/restore).
     pub fn health_mut(&mut self) -> &mut LaneHealthRegistry {
         &mut self.health
     }
 
     /// The start-rung hint of `fol-core`'s retry supervisor: the index into
-    /// its escalation ladder at which the next supervised run on this
-    /// machine starts (clamped to the ladder's last rung). A commit records
-    /// the rung it committed on, stepped back one rung when it was the
-    /// run's first attempt. Volatile like the health registry: it lives
-    /// only in memory, so a fresh (or restarted) machine starts at rung 0.
+    /// its escalation ladder (by default `Vector`, `DegradedVector`,
+    /// `ScalarTail`) at which the next supervised run on this machine
+    /// starts, clamped to the ladder's last rung. A commit records the rung
+    /// it committed on. A first-attempt commit steps it back one rung,
+    /// unless it committed on `DegradedVector`, which folds in the current
+    /// quarantine and so already runs at full width once every lane is
+    /// restored. A run that starts on `DegradedVector` and fails there
+    /// moves on to the next rung at once; a later degraded failure holds
+    /// the rung while the quarantine grows. Volatile like the health
+    /// registry: it lives only in memory, so a fresh (or restarted) machine
+    /// starts at rung 0.
     pub fn start_rung(&self) -> usize {
         self.start_rung
     }
@@ -889,12 +889,6 @@ impl Machine {
         self.guards.push(guard);
     }
 
-    /// Stops tracking every region (digests and images are discarded).
-    pub fn untrack_all(&mut self) {
-        self.tracked.clear();
-        self.guards.clear();
-    }
-
     /// The tracked regions and their incremental digests.
     pub fn tracked_regions(&self) -> &[TrackedRegion] {
         &self.tracked
@@ -1107,10 +1101,10 @@ impl Machine {
         )
     }
 
-    /// A digest of current memory *contents* for replay voting: recomputed
-    /// from the tracked regions (all allocations when nothing is tracked),
-    /// so two executions agree iff the bytes agree — the incremental sums
-    /// are deliberately not used here, because rot desynchronizes them.
+    /// A digest of current memory *contents*: recomputed from the tracked
+    /// regions (all allocations when nothing is tracked), so two machines
+    /// or executions agree iff the bytes agree — the incremental sums are
+    /// deliberately not used here, because rot desynchronizes them.
     pub fn content_digest(&self) -> u64 {
         let mut acc = 0u64;
         if self.tracked.is_empty() {

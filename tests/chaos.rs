@@ -57,8 +57,8 @@ const SEEDS: [u64; 3] = [1, 42, 20260806];
 /// The read-side/memory corruption matrix: gather-unit faults (flips, stale
 /// reads, torn gathers) and resident bit-rot, light and total. These never
 /// touch the scatter unit, so the pre-integrity chaos suite above is blind
-/// to them — detection rides entirely on the ELS auditor, the per-region
-/// checksums, and the verified-replay rung.
+/// to them — detection rides entirely on the ELS auditor and the
+/// per-region checksums, and recovery on the scalar tail.
 fn corruption_plans(seed: u64) -> Vec<(&'static str, FaultPlan)> {
     vec![
         ("gather-flips-3%", FaultPlan::gather_flips(seed, 2000)),
@@ -352,7 +352,7 @@ fn exhaustion_restores_snapshots_byte_exact() {
 /// *every* scatter write routed through it — a fault no reseed can dodge.
 /// The health registry must quarantine the lane during the vector attempt,
 /// and the `DegradedVector` rung must then finish every workload
-/// oracle-equal at reduced width, never falling to the sequential rungs.
+/// oracle-equal at reduced width, never falling to the scalar tail.
 #[test]
 fn sticky_lane_faults_converge_in_degraded_vector_mode() {
     const LANE: usize = 5;

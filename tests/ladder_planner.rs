@@ -3,9 +3,14 @@
 //! `ingest-faulty` benchmark workload (seeded lane drops plus gather bit
 //! flips) and the default `RetryPolicy`.
 //!
-//! The first batch on a fresh machine starts at `Vector` and escalates;
-//! every later batch starts at the rung its predecessor committed on, so
-//! it commits on its first or second attempt. The test counts attempts
+//! The default ladder has three rungs: `Vector`, `DegradedVector` and
+//! `ScalarTail`. The first batch on a fresh machine starts at `Vector` and
+//! escalates, one attempt per rung. Every later batch starts at the rung
+//! its predecessor committed on, so it commits on its first or second
+//! attempt. Two rules keep it there: a `DegradedVector` failure holds the
+//! rung (while the quarantine grows) only when it is not the batch's first
+//! attempt, and a first-attempt commit steps the next start back one rung,
+//! except on `DegradedVector`, which keeps it. The test counts attempts
 //! and checks the stored multiset; it reads no clock, so it is
 //! deterministic on any host.
 
@@ -52,7 +57,7 @@ fn later_batches_start_where_the_last_one_committed() {
             "seed {seed}: every key lands exactly once"
         );
         assert!(
-            attempts[0] <= 10,
+            attempts[0] <= 3,
             "seed {seed}: the first batch took {} attempts",
             attempts[0]
         );
