@@ -23,9 +23,9 @@
 //!    per attempt, so waiting would clear nothing (the paper's own livelock
 //!    remedy, FOL\* §3.3, is a scalar tail, not a timed retry). Two rules
 //!    steer the rung: a failed `DegradedVector` attempt that is not the
-//!    run's first holds its rung while the quarantine grows, and a
-//!    first-attempt commit steps the next run's start back one rung, except
-//!    on `DegradedVector`, which keeps it.
+//!    run's first holds its rung while the quarantine grows, and the second
+//!    first-attempt commit in a row steps the next run's start back one
+//!    rung, except on `DegradedVector`, which keeps it.
 //! 3. **Graceful degradation** — the machine's
 //!    [`fol_vm::LaneHealthRegistry`] correlates fault-log entries and
 //!    rollbacks to physical lanes; when the supervisor reaches a
@@ -568,6 +568,10 @@ fn derive_seed(seed: u64, attempt: usize) -> u64 {
     z ^ (z >> 27)
 }
 
+/// First-attempt commits in a row after which [`run_transaction`] steps
+/// the start-rung hint back one rung toward [`ExecMode::Vector`].
+const CLEAN_COMMITS_TO_STEP_BACK: u32 = 2;
+
 /// Runs `body` under the retry supervisor.
 ///
 /// Each attempt opens a machine transaction, runs `body(machine, mode)`,
@@ -583,13 +587,17 @@ fn derive_seed(seed: u64, attempt: usize) -> u64 {
 /// The first attempt runs on rung `min(m.start_rung(), ladder.len() - 1)`
 /// ([`fol_vm::Machine::start_rung`]): the rung a run committed on predicts
 /// the rung the next run on the same machine needs. A commit records its
-/// rung as the hint. A first-attempt commit steps it back one rung toward
+/// rung as the hint. The second first-attempt commit in a row
+/// ([`fol_vm::Machine::clean_streak`]) steps it back one rung toward
 /// [`ExecMode::Vector`], so a machine whose faults have cleared walks back
-/// to the full-width path one clean run at a time — except on
-/// [`ExecMode::DegradedVector`], which keeps the hint: that rung folds in
+/// to the full-width path two clean runs per rung, while a machine under
+/// steady faults re-probes the rung below at most every third run rather
+/// than every second (a failed probe costs an attempt and a full scrub).
+/// [`ExecMode::DegradedVector`] keeps the hint instead: that rung folds in
 /// the current quarantine, so it already runs at full width once every
-/// lane is restored. A failed run leaves the hint unchanged. The hint is
-/// volatile: a fresh machine starts at rung 0.
+/// lane is restored. Any other commit starts a new streak. A failed run
+/// leaves the hint unchanged and clears the streak. Both are volatile: a
+/// fresh machine starts at rung 0.
 ///
 /// # Lane health
 ///
@@ -783,19 +791,29 @@ where
         }
     }
     report.faults_consumed = m.fault_log().len() - faults_before;
+    if result.is_none() {
+        // A failed run leaves the hint where it is but breaks the streak.
+        m.set_clean_streak(0);
+    }
     match result {
         Some(r) => {
-            // The next run starts where this one committed; a first-attempt
-            // commit steps the hint back toward Vector, except on the
-            // degraded rung, which runs at full width once the breaker has
-            // restored every lane.
+            // The next run starts where this one committed; the second
+            // first-attempt commit in a row steps the hint back toward
+            // Vector, except on the degraded rung, which runs at full width
+            // once the breaker has restored every lane.
             let committed = rung.min(last_rung);
             let degraded = matches!(report.final_mode, ExecMode::DegradedVector { .. });
-            m.set_start_rung(if report.attempts == 1 && !degraded {
-                committed.saturating_sub(1)
+            let streak = if report.attempts == 1 && !degraded {
+                m.clean_streak() + 1
             } else {
-                committed
-            });
+                0
+            };
+            if streak >= CLEAN_COMMITS_TO_STEP_BACK {
+                m.set_start_rung(committed.saturating_sub(1));
+            } else {
+                m.set_start_rung(committed);
+                m.set_clean_streak(streak);
+            }
             Ok((r, report))
         }
         None if watchdog_tripped => Err(RecoveryError::Watchdog {
@@ -1480,16 +1498,17 @@ mod tests {
         assert_eq!(report.attempts, 3);
         assert_eq!(report.final_mode, ExecMode::ScalarTail);
         assert_eq!(m.start_rung(), 2, "a commit on rung k sets the hint to k");
+        assert_eq!(m.clean_streak(), 0);
         // Each clean run starts where the hint says and commits on its first
-        // attempt. That steps the hint one rung back toward Vector, except
-        // on DegradedVector, which keeps it: with no lane quarantined it
-        // already runs at full width.
-        for (expect, next) in [(2, 1), (1, 1), (1, 1)] {
+        // attempt. The second such commit in a row steps the hint one rung
+        // back toward Vector, except on DegradedVector, which keeps it:
+        // with no lane quarantined it already runs at full width.
+        for (expect, next, streak) in [(2, 2, 1), (2, 1, 0), (1, 1, 0), (1, 1, 0)] {
             let ((), report) = run_transaction(&mut m, &policy, fails_until(0)).unwrap();
             assert_eq!(report.attempts, 1);
             assert_eq!(report.start_mode, policy.mode_for(expect), "hint {expect}");
             assert_eq!(report.final_mode, report.start_mode);
-            assert_eq!(m.start_rung(), next);
+            assert_eq!((m.start_rung(), m.clean_streak()), (next, streak));
         }
     }
 
@@ -1557,17 +1576,29 @@ mod tests {
         m.set_start_rung(4);
         let ((), report) = run_transaction(&mut m, &two_rungs, fails_until(0)).unwrap();
         assert_eq!(report.start_mode, ExecMode::ScalarTail);
-        assert_eq!(m.start_rung(), 0, "the first-attempt commit stepped back");
+        assert_eq!(m.start_rung(), 1, "the commit records the clamped rung");
+        // Faults have cleared: the second clean commit in a row steps back,
+        // and the machine is on Vector again.
+        let ((), report) = run_transaction(&mut m, &two_rungs, fails_until(0)).unwrap();
+        assert_eq!(report.start_mode, ExecMode::ScalarTail);
+        assert_eq!(m.start_rung(), 0, "two first-attempt commits stepped back");
+        let ((), report) = run_transaction(&mut m, &two_rungs, fails_until(0)).unwrap();
+        assert_eq!(report.start_mode, ExecMode::Vector);
     }
 
     #[test]
     fn failed_runs_leave_the_hint_unchanged() {
         let mut m = machine();
         m.set_start_rung(2);
+        run_transaction(&mut m, &RetryPolicy::default(), fails_until(0)).unwrap();
+        assert_eq!((m.start_rung(), m.clean_streak()), (2, 1));
         let err =
             run_transaction(&mut m, &RetryPolicy::default(), fails_until(usize::MAX)).unwrap_err();
         assert!(matches!(err, RecoveryError::Exhausted { .. }), "{err}");
         assert_eq!(m.start_rung(), 2);
+        assert_eq!(m.clean_streak(), 0, "a failure breaks the streak");
+        run_transaction(&mut m, &RetryPolicy::default(), fails_until(0)).unwrap();
+        assert_eq!(m.start_rung(), 2, "one clean commit after a failure");
         let err = run_transaction(&mut m, &RetryPolicy::default(), |_, _| -> Result<(), _> {
             Err(FolError::Stalled {
                 stalled_rounds: 3,

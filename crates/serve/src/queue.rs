@@ -3,12 +3,15 @@
 //! Clients [`Shared::submit`] under the queue lock; workers drain under the
 //! same lock via [`Shared::next_batch`], which also purges deadline-expired
 //! requests (completing them with a typed [`ServeError::DeadlineExceeded`],
-//! never a silent drop). Batch readiness is linger-based for the
-//! coalescable kinds: such a lane flushes when it holds `max_batch`
-//! requests, when its oldest request has waited `max_wait`, or when the
-//! server is shutting down (drain everything). A control lane is never
-//! coalesced, so lingering would buy nothing: it is ready as soon as it
-//! holds a request.
+//! never a silent drop). The scheduler is work-conserving by default:
+//! with a zero `max_wait` a lane is ready as soon as it holds a request,
+//! and the worker that asks takes up to `max_batch` of them, so a batch is
+//! as long as the backlog that built while the workers were busy. A
+//! non-zero `max_wait` makes a coalescable lane linger: it flushes when it
+//! holds `max_batch` requests, when its oldest request has waited
+//! `max_wait`, or when the server is shutting down (drain everything). A
+//! control lane is never coalesced, so lingering would buy nothing: it is
+//! ready as soon as it holds a request.
 //!
 //! Completion fills a caller's [`Slot`] under the slot's own lock and wakes
 //! the slot only when its [`Ticket`] is already waiting there. A worker
@@ -630,9 +633,11 @@ impl Shared {
     }
 
     /// A coalescable lane is ready when it holds a full batch, its oldest
-    /// entry has lingered past `max_wait`, or the server is draining. A
-    /// control lane is ready as soon as it is non-empty: its batches hold
-    /// one request, so lingering could only delay it.
+    /// entry has lingered past `max_wait`, or the server is draining. With
+    /// `max_wait` zero, the default, every entry has lingered long enough,
+    /// so a non-empty lane is ready at once and the worker takes whatever
+    /// it holds. A control lane is ready as soon as it is non-empty: its
+    /// batches hold one request, so lingering could only delay it.
     fn lane_ready(&self, g: &Inner, l: usize, now: Instant) -> bool {
         let deque = &g.lanes[l];
         if deque.is_empty() {
@@ -810,6 +815,17 @@ mod tests {
             .expect("flushed by drain");
         assert_eq!(b.items.len(), 1);
         assert_eq!(s.next_batch(&[LANE_CHAIN_INSERT]), Err(true), "drained");
+    }
+
+    #[test]
+    fn the_default_config_serves_a_lone_request_at_once() {
+        // No backlog, so no company to wait for: the first drain takes it.
+        let s = Shared::new(4, 8, crate::ServerConfig::default().max_wait, None, None, 1);
+        let _t = s
+            .submit(Request::OaLookup { keys: vec![1] }, Priority::Normal, None)
+            .unwrap();
+        let b = s.next_batch(&[LANE_OA_LOOKUP]).expect("ready at once");
+        assert_eq!(b.items.len(), 1);
     }
 
     #[test]

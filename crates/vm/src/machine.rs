@@ -222,6 +222,9 @@ pub struct Machine {
     /// Ladder rung the retry supervisor starts its next run at; see
     /// [`Machine::start_rung`]. Volatile: a fresh machine holds 0.
     start_rung: usize,
+    /// First-attempt commits in a row at that rung; see
+    /// [`Machine::clean_streak`]. Volatile: a fresh machine holds 0.
+    clean_streak: u32,
     /// Cached sacrificial region for [`Machine::probe_lane`].
     probe_region: Option<Region>,
     /// Checksummed regions: incremental digests maintained by every
@@ -279,6 +282,7 @@ impl Machine {
             active_lanes: LaneSet::all(),
             health: LaneHealthRegistry::new(),
             start_rung: 0,
+            clean_streak: 0,
             probe_region: None,
             tracked: Vec::new(),
             guards: Vec::new(),
@@ -396,8 +400,9 @@ impl Machine {
     /// its escalation ladder (by default `Vector`, `DegradedVector`,
     /// `ScalarTail`) at which the next supervised run on this machine
     /// starts, clamped to the ladder's last rung. A commit records the rung
-    /// it committed on. A first-attempt commit steps it back one rung,
-    /// unless it committed on `DegradedVector`, which folds in the current
+    /// it committed on. The second first-attempt commit in a row
+    /// ([`Machine::clean_streak`]) steps it back one rung, unless it
+    /// committed on `DegradedVector`, which folds in the current
     /// quarantine and so already runs at full width once every lane is
     /// restored. A run that starts on `DegradedVector` and fails there
     /// moves on to the next rung at once; a later degraded failure holds
@@ -408,9 +413,25 @@ impl Machine {
         self.start_rung
     }
 
-    /// Replaces the start-rung hint (see [`Machine::start_rung`]).
+    /// Replaces the start-rung hint (see [`Machine::start_rung`]) and
+    /// clears its clean-commit streak.
     pub fn set_start_rung(&mut self, rung: usize) {
         self.start_rung = rung;
+        self.clean_streak = 0;
+    }
+
+    /// How many supervised runs in a row committed on their first attempt
+    /// at the current start-rung hint. The supervisor steps the hint back
+    /// only when this reaches two, so under steady faults the rung below
+    /// is re-probed at most every third run, not every second. Any other
+    /// outcome clears it. Volatile like the hint.
+    pub fn clean_streak(&self) -> u32 {
+        self.clean_streak
+    }
+
+    /// Replaces the clean-commit streak (see [`Machine::clean_streak`]).
+    pub fn set_clean_streak(&mut self, n: u32) {
+        self.clean_streak = n;
     }
 
     /// The physical lane element `p` of a vector instruction executes on

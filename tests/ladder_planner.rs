@@ -9,10 +9,13 @@
 //! its predecessor committed on, so it commits on its first or second
 //! attempt. Two rules keep it there: a `DegradedVector` failure holds the
 //! rung (while the quarantine grows) only when it is not the batch's first
-//! attempt, and a first-attempt commit steps the next start back one rung,
-//! except on `DegradedVector`, which keeps it. The test counts attempts
-//! and checks the stored multiset; it reads no clock, so it is
-//! deterministic on any host.
+//! attempt, and the second first-attempt commit in a row steps the next
+//! start back one rung, except on `DegradedVector`, which keeps it. A step
+//! back under this plan re-probes a rung the faults still defeat, so at
+//! most one later batch in three pays a second attempt (and the full scrub
+//! after its failure); a hint that stepped back after every clean commit
+//! made it one in two. The test counts attempts and checks the stored
+//! multiset; it reads no clock, so it is deterministic on any host.
 
 use fol_core::recover::RetryPolicy;
 use fol_hash::chaining::{all_keys, txn_insert_all, ChainTable};
@@ -64,6 +67,12 @@ fn later_batches_start_where_the_last_one_committed() {
         assert!(
             attempts[1..].iter().all(|&a| a <= 2),
             "seed {seed}: a later batch took more than 2 attempts: {attempts:?}"
+        );
+        let later = attempts.len() - 1;
+        let retried = attempts[1..].iter().filter(|&&a| a > 1).count();
+        assert!(
+            3 * retried <= later,
+            "seed {seed}: {retried} of {later} later batches needed a second attempt: {attempts:?}"
         );
     }
 }

@@ -7,9 +7,11 @@ use fol_serve::{Request, Response, Server, ServerConfig};
 fn readme_serve_snippet() {
     let server = Server::start(ServerConfig::default());
 
-    // Submit small independent requests; the scheduler coalesces them into
-    // one large-index-vector transaction (measured ~50x faster than
-    // one-txn-per-request at size 1 — `cargo bench --bench serve`).
+    // Submit small independent requests. A free worker takes whatever is
+    // queued into one large-index-vector transaction, so they coalesce as far
+    // as a backlog builds while the workers are busy (a coalesced batch is
+    // measured ~50x faster than one-txn-per-request at size 1 — `cargo bench
+    // --bench serve`).
     let tickets: Vec<_> = (0..256)
         .map(|k| {
             server
