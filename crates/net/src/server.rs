@@ -502,6 +502,7 @@ fn send_health(shared: &NetShared, out: &Arc<Mutex<OutHalf>>) -> bool {
         ("rot_detected".to_string(), stats.rot_detected),
         ("rot_repaired".to_string(), stats.rot_repaired),
         ("wal_appends".to_string(), stats.wal_appends),
+        ("wal_syncs".to_string(), stats.wal_syncs),
         ("checkpoints_written".to_string(), stats.checkpoints_written),
         (
             "delta_checkpoints_written".to_string(),

@@ -27,6 +27,17 @@
 //!   index, and releases it before the pass; appends continue into the
 //!   active segment, which the pass never reads, judges or deletes. Passes
 //!   must not run concurrently with each other; the caller serializes them.
+//! * **Read once** — a sealed segment is immutable and is deleted only once
+//!   every admission in it is covered, so a long-lived compactor reads and
+//!   CRC-checks each one once: it keeps the segment's admissions and
+//!   terminal refusals by segment index until the segment leaves the
+//!   directory, and a later pass judges it from that summary. A segment the
+//!   compactor has not read yet is read in full, and any defect in it
+//!   refuses every WAL deletion of the pass
+//!   ([`CompactRefusal::WalUnreadable`]). Full images get no such memory:
+//!   every pass loads and verifies each retained one, because whether an
+//!   image still loads is what picks the boundary. A compactor assumes one
+//!   classifier for its whole life.
 //! * **Log floor** — the report names the lowest admission sequence still
 //!   on disk after the deletes ([`CompactionReport::log_floor`]), counting
 //!   a deleted segment only once the directory fsync made its deletion
@@ -44,11 +55,12 @@
 
 use crate::checkpoint::{write_atomic, Checkpoint};
 use crate::planner::{scan_generations, Generation, GenerationKind};
-use crate::wal::{replay_below, segments};
+use crate::wal::{read_sealed, segments};
 use crate::PersistError;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::path::PathBuf;
+use std::sync::{Mutex, PoisonError};
 
 /// How the compactor reads the serving layer's (otherwise opaque) WAL
 /// records: the caller supplies a classifier from payload bytes to this.
@@ -140,7 +152,23 @@ pub struct Compactor {
     dir: PathBuf,
     wal_prefix: String,
     keep_full_images: usize,
+    /// Every sealed segment read so far, by index (the read-once rule).
+    sealed: Mutex<BTreeMap<u64, SealedSegment>>,
 }
+
+/// What a pass needs of one sealed segment, read once.
+struct SealedSegment {
+    /// Its lowest and highest admission, for the log floor.
+    span: Option<(u64, u64)>,
+    /// Every admission it holds.
+    admits: Vec<u64>,
+    /// Every sequence it completes with `applied == false`.
+    refused: Vec<u64>,
+}
+
+/// The WAL half of a pass's plan: the deletable prefix of the sealed
+/// segments, and every sealed segment's admission span in index order.
+type WalPlan = (Vec<(u64, PathBuf)>, Vec<(u64, Option<(u64, u64)>)>);
 
 impl Compactor {
     /// A compactor over `dir`, whose WAL segments use `wal_prefix`.
@@ -150,6 +178,7 @@ impl Compactor {
             dir: dir.into(),
             wal_prefix: wal_prefix.into(),
             keep_full_images: 2,
+            sealed: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -185,9 +214,11 @@ impl Compactor {
     }
 
     /// [`Compactor::compact`] over a live log whose active segment is
-    /// `active` (what [`crate::Wal::rotate`] returned): the pass replays,
+    /// `active` (what [`crate::Wal::rotate`] returned): the pass reads,
     /// judges and deletes only the sealed segments below it, so it needs no
-    /// lock against appends (see the module docs' lock rule).
+    /// lock against appends (see the module docs' lock rule), and reads
+    /// each of them only once over the compactor's life (the read-once
+    /// rule).
     pub fn compact_below(
         &self,
         ckpt_prefixes: &[&str],
@@ -255,54 +286,11 @@ impl Compactor {
         // Phase 1b: the WAL plan over the sealed segments. Only when every
         // prefix's floor is known — an unknown floor could make a needed
         // admission look deletable.
-        let mut wal_deletions: Vec<(u64, PathBuf)> = Vec::new();
-        // Per sealed segment, in index order: its lowest and highest
-        // admission, for the log floor.
-        let mut admitted: Vec<(u64, Option<(u64, u64)>)> = Vec::new();
-        if floor_known {
-            match replay_below(&self.dir, &self.wal_prefix, active) {
-                Err(error) => report
-                    .refusals
-                    .push(CompactRefusal::WalUnreadable { error }),
-                Ok(rep) => {
-                    let records: Vec<(u64, LogRecord)> = rep
-                        .records
-                        .iter()
-                        .map(|r| (r.segment, classify(&r.payload)))
-                        .collect();
-                    let refused: BTreeSet<u64> = records
-                        .iter()
-                        .filter_map(|(_, r)| match r {
-                            LogRecord::Complete {
-                                seq,
-                                applied: false,
-                            } => Some(*seq),
-                            _ => None,
-                        })
-                        .collect();
-                    // Longest deletable prefix.
-                    let mut deleting = true;
-                    for (index, path) in segments(&self.dir, &self.wal_prefix)? {
-                        if index >= active {
-                            break;
-                        }
-                        let admits = || {
-                            records.iter().filter_map(move |(seg, r)| match r {
-                                LogRecord::Admit { seq } if *seg == index => Some(*seq),
-                                _ => None,
-                            })
-                        };
-                        let span = admits().min().zip(admits().max());
-                        admitted.push((index, span));
-                        deleting = deleting
-                            && admits().all(|seq| covered.contains(&seq) || refused.contains(&seq));
-                        if deleting {
-                            wal_deletions.push((index, path));
-                        }
-                    }
-                }
-            }
-        }
+        let (wal_deletions, admitted) = if floor_known {
+            self.plan_wal(&covered, &classify, active, &mut report.refusals)?
+        } else {
+            WalPlan::default()
+        };
         let floor_after = |removed: &BTreeSet<u64>| {
             let kept = admitted
                 .iter()
@@ -367,6 +355,75 @@ impl Compactor {
         let _ = self.fsync_dir();
         report.log_floor = floor_after(&removed);
         Ok(report)
+    }
+
+    /// Plans the WAL deletions over the sealed segments below `active`,
+    /// reading only those not read before. A sealed segment that does not
+    /// read whole refuses every WAL deletion of the pass, typed in
+    /// `refusals`; `Err` is an unreadable directory.
+    fn plan_wal(
+        &self,
+        covered: &BTreeSet<u64>,
+        classify: &impl Fn(&[u8]) -> LogRecord,
+        active: u64,
+        refusals: &mut Vec<CompactRefusal>,
+    ) -> Result<WalPlan, PersistError> {
+        let mut listed = segments(&self.dir, &self.wal_prefix)?;
+        listed.retain(|(index, _)| *index < active);
+        let mut sealed = self.sealed.lock().unwrap_or_else(PoisonError::into_inner);
+        // Deleted segments leave the memory with the directory.
+        sealed.retain(|index, _| listed.iter().any(|(i, _)| i == index));
+        for (index, path) in &listed {
+            if sealed.contains_key(index) {
+                continue;
+            }
+            let (mut admits, mut refused) = (Vec::new(), Vec::new());
+            let read = read_sealed(*index, path, |payload| match classify(payload) {
+                LogRecord::Admit { seq } => admits.push(seq),
+                LogRecord::Complete {
+                    seq,
+                    applied: false,
+                } => refused.push(seq),
+                LogRecord::Complete { .. } | LogRecord::Other => {}
+            });
+            if let Err(error) = read {
+                refusals.push(CompactRefusal::WalUnreadable { error });
+                return Ok(WalPlan::default());
+            }
+            let span = admits
+                .iter()
+                .min()
+                .copied()
+                .zip(admits.iter().max().copied());
+            sealed.insert(
+                *index,
+                SealedSegment {
+                    span,
+                    admits,
+                    refused,
+                },
+            );
+        }
+        let refused: BTreeSet<u64> = sealed
+            .values()
+            .flat_map(|s| s.refused.iter().copied())
+            .collect();
+        // The longest deletable prefix.
+        let mut plan = WalPlan::default();
+        let mut deleting = true;
+        for (index, path) in listed {
+            let seg = &sealed[&index];
+            plan.1.push((index, seg.span));
+            deleting = deleting
+                && seg
+                    .admits
+                    .iter()
+                    .all(|seq| covered.contains(seq) || refused.contains(seq));
+            if deleting {
+                plan.0.push((index, path));
+            }
+        }
+        Ok(plan)
     }
 
     /// Fsyncs the directory, so renames and deletes in it survive power
@@ -634,6 +691,138 @@ mod tests {
             .unwrap();
         assert_eq!(report.wal_segments_removed, 1);
         assert_eq!(report.log_floor, Some(4));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    /// The file names in `dir`, sorted.
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    /// The read-once rule changes no decision. Two identical directories
+    /// take the same appends, rotations and generations; one is compacted
+    /// by one long-lived compactor, the other by a fresh compactor per
+    /// pass, and every pass must report and delete the same.
+    #[test]
+    fn a_long_lived_compactor_decides_as_a_fresh_one_does() {
+        let dirs = [temp_dir("memory-long"), temp_dir("memory-fresh")];
+        let long = Compactor::new(&dirs[0], "requests").keep_full_images(2);
+        let mut wals: Vec<Wal> = dirs
+            .iter()
+            .map(|d| Wal::open(d, "requests", FsyncPolicy::Off, 1 << 20).unwrap())
+            .collect();
+        let (mut m, a) = sample_machine();
+        let mut applied: Vec<u64> = Vec::new();
+        let mut straddler: Option<u8> = None;
+        let mut removed = (0, 0);
+        for pass in 1..=10u8 {
+            // Four requests complete in this segment, the fourth refused;
+            // the one admitted last pass completes here, and a fifth is
+            // admitted here and completes next pass.
+            let mut records = Vec::new();
+            for seq in 10 * pass..10 * pass + 4 {
+                let ok = seq % 10 != 3;
+                records.push(admit(seq));
+                records.push(complete(seq, ok));
+                if ok {
+                    applied.push(seq as u64);
+                }
+            }
+            if let Some(seq) = straddler {
+                records.push(complete(seq, true));
+                applied.push(seq as u64);
+            }
+            straddler = Some(10 * pass + 4);
+            records.push(admit(10 * pass + 4));
+            let idx = m.vimm(&[(pass % 8) as Word]);
+            let val = m.vimm(&[pass as Word]);
+            m.scatter(a, &idx, &val);
+            let gen = 2 * pass as u64;
+            let full = Checkpoint::capture(&m, &[a], gen, vec![], applied.clone());
+            let delta = DeltaCheckpoint::capture(
+                &m,
+                gen + 1,
+                gen,
+                &full.checksums,
+                vec![],
+                applied.clone(),
+            );
+            let mut actives = Vec::new();
+            for (dir, wal) in dirs.iter().zip(&mut wals) {
+                wal.append_all(&records).unwrap();
+                full.write(&dir.join(Checkpoint::file_name("w0", gen)))
+                    .unwrap();
+                delta
+                    .write(&dir.join(DeltaCheckpoint::file_name("w0", gen + 1)))
+                    .unwrap();
+                actives.push(wal.rotate().unwrap());
+            }
+            assert_eq!(actives[0], actives[1]);
+            let kept = long.compact_below(&["w0"], classify, actives[0]).unwrap();
+            let fresh = Compactor::new(&dirs[1], "requests")
+                .keep_full_images(2)
+                .compact_below(&["w0"], classify, actives[1])
+                .unwrap();
+            assert_eq!(kept, fresh, "pass {pass}");
+            assert!(kept.refusals.is_empty(), "pass {pass}: {:?}", kept.refusals);
+            assert_eq!(listing(&dirs[0]), listing(&dirs[1]), "pass {pass}");
+            removed.0 += kept.generations_removed;
+            removed.1 += kept.wal_segments_removed;
+        }
+        assert!(removed.0 > 0 && removed.1 > 0, "{removed:?}");
+        for dir in &dirs {
+            fs::remove_dir_all(dir).ok();
+        }
+    }
+
+    /// A sealed segment the compactor has not read yet is read in full: a
+    /// CRC flip in it refuses every WAL deletion of the pass, typed, even
+    /// of a segment read before and now covered, while generation pruning
+    /// still runs.
+    #[test]
+    fn an_unread_segment_that_fails_its_crc_refuses_every_wal_deletion() {
+        let dir = temp_dir("unreadable");
+        let compactor = Compactor::new(&dir, "requests").keep_full_images(1);
+        write_generations(&dir, "w0", &[2], &[]);
+        let mut wal = Wal::open(&dir, "requests", FsyncPolicy::Off, 1 << 20).unwrap();
+        wal.append(&admit(3)).unwrap();
+        let active = wal.rotate().unwrap();
+        let first = compactor.compact_below(&["w0"], classify, active).unwrap();
+        assert_eq!(first.wal_segments_removed, 0, "admit 3 is not covered");
+        assert_eq!(first.log_floor, Some(3));
+
+        write_generations(&dir, "w0", &[4], &[]);
+        wal.append(&admit(5)).unwrap();
+        let active = wal.rotate().unwrap();
+        let (_, path) = &segments(&dir, "requests").unwrap()[1];
+        let mut bytes = fs::read(path).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        fs::write(path, &bytes).unwrap();
+
+        let report = compactor.compact_below(&["w0"], classify, active).unwrap();
+        assert!(
+            matches!(
+                &report.refusals[..],
+                [CompactRefusal::WalUnreadable {
+                    error: PersistError::CrcMismatch { .. }
+                }]
+            ),
+            "{:?}",
+            report.refusals
+        );
+        assert_eq!(
+            report.wal_segments_removed, 0,
+            "segment 0 is covered, yet kept"
+        );
+        assert_eq!(report.log_floor, None);
+        assert_eq!(report.generations_removed, 1, "the image at 2 is pruned");
+        assert_eq!(segments(&dir, "requests").unwrap().len(), 3);
         fs::remove_dir_all(&dir).ok();
     }
 

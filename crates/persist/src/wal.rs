@@ -46,18 +46,31 @@
 //!
 //! [`FsyncPolicy`] prices the durability/throughput trade-off: `Always`
 //! fsyncs per append (every acknowledged record survives power loss),
-//! `Batch` fsyncs at [`Wal::commit`] (the serving layer commits at batch
+//! `Batch` fsyncs at a commit (the serving layer commits at batch
 //! boundaries, so an admitted-but-unexecuted record rides the page cache —
 //! safe against process kill, exposed to power loss until the next batch
 //! commits), `Off` never fsyncs (crash-consistent against process kill
 //! only, not power loss; the chaos suite runs this tier because SIGKILL
 //! does not lose page-cache writes).
+//!
+//! # Group commit
+//!
+//! A commit need not hold the log while it syncs. [`Wal::begin_sync`]
+//! hands out a [`WalSync`] covering every record appended so far, or
+//! nothing when the records a committer needs already lie below the
+//! log's durable watermark. Its [`WalSync::run`] `fdatasync`s on any
+//! thread while appends go on, and [`Wal::finish_sync`] raises the
+//! watermark to what the sync covered. [`Wal::rotate`] syncs the sealed
+//! segment only when records lie past that watermark, so a segment a
+//! commit just synced is not synced a second time. [`Wal::commit`] is the
+//! same sync taken under `&mut self`.
 
 use crate::frame::{next_frame, push_frame, push_header, read_header, Frame, HEADER_LEN};
 use crate::PersistError;
 use std::fs;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// First bytes of every WAL segment.
 pub const WAL_MAGIC: &[u8; 8] = b"FOLWAL\0\0";
@@ -70,12 +83,14 @@ pub enum FsyncPolicy {
     /// fsync after every append: an acknowledged record survives power
     /// loss. The safest and slowest tier.
     Always,
-    /// fsync at [`Wal::commit`] (batch boundaries). The serving layer
-    /// commits after appending a batch's completion records and before
-    /// demultiplexing outcomes, so a completed request's records survive
-    /// power loss; an admitted-but-unexecuted record rides the page cache
-    /// until the next batch commits (safe against process kill). The fsync
-    /// cost amortizes over the batch.
+    /// fsync at a commit (batch boundaries): [`Wal::commit`], or a group
+    /// commit through [`Wal::begin_sync`]. The serving layer commits after
+    /// appending a batch's completion records and before demultiplexing
+    /// outcomes, so a completed request's records survive power loss; an
+    /// admitted-but-unexecuted record rides the page cache until the next
+    /// batch commits (safe against process kill). The fsync cost amortizes
+    /// over the batch, and one group commit's sync covers every batch
+    /// appended before it began.
     Batch,
     /// Never fsync. Survives process kill (the page cache is not lost with
     /// the process) but not power loss. The cheapest tier; useful as the
@@ -148,11 +163,46 @@ pub struct Wal {
     prefix: String,
     policy: FsyncPolicy,
     segment_bytes: u64,
-    file: fs::File,
+    /// Shared with a [`WalSync`] in flight, which may outlive a rotation.
+    file: Arc<fs::File>,
     seg_index: u64,
     seg_len: u64,
     appends: u64,
-    dirty: bool,
+    /// The durable watermark: the first `synced` records appended through
+    /// this handle are on stable storage.
+    synced: u64,
+    /// Data syncs run, or reported through [`Wal::finish_sync`].
+    syncs: u64,
+}
+
+/// A sync of the log taken out from under its owner's lock: it covers
+/// every record appended before [`Wal::begin_sync`] handed it out. Run it
+/// on any thread, then report it with [`Wal::finish_sync`].
+#[must_use = "a sync covers nothing until it runs and is reported"]
+pub struct WalSync {
+    file: Arc<fs::File>,
+    segment: u64,
+    through: u64,
+}
+
+/// A [`WalSync`] that ran: proof for [`Wal::finish_sync`] that its records
+/// are on stable storage.
+#[must_use = "report it with Wal::finish_sync"]
+pub struct WalSynced {
+    through: u64,
+}
+
+impl WalSync {
+    /// `fdatasync`s the segment the records were appended to. Appends to
+    /// the log may run concurrently; they are not covered.
+    pub fn run(self) -> Result<WalSynced, PersistError> {
+        self.file
+            .sync_data()
+            .map_err(|e| PersistError::io(format!("fsync wal segment {}", self.segment), e))?;
+        Ok(WalSynced {
+            through: self.through,
+        })
+    }
 }
 
 impl Wal {
@@ -181,11 +231,12 @@ impl Wal {
             prefix,
             policy,
             segment_bytes,
-            file,
+            file: Arc::new(file),
             seg_index: next_index,
             seg_len,
             appends: 0,
-            dirty: false,
+            synced: 0,
+            syncs: 0,
         })
     }
 
@@ -198,22 +249,7 @@ impl Wal {
         }
         let mut framed = Vec::with_capacity(payload.len() + 8);
         push_frame(&mut framed, payload);
-        self.file.write_all(&framed).map_err(|e| {
-            PersistError::io(
-                format!(
-                    "append to {}",
-                    segment_file_name(&self.prefix, self.seg_index)
-                ),
-                e,
-            )
-        })?;
-        self.seg_len += framed.len() as u64;
-        self.appends += 1;
-        self.dirty = true;
-        if self.policy == FsyncPolicy::Always {
-            self.sync()?;
-        }
-        Ok(())
+        self.write_framed(&framed, 1)
     }
 
     /// Appends a group of records with one write: every payload is framed
@@ -233,7 +269,13 @@ impl Wal {
         for p in payloads {
             push_frame(&mut framed, p.as_ref());
         }
-        self.file.write_all(&framed).map_err(|e| {
+        self.write_framed(&framed, payloads.len() as u64)
+    }
+
+    /// Writes `records` already-framed records in one syscall, then syncs
+    /// them under [`FsyncPolicy::Always`].
+    fn write_framed(&mut self, framed: &[u8], records: u64) -> Result<(), PersistError> {
+        (&*self.file).write_all(framed).map_err(|e| {
             PersistError::io(
                 format!(
                     "append to {}",
@@ -243,8 +285,7 @@ impl Wal {
             )
         })?;
         self.seg_len += framed.len() as u64;
-        self.appends += payloads.len() as u64;
-        self.dirty = true;
+        self.appends += records;
         if self.policy == FsyncPolicy::Always {
             self.sync()?;
         }
@@ -262,42 +303,70 @@ impl Wal {
     }
 
     fn sync(&mut self) -> Result<(), PersistError> {
-        if !self.dirty {
+        if self.synced == self.appends {
             return Ok(());
         }
         // `sync_data` (fdatasync): flushes the appended bytes and the file
         // size — everything replay needs — without the full inode metadata
         // flush of `sync_all`. Measurably cheaper per batch commit.
-        self.file.sync_data().map_err(|e| {
-            PersistError::io(
-                format!("fsync {}", segment_file_name(&self.prefix, self.seg_index)),
-                e,
-            )
-        })?;
-        self.dirty = false;
+        let done = self.begin_sync_all().run()?;
+        self.finish_sync(done);
         Ok(())
     }
 
-    /// Seals the current segment (fsync per policy) and starts the next
-    /// one. Called automatically at the rotation threshold; callers rotate
-    /// explicitly at checkpoint boundaries so fully-covered segments become
-    /// prunable.
+    fn begin_sync_all(&self) -> WalSync {
+        WalSync {
+            file: Arc::clone(&self.file),
+            segment: self.seg_index,
+            through: self.appends,
+        }
+    }
+
+    /// Group commit, first half: a sync covering every record appended so
+    /// far, or `None` when no sync is owed for the first `through` records
+    /// — the durable watermark already covers them, or the policy is
+    /// [`FsyncPolicy::Off`]. `through` is [`Wal::appends`] as read right
+    /// after the caller's own append. Run the sync without holding the
+    /// log, then report it with [`Wal::finish_sync`].
+    pub fn begin_sync(&self, through: u64) -> Option<WalSync> {
+        (self.policy != FsyncPolicy::Off && self.synced < through).then(|| self.begin_sync_all())
+    }
+
+    /// Group commit, second half: raises the durable watermark to what a
+    /// finished sync covered. A sync of a segment that was rotated away
+    /// meanwhile is harmless: the rotation synced that segment first.
+    pub fn finish_sync(&mut self, done: WalSynced) {
+        self.synced = self.synced.max(done.through);
+        self.syncs += 1;
+    }
+
+    /// Seals the current segment and starts the next one. Unless the
+    /// policy is [`FsyncPolicy::Off`], the sealed segment is synced first
+    /// when records lie past the durable watermark. Called automatically
+    /// at the rotation threshold; callers rotate explicitly at checkpoint
+    /// boundaries so fully-covered segments become prunable.
     pub fn rotate(&mut self) -> Result<u64, PersistError> {
         if self.policy != FsyncPolicy::Off {
             self.sync()?;
         }
         let next = self.seg_index + 1;
         let (file, seg_len) = create_segment(&self.dir, &self.prefix, next, self.policy)?;
-        self.file = file;
+        self.file = Arc::new(file);
         self.seg_index = next;
         self.seg_len = seg_len;
-        self.dirty = false;
         Ok(next)
     }
 
     /// Records appended through this handle.
     pub fn appends(&self) -> u64 {
         self.appends
+    }
+
+    /// Data syncs of appended records: the policy's own syncs, rotations'
+    /// and every group commit reported through [`Wal::finish_sync`]. The
+    /// header sync of a fresh segment is not counted.
+    pub fn syncs(&self) -> u64 {
+        self.syncs
     }
 
     /// The segment currently being appended to.
@@ -401,78 +470,83 @@ pub struct Replay {
 /// segment — is a hard typed error: corrupt history is refused, never
 /// silently replayed around.
 pub fn replay(dir: &Path, prefix: &str) -> Result<Replay, PersistError> {
-    replay_segments(&segments(dir, prefix)?, true)
-}
-
-/// Reads every record of the sealed `prefix` segments in `dir` whose index
-/// is below `active`, in append order, and nothing at or above it. Every
-/// segment read is sealed, so a defect anywhere — a tear included — is a
-/// hard typed error. The compactor reads the log this way while appends
-/// continue into the active segment.
-pub(crate) fn replay_below(dir: &Path, prefix: &str, active: u64) -> Result<Replay, PersistError> {
-    let mut segs = segments(dir, prefix)?;
-    segs.retain(|(index, _)| *index < active);
-    replay_segments(&segs, false)
-}
-
-/// Replays `segs` in order; the last one may end torn only when
-/// `last_may_tear` is set.
-fn replay_segments(segs: &[(u64, PathBuf)], last_may_tear: bool) -> Result<Replay, PersistError> {
+    let segs = segments(dir, prefix)?;
     let mut out = Replay {
         segments: segs.len(),
         ..Replay::default()
     };
     let last = segs.len().saturating_sub(1);
     for (pos_in_list, (index, path)) in segs.iter().enumerate() {
-        let is_last = last_may_tear && pos_in_list == last;
-        let bytes =
-            fs::read(path).map_err(|e| PersistError::io(format!("read {}", path.display()), e))?;
-        let what = format!("wal segment {}", path.display());
-
-        // A short header is a tear only where a tear is possible: the last
-        // segment (killed during creation).
-        match read_header(&bytes, WAL_MAGIC, WAL_VERSION..=WAL_VERSION, &what) {
-            Ok(_) => {}
-            Err(error @ PersistError::Truncated { .. }) if is_last => {
-                out.torn_tail = Some(TornTail {
-                    segment: *index,
-                    offset: bytes.len(),
-                    error,
-                });
-                return Ok(out);
-            }
-            Err(error) => return Err(error),
-        }
-
-        let mut pos = HEADER_LEN;
         let mut index_in_segment = 0u64;
-        loop {
-            match next_frame(&bytes, &mut pos, &what) {
-                Ok(Frame::Ok(payload)) => {
-                    out.records.push(WalRecord {
-                        segment: *index,
-                        index_in_segment,
-                        payload: payload.to_vec(),
-                    });
-                    index_in_segment += 1;
-                }
-                Ok(Frame::End) => break,
-                Err(err @ PersistError::Truncated { .. }) if is_last => {
-                    out.torn_tail = Some(TornTail {
-                        segment: *index,
-                        offset: pos,
-                        error: err,
-                    });
-                    return Ok(out);
-                }
-                // A truncation mid-history, or a CRC mismatch anywhere
-                // (tears cannot produce full-length wrong-byte frames on an
-                // append-only file — bit-flips can): hard refusal.
-                Err(err) => return Err(err),
-            }
-        }
+        out.torn_tail = scan_segment(*index, path, pos_in_list == last, |payload| {
+            out.records.push(WalRecord {
+                segment: *index,
+                index_in_segment,
+                payload: payload.to_vec(),
+            });
+            index_in_segment += 1;
+        })?;
     }
     Ok(out)
+}
+
+/// Reads one sealed segment, handing each whole, CRC-verified record's
+/// payload to `visit` in append order without copying it. A sealed
+/// segment cannot legitimately be torn, so any defect is a hard typed
+/// error. The compactor reads each sealed segment once this way.
+pub(crate) fn read_sealed(
+    index: u64,
+    path: &Path,
+    visit: impl FnMut(&[u8]),
+) -> Result<(), PersistError> {
+    scan_segment(index, path, false, visit).map(|_| ())
+}
+
+/// Reads segment `index` at `path`, calling `visit` per record. When
+/// `may_tear` is set, a truncation (of a frame or of the header itself) is
+/// returned as the torn tail instead of an error.
+fn scan_segment(
+    index: u64,
+    path: &Path,
+    may_tear: bool,
+    mut visit: impl FnMut(&[u8]),
+) -> Result<Option<TornTail>, PersistError> {
+    let bytes =
+        fs::read(path).map_err(|e| PersistError::io(format!("read {}", path.display()), e))?;
+    let what = format!("wal segment {}", path.display());
+
+    // A short header is a tear only where a tear is possible: the last
+    // segment (killed during creation).
+    match read_header(&bytes, WAL_MAGIC, WAL_VERSION..=WAL_VERSION, &what) {
+        Ok(_) => {}
+        Err(error @ PersistError::Truncated { .. }) if may_tear => {
+            return Ok(Some(TornTail {
+                segment: index,
+                offset: bytes.len(),
+                error,
+            }));
+        }
+        Err(error) => return Err(error),
+    }
+
+    let mut pos = HEADER_LEN;
+    loop {
+        match next_frame(&bytes, &mut pos, &what) {
+            Ok(Frame::Ok(payload)) => visit(payload),
+            Ok(Frame::End) => return Ok(None),
+            Err(error @ PersistError::Truncated { .. }) if may_tear => {
+                return Ok(Some(TornTail {
+                    segment: index,
+                    offset: pos,
+                    error,
+                }));
+            }
+            // A truncation mid-history, or a CRC mismatch anywhere (tears
+            // cannot produce full-length wrong-byte frames on an
+            // append-only file — bit-flips can): hard refusal.
+            Err(error) => return Err(error),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -707,6 +781,39 @@ mod tests {
             replay(&dir, "w0").unwrap_err(),
             PersistError::Truncated { .. }
         ));
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_group_commit_covers_what_preceded_it_and_a_rotation_does_not_repeat_it() {
+        let dir = temp_dir("group");
+        let mut wal = Wal::open(&dir, "w0", FsyncPolicy::Batch, 1 << 20).unwrap();
+        wal.append(b"a").unwrap();
+        let mine = wal.appends();
+        wal.append(b"b").unwrap();
+        let sync = wal.begin_sync(mine).expect("a lies past the watermark");
+        // Appended while the sync runs: not covered by it.
+        wal.append(b"c").unwrap();
+        wal.finish_sync(sync.run().unwrap());
+        assert_eq!(wal.syncs(), 1);
+        assert!(wal.begin_sync(2).is_none(), "a and b are durable");
+        let late = wal.begin_sync(3).expect("c is not");
+        wal.finish_sync(late.run().unwrap());
+        wal.rotate().unwrap();
+        assert_eq!(wal.syncs(), 2, "nothing lay past the watermark");
+        wal.append(b"d").unwrap();
+        wal.rotate().unwrap();
+        assert_eq!(wal.syncs(), 3, "the rotation synced d");
+        assert!(wal.begin_sync(wal.appends()).is_none());
+
+        // `Off` never owes a sync; under `Always` the append synced.
+        let mut off = Wal::open(&dir, "w1", FsyncPolicy::Off, 1 << 20).unwrap();
+        off.append(b"x").unwrap();
+        assert!(off.begin_sync(1).is_none());
+        let mut always = Wal::open(&dir, "w2", FsyncPolicy::Always, 1 << 20).unwrap();
+        always.append_all(&[b"y", b"z"]).unwrap();
+        assert!(always.begin_sync(2).is_none());
+        assert_eq!(always.syncs(), 1, "one write, one sync");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -414,9 +414,16 @@ impl Server {
 
     /// Submits a whole burst under one queue lock and one worker
     /// notification, returning one admission outcome per request (in
-    /// order). Semantically identical to calling [`Server::submit_with`]
-    /// per item; the batch front-ends use it so a pipelined burst pays the
-    /// submission overhead once.
+    /// order); the batch front-ends use it so a pipelined burst pays the
+    /// submission overhead once. Each item is admitted or refused by the
+    /// rules of [`Server::submit_with`], in order, so a burst that crosses
+    /// the queue's capacity admits its earlier items and refuses the rest
+    /// with [`ServeError::Overloaded`]. On a durable server the burst's
+    /// admission records go to the log in one write, before any of its
+    /// tickets exists; if that write fails, every item that was otherwise
+    /// admissible is refused with the same [`ServeError::Persist`], where
+    /// per-item submission would refuse only the items whose own write
+    /// failed.
     pub fn submit_many_with(
         &self,
         items: Vec<(Request, Priority, Option<Duration>)>,

@@ -53,7 +53,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::Ordering;
-use std::sync::{Arc, PoisonError};
+use std::sync::Arc;
 
 /// Which worker owns a class's single-owner structure (chaining is sharded
 /// across all workers; its control owner is worker 0).
@@ -289,10 +289,8 @@ impl Worker {
                     self.committed_bst_used = self.bst.as_ref().map_or(0, |b| b.used);
                 }
                 if let Some(dur) = &mut self.dur {
-                    // Completion records, then the batch-boundary fsync,
-                    // *before* callers see their outcomes. Best-effort — the
-                    // caller keeps its typed result either way, and a lost
-                    // record only widens the at-least-once replay window.
+                    // Completion records, then the batch-boundary group
+                    // commit, *before* callers see their outcomes.
                     if mutating {
                         dur.applied_all.extend(
                             items
@@ -307,8 +305,7 @@ impl Worker {
                         .zip(&results)
                         .map(|(p, r)| encode_complete(p.seq, mutating && r.is_ok()))
                         .collect();
-                    let _ = self.shared.wal_append_all(&completes);
-                    let _ = self.shared.wal_commit();
+                    self.shared.wal_complete(&completes);
                 }
                 self.shared
                     .stats
@@ -327,8 +324,7 @@ impl Worker {
                         .iter()
                         .map(|p| encode_complete(p.seq, false))
                         .collect();
-                    let _ = self.shared.wal_append_all(&completes);
-                    let _ = self.shared.wal_commit();
+                    self.shared.wal_complete(&completes);
                 }
                 self.shared
                     .stats
@@ -690,15 +686,11 @@ impl Worker {
         };
         // Read the log back under its mutex so no in-flight append can
         // present a half-written frame.
-        let replayed = {
-            let Some(wal_cell) = &self.shared.wal else {
-                return false;
-            };
-            let _guard = wal_cell.lock().unwrap_or_else(PoisonError::into_inner);
-            match wal::replay(&dir, REQUEST_LOG_PREFIX) {
-                Ok(r) => r,
-                Err(_) => return false,
-            }
+        let Some(Ok(replayed)) = self
+            .shared
+            .with_wal(|_| wal::replay(&dir, REQUEST_LOG_PREFIX))
+        else {
+            return false;
         };
         drop(hold);
         let mut by_seq: HashMap<u64, Request> = HashMap::new();

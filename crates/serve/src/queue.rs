@@ -18,6 +18,17 @@
 //! fills every slot of a batch before it wakes any ([`complete_all`]), so
 //! a caller that waits its tickets in order finds the later ones filled
 //! instead of sleeping once per ticket.
+//!
+//! A durable server also logs here. [`Shared::submit_many`] frames a
+//! burst's admission records into one log write under the queue lock,
+//! before any of the burst's tickets exists, so log order is sequence
+//! order. A worker appends its batch's completion records with one write
+//! and then group-commits ([`Shared::wal_commit`]): the `fdatasync` runs
+//! outside the log mutex, so admissions and other workers' appends go on
+//! during it, and one sync covers every record appended before it began.
+//! Lock order: `inner` → `wal`, and `wal_sync` → `wal`; below
+//! [`fol_persist::FsyncPolicy::Always`] no lock but `wal_sync` is held
+//! across a sync.
 
 use crate::durability::{encode_admit, encode_complete};
 use crate::request::{Kind, Priority, Request, Response, ServeError, WorkloadClass};
@@ -180,6 +191,7 @@ pub(crate) struct StatCells {
     pub(crate) rot_detected: AtomicU64,
     pub(crate) rot_repaired: AtomicU64,
     pub(crate) wal_appends: AtomicU64,
+    pub(crate) wal_syncs: AtomicU64,
     pub(crate) wal_replayed: AtomicU64,
     pub(crate) checkpoints_restored: AtomicU64,
     pub(crate) checkpoints_written: AtomicU64,
@@ -218,6 +230,12 @@ pub struct StatsSnapshot {
     /// Records appended to the write-ahead request log (admissions plus
     /// completions). Zero when the server runs without durability.
     pub wal_appends: u64,
+    /// `fdatasync`s the request log ran: group commits, rotations' syncs of
+    /// the sealed segment, and per-append syncs under
+    /// [`fol_persist::FsyncPolicy::Always`]. With
+    /// [`StatsSnapshot::batches`] it shows how many batch commits one sync
+    /// covered. Zero without durability or under `FsyncPolicy::Off`.
+    pub wal_syncs: u64,
     /// Acknowledged-but-unapplied requests re-driven from the log at
     /// startup.
     pub wal_replayed: u64,
@@ -276,6 +294,7 @@ impl StatCells {
             rot_detected: self.rot_detected.load(Ordering::Relaxed),
             rot_repaired: self.rot_repaired.load(Ordering::Relaxed),
             wal_appends: self.wal_appends.load(Ordering::Relaxed),
+            wal_syncs: self.wal_syncs.load(Ordering::Relaxed),
             wal_replayed: self.wal_replayed.load(Ordering::Relaxed),
             checkpoints_restored: self.checkpoints_restored.load(Ordering::Relaxed),
             checkpoints_written: self.checkpoints_written.load(Ordering::Relaxed),
@@ -305,9 +324,17 @@ pub(crate) struct Shared {
     pub(crate) max_batch: usize,
     pub(crate) max_wait: Duration,
     pub(crate) stats: StatCells,
-    /// The write-ahead request log, when the server runs durable. Lock
-    /// order: `inner` may be held while taking `wal`, never the reverse.
-    pub(crate) wal: Option<Mutex<Wal>>,
+    /// The write-ahead request log, when the server runs durable. Appends
+    /// take this mutex: admissions under `inner`, so log order is sequence
+    /// order. Below [`fol_persist::FsyncPolicy::Always`] no `fdatasync`
+    /// runs under it: a group commit ([`Shared::wal_commit`]) syncs outside
+    /// it. Lock order: `inner` → `wal` and `wal_sync` → `wal`, never the
+    /// reverse.
+    wal: Option<Mutex<Wal>>,
+    /// Held by the group commit whose `fdatasync` is in flight. A committer
+    /// that finds it taken waits, then syncs only if its own records lie
+    /// past the durable watermark that sync left.
+    wal_sync: Mutex<()>,
     /// Per-worker published chaining-shard contents (the stored keys of
     /// each worker's chain shard). The chaining table is sharded across
     /// every worker, so no single worker can scan the whole logical
@@ -357,6 +384,7 @@ impl Shared {
             max_wait,
             stats: StatCells::default(),
             wal: wal.map(Mutex::new),
+            wal_sync: Mutex::new(()),
             chain_shards: Mutex::new(vec![Vec::new(); workers]),
             writer,
             log_floor: AtomicU64::new(0),
@@ -423,130 +451,155 @@ impl Shared {
         self.lock().next_seq = next_seq;
     }
 
-    /// Appends one record to the request log, counting it. Returns the
-    /// typed error on failure; a no-op without durability.
-    pub(crate) fn wal_append(&self, payload: &[u8]) -> Result<(), ServeError> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        let mut w = wal.lock().unwrap_or_else(PoisonError::into_inner);
-        w.append(payload)
-            .map_err(|error| ServeError::Persist { error })?;
-        self.stats.wal_appends.fetch_add(1, Ordering::Relaxed);
-        Ok(())
+    /// Runs `f` on the request log under its mutex, then publishes the
+    /// log's sync count; `None` without durability.
+    pub(crate) fn with_wal<R>(&self, f: impl FnOnce(&mut Wal) -> R) -> Option<R> {
+        let mut w = self
+            .wal
+            .as_ref()?
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        let r = f(&mut w);
+        self.stats.wal_syncs.store(w.syncs(), Ordering::Relaxed);
+        Some(r)
     }
 
-    /// Appends a group of records with one write syscall — the worker's
-    /// per-batch completion records. Same counting and typing as
-    /// [`Shared::wal_append`]; a no-op without durability.
-    pub(crate) fn wal_append_all(&self, payloads: &[Vec<u8>]) -> Result<(), ServeError> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
+    /// Appends a group of records with one write syscall, counting them.
+    /// Returns the log's append count after them: the mark a
+    /// [`Shared::wal_commit`] must make durable. A no-op without
+    /// durability.
+    fn wal_append_all(&self, payloads: &[Vec<u8>]) -> Result<u64, ServeError> {
+        let Some(appended) = self.with_wal(|w| w.append_all(payloads).map(|()| w.appends())) else {
+            return Ok(0);
         };
-        let mut w = wal.lock().unwrap_or_else(PoisonError::into_inner);
-        w.append_all(payloads)
-            .map_err(|error| ServeError::Persist { error })?;
+        let through = appended.map_err(|error| ServeError::Persist { error })?;
         self.stats
             .wal_appends
             .fetch_add(payloads.len() as u64, Ordering::Relaxed);
+        Ok(through)
+    }
+
+    /// Group commit: makes the log's first `through` records durable, per
+    /// the fsync policy, without holding the log mutex across the
+    /// `fdatasync`. A committer that finds a sync in flight waits for it,
+    /// then syncs only if its own records lie past the watermark that sync
+    /// left; a sync covers every record appended before it began. A no-op
+    /// without durability.
+    fn wal_commit(&self, through: u64) -> Result<(), ServeError> {
+        let _one_sync = self.wal_sync.lock().unwrap_or_else(PoisonError::into_inner);
+        let Some(Some(sync)) = self.with_wal(|w| w.begin_sync(through)) else {
+            return Ok(());
+        };
+        let done = sync.run().map_err(|error| ServeError::Persist { error })?;
+        self.with_wal(|w| w.finish_sync(done));
         Ok(())
     }
 
-    /// Forces pending log appends to stable storage (per the fsync
-    /// policy). Workers call this after appending a batch's completion
-    /// records, before demultiplexing outcomes.
-    pub(crate) fn wal_commit(&self) -> Result<(), ServeError> {
-        let Some(wal) = &self.wal else {
-            return Ok(());
-        };
-        let mut w = wal.lock().unwrap_or_else(PoisonError::into_inner);
-        w.commit().map_err(|error| ServeError::Persist { error })
+    /// Logs a batch's completion records with one write and group-commits
+    /// them, with every record appended before them, ahead of the batch's
+    /// acknowledgements. Best-effort: the callers keep their typed
+    /// outcomes either way, a lost record only widens the at-least-once
+    /// replay window, and a failed append still commits what the log holds.
+    pub(crate) fn wal_complete(&self, completes: &[Vec<u8>]) {
+        let through = self
+            .wal_append_all(completes)
+            .unwrap_or_else(|_| self.with_wal(|w| w.appends()).unwrap_or(0));
+        let _ = self.wal_commit(through);
     }
 
-    /// Logs one admission record; without durability nothing is encoded.
-    fn log_admit(
-        &self,
-        seq: u64,
-        request: &Request,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Result<(), ServeError> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
-        self.wal_append(&encode_admit(seq, request, priority, deadline))
-    }
-
-    /// Admits one request, or refuses it synchronously with a typed error:
-    /// [`ServeError::ShuttingDown`] after [`Shared::begin_shutdown`],
-    /// [`ServeError::Overloaded`] when the bounded queue is full,
-    /// [`ServeError::Persist`] when the admission record cannot be logged
-    /// (a durable server acknowledges nothing it cannot re-drive).
-    ///
-    /// With durability on, the admission record hits the write-ahead log
-    /// **before** the [`Ticket`] exists — under [`fol_persist::FsyncPolicy::Always`]
-    /// it is on stable storage before the caller sees the acknowledgement.
+    /// Admits one request, or refuses it synchronously with a typed error;
+    /// see [`Shared::submit_many`].
     pub(crate) fn submit(
         &self,
         request: Request,
         priority: Priority,
         deadline: Option<Duration>,
     ) -> Result<Ticket, ServeError> {
-        let mut g = self.lock();
-        if g.shutdown {
-            return Err(ServeError::ShuttingDown);
-        }
-        if g.total >= self.capacity {
-            self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-            return Err(ServeError::Overloaded {
-                capacity: self.capacity,
-            });
-        }
-        let seq = g.next_seq;
-        g.next_seq += 1;
-        // Log before enqueueing: a failure here burns the sequence number
-        // but admits nothing — no ticket, no queue entry, no log record
-        // that could replay.
-        self.log_admit(seq, &request, priority, deadline)?;
-        let ticket = self.enqueue(&mut g, seq, request, priority, deadline);
-        drop(g);
-        self.work_cv.notify_all();
-        Ok(ticket)
+        self.submit_many(vec![(request, priority, deadline)])
+            .pop()
+            .expect("one outcome per item")
     }
 
     /// Admits a group of requests under ONE queue lock and ONE worker
-    /// notification, with per-request outcomes — the same admission rules
-    /// as [`Shared::submit`], item by item. A network front-end that
+    /// notification, with per-request outcomes. A network front-end that
     /// decoded a pipelined burst commits it here so the per-submission
-    /// lock/notify cost is paid once per burst, not once per request.
+    /// lock/notify cost is paid once per burst, not once per request. Each
+    /// item is refused synchronously with a typed error, or admitted:
+    /// [`ServeError::ShuttingDown`] after [`Shared::begin_shutdown`],
+    /// [`ServeError::Overloaded`] when the bounded queue is full.
+    ///
+    /// With durability on, every admissible item's record is framed into
+    /// ONE log write under the queue lock, **before** any of the burst's
+    /// [`Ticket`]s exists — under [`fol_persist::FsyncPolicy::Always`] that
+    /// write is on stable storage before any caller sees an
+    /// acknowledgement. When the write fails, every admissible item of the
+    /// burst is refused with [`ServeError::Persist`] (a durable server
+    /// acknowledges nothing it cannot re-drive): the sequence numbers are
+    /// burned, and no ticket, queue entry or replayable record exists.
     pub(crate) fn submit_many(
         &self,
         items: Vec<(Request, Priority, Option<Duration>)>,
     ) -> Vec<Result<Ticket, ServeError>> {
-        let mut out = Vec::with_capacity(items.len());
         let mut g = self.lock();
-        for (request, priority, deadline) in items {
-            if g.shutdown {
-                out.push(Err(ServeError::ShuttingDown));
-                continue;
-            }
-            if g.total >= self.capacity {
-                self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-                out.push(Err(ServeError::Overloaded {
-                    capacity: self.capacity,
-                }));
-                continue;
-            }
-            let seq = g.next_seq;
-            g.next_seq += 1;
-            match self.log_admit(seq, &request, priority, deadline) {
-                Ok(()) => out.push(Ok(self.enqueue(&mut g, seq, request, priority, deadline))),
-                Err(e) => out.push(Err(e)),
-            }
-        }
+        // Items are judged in order against the same queue, so the admitted
+        // ones are a prefix: none after shutdown, else as many as fit.
+        let shutdown = g.shutdown;
+        let admitted = if shutdown {
+            0
+        } else {
+            self.capacity.saturating_sub(g.total).min(items.len())
+        };
+        let first_seq = g.next_seq;
+        g.next_seq += admitted as u64;
+        let logged = self.log_admissions(first_seq, &items[..admitted]);
+        let out = items
+            .into_iter()
+            .enumerate()
+            .map(|(i, (request, priority, deadline))| {
+                if i >= admitted {
+                    return Err(self.refusal(shutdown));
+                }
+                logged.clone()?;
+                let seq = first_seq + i as u64;
+                Ok(self.enqueue(&mut g, seq, request, priority, deadline))
+            })
+            .collect();
         drop(g);
         self.work_cv.notify_all();
         out
+    }
+
+    /// Logs the admission records of a burst's admitted prefix, numbered
+    /// from `first_seq`, with one write; without durability nothing is
+    /// encoded.
+    fn log_admissions(
+        &self,
+        first_seq: u64,
+        admitted: &[(Request, Priority, Option<Duration>)],
+    ) -> Result<(), ServeError> {
+        if self.wal.is_none() {
+            return Ok(());
+        }
+        let records: Vec<Vec<u8>> = admitted
+            .iter()
+            .zip(first_seq..)
+            .map(|((request, priority, deadline), seq)| {
+                encode_admit(seq, request, *priority, *deadline)
+            })
+            .collect();
+        self.wal_append_all(&records).map(|_| ())
+    }
+
+    /// The typed refusal of an item the queue does not take, counted when
+    /// it is backpressure.
+    fn refusal(&self, shutdown: bool) -> ServeError {
+        if shutdown {
+            return ServeError::ShuttingDown;
+        }
+        self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
+        ServeError::Overloaded {
+            capacity: self.capacity,
+        }
     }
 
     /// Re-admits one acknowledged request recovered from the log at
@@ -620,11 +673,16 @@ impl Shared {
         self.stats
             .completed
             .fetch_add(shed.len() as u64, Ordering::Relaxed);
-        // The shed outcome is terminal: record it so a restart does not
-        // re-drive a request whose caller already saw DeadlineExceeded.
-        // Best-effort (the caller has its typed outcome either way).
-        for (seq, _) in &shed {
-            let _ = self.wal_append(&encode_complete(*seq, false));
+        // The shed outcome is terminal: record it, with one write, so a
+        // restart does not re-drive a request whose caller already saw
+        // DeadlineExceeded. Best-effort (the caller has its typed outcome
+        // either way).
+        if self.wal.is_some() {
+            let records: Vec<Vec<u8>> = shed
+                .iter()
+                .map(|(seq, _)| encode_complete(*seq, false))
+                .collect();
+            let _ = self.wal_append_all(&records);
         }
         // Completing under the lock is fine: Slot has its own mutex.
         for (_, slot) in shed {

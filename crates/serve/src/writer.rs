@@ -17,7 +17,10 @@
 //! * **Passes run one at a time, here.** A pass holds the log mutex only
 //!   to rotate, then reads, judges and deletes sealed segments while
 //!   appends continue ([`fol_persist::Compactor::compact_below`]). Its
-//!   report's log floor is published for the workers' applied sets.
+//!   report's log floor is published for the workers' applied sets. The
+//!   writer owns one [`Compactor`] for the server's life, so each sealed
+//!   segment is read and CRC-checked once, by the first pass that meets
+//!   it; every pass still loads and verifies each retained full image.
 //! * **A respawn reads a quiet directory.** [`ImageWriter::hold`] waits
 //!   until the writer is idle and keeps it idle while the durable respawn
 //!   plans and reads the log, so no pass deletes a file under the planner.
@@ -71,8 +74,9 @@ pub(crate) struct ImageWriter {
     /// lost data. Compaction fsyncs its boundary images itself before
     /// deleting the log coverage they replace.
     sync: bool,
-    /// Newest loadable full images compaction retains per worker.
-    keep: usize,
+    /// Every compaction pass's compactor: it remembers the sealed
+    /// segments it has read.
+    compactor: Compactor,
     workers: usize,
     state: Mutex<State>,
     cv: Condvar,
@@ -93,7 +97,8 @@ impl ImageWriter {
         ImageWriter {
             dir: d.dir.clone(),
             sync: d.fsync == FsyncPolicy::Always,
-            keep: d.keep_full_images.max(1),
+            compactor: Compactor::new(&d.dir, REQUEST_LOG_PREFIX)
+                .keep_full_images(d.keep_full_images),
             workers,
             state: Mutex::new(State {
                 queue: VecDeque::new(),
@@ -224,13 +229,12 @@ impl ImageWriter {
     /// the report; an `Err` (an unreadable directory) leaves everything on
     /// disk.
     fn compact(&self, shared: &Shared) {
-        let Some(wal) = &shared.wal else { return };
-        let rotated = wal.lock().unwrap_or_else(PoisonError::into_inner).rotate();
-        let Ok(active) = rotated else { return };
+        let Some(Ok(active)) = shared.with_wal(|w| w.rotate()) else {
+            return;
+        };
         let prefixes: Vec<String> = (0..self.workers).map(worker_prefix).collect();
         let refs: Vec<&str> = prefixes.iter().map(String::as_str).collect();
-        let compactor = Compactor::new(&self.dir, REQUEST_LOG_PREFIX).keep_full_images(self.keep);
-        if let Ok(report) = compactor.compact_below(&refs, classify_record, active) {
+        if let Ok(report) = self.compactor.compact_below(&refs, classify_record, active) {
             let stats = &shared.stats;
             stats
                 .generations_pruned

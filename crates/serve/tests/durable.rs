@@ -6,8 +6,8 @@
 use fol_persist::wal::{self, FsyncPolicy};
 use fol_persist::RecoveryPlanner;
 use fol_serve::{
-    decode_record, worker_prefix, DurRecord, DurabilityConfig, Request, Response, ServeError,
-    Server, ServerConfig, WorkloadClass, REQUEST_LOG_PREFIX,
+    decode_record, worker_prefix, DurRecord, DurabilityConfig, Priority, Request, Response,
+    ServeError, Server, ServerConfig, WorkloadClass, REQUEST_LOG_PREFIX,
 };
 use fol_vm::Word;
 use std::path::{Path, PathBuf};
@@ -451,5 +451,134 @@ fn a_second_restart_after_a_torn_tail_is_accepted() {
         .expect("the log the first restart left replays whole");
     assert!(!restart.torn_tail, "{restart:?}");
     assert_eq!(keys_of(&server.shutdown(), WorkloadClass::Chain), first);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The request log's records, decoded, in append order.
+fn logged(dir: &Path) -> Vec<DurRecord> {
+    wal::replay(dir, REQUEST_LOG_PREFIX)
+        .unwrap()
+        .records
+        .iter()
+        .map(|r| decode_record(&r.payload).unwrap())
+        .collect()
+}
+
+/// A burst of one-key chain inserts, one per key.
+fn inserts(keys: &[Word]) -> Vec<(Request, Priority, Option<Duration>)> {
+    keys.iter()
+        .map(|&k| {
+            (
+                Request::ChainInsert { keys: vec![k] },
+                Priority::Normal,
+                None,
+            )
+        })
+        .collect()
+}
+
+/// The sequence the log admitted a one-key chain insert of `key` under.
+fn admitted_seq(records: &[DurRecord], key: Word) -> Option<(usize, u64)> {
+    records.iter().enumerate().find_map(|(i, r)| match r {
+        DurRecord::Admit {
+            seq,
+            request: Request::ChainInsert { keys },
+            ..
+        } if keys[..] == [key] => Some((i, *seq)),
+        _ => None,
+    })
+}
+
+/// Group commit never acknowledges ahead of the log. Four threads send
+/// bursts to a two-worker `FsyncPolicy::Batch` server; after every
+/// acknowledgement the log holds the request's admission and, after it,
+/// its applied completion. Admissions are logged in sequence order, and
+/// no batch commit runs more than one sync. A burst that crosses the
+/// queue's capacity is admitted and logged up to it and refused past it,
+/// as per-item submission would.
+#[test]
+fn group_commit_never_acknowledges_ahead_of_the_log() {
+    let dir = temp_dir("group-commit");
+    let cfg = ServerConfig {
+        durability: Some(
+            DurabilityConfig::new(&dir)
+                .fsync(FsyncPolicy::Batch)
+                // No image, so no compaction pass deletes what the checks read.
+                .checkpoint_every(u64::MAX),
+        ),
+        ..durable_config(&dir, 2)
+    };
+    let capacity = cfg.queue_capacity;
+    let (server, _) = Server::try_start(cfg).unwrap();
+    std::thread::scope(|s| {
+        for t in 0..4 {
+            let (server, dir) = (&server, &dir);
+            s.spawn(move || {
+                for burst in 0..6 {
+                    let keys: Vec<Word> = (0..16).map(|i| t * 1000 + burst * 16 + i).collect();
+                    let tickets = server.submit_many_with(inserts(&keys));
+                    for (ticket, &key) in tickets.into_iter().zip(&keys) {
+                        let outcome = ticket.and_then(|t| t.wait());
+                        assert!(
+                            matches!(outcome, Ok(Response::ChainInserted { .. })),
+                            "{key}: {outcome:?}"
+                        );
+                        let records = logged(dir);
+                        let (at, seq) = admitted_seq(&records, key)
+                            .unwrap_or_else(|| panic!("{key} was acknowledged unlogged"));
+                        let done = DurRecord::Complete { seq, applied: true };
+                        assert!(
+                            records[at..].contains(&done),
+                            "{key} (seq {seq}) was acknowledged before its completion was logged"
+                        );
+                    }
+                }
+            });
+        }
+    });
+    let admits: Vec<u64> = logged(&dir)
+        .iter()
+        .filter_map(|r| match r {
+            DurRecord::Admit { seq, .. } => Some(*seq),
+            DurRecord::Complete { .. } => None,
+        })
+        .collect();
+    assert_eq!(admits.len(), 4 * 6 * 16);
+    assert!(
+        admits.windows(2).all(|w| w[0] < w[1]),
+        "admissions are logged in sequence order"
+    );
+    let stats = server.stats();
+    assert!(
+        stats.wal_syncs > 0 && stats.wal_syncs <= stats.batches,
+        "{stats:?}"
+    );
+
+    // The queue is empty: a burst past its capacity is admitted up to it.
+    let keys: Vec<Word> = (0..capacity as Word + 8).map(|i| 100_000 + i).collect();
+    let outcomes = server.submit_many_with(inserts(&keys));
+    let records = logged(&dir);
+    let mut tickets = Vec::new();
+    for (i, (outcome, &key)) in outcomes.into_iter().zip(&keys).enumerate() {
+        if i < capacity {
+            tickets.push(outcome.expect("under capacity"));
+            assert!(
+                admitted_seq(&records, key).is_some(),
+                "{key} admitted unlogged"
+            );
+        } else {
+            assert_eq!(outcome.unwrap_err(), ServeError::Overloaded { capacity });
+            assert!(
+                admitted_seq(&records, key).is_none(),
+                "{key} refused but logged"
+            );
+        }
+    }
+    for t in tickets {
+        assert!(t.wait().is_ok());
+    }
+    let report = server.shutdown();
+    assert_eq!(report.stats.overloaded, 8);
+    assert_eq!(report.stats.submitted, 4 * 6 * 16 + capacity as u64);
     std::fs::remove_dir_all(&dir).ok();
 }

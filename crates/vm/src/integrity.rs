@@ -62,11 +62,26 @@ pub fn mix(addr: Addr, word: Word) -> u64 {
 
 /// The XOR-of-[`mix`] digest of a region's contents, recomputed from a
 /// snapshot. The machine maintains the same quantity incrementally.
+///
+/// XOR is associative and commutative, so the terms fold through four
+/// independent accumulators, which the CPU can overlap, and meet at the
+/// end: the value is the one-accumulator fold's.
 pub fn digest_words(base: Addr, words: &[Word]) -> u64 {
-    words
-        .iter()
-        .enumerate()
-        .fold(0u64, |acc, (i, &w)| acc ^ mix(base + i, w))
+    let mut acc = [0u64; 4];
+    let quads = words.chunks_exact(4);
+    let tail = quads.remainder();
+    let mut addr = base;
+    for q in quads {
+        acc[0] ^= mix(addr, q[0]);
+        acc[1] ^= mix(addr + 1, q[1]);
+        acc[2] ^= mix(addr + 2, q[2]);
+        acc[3] ^= mix(addr + 3, q[3]);
+        addr += 4;
+    }
+    for (i, &w) in tail.iter().enumerate() {
+        acc[i] ^= mix(addr + i, w);
+    }
+    acc[0] ^ acc[1] ^ acc[2] ^ acc[3]
 }
 
 /// A typed integrity violation — the "never silently wrong" half of the
@@ -568,6 +583,26 @@ mod tests {
         let a = digest_words(10, &[1, 2]);
         let b = digest_words(10, &[2, 1]);
         assert_ne!(a, b);
+    }
+
+    #[test]
+    fn four_accumulators_fold_to_the_one_accumulator_digest() {
+        let words: Vec<Word> = (0..67)
+            .map(|i| (i as Word).wrapping_mul(-0x61C8_8647))
+            .collect();
+        for base in [0, 1, 3, 1000, 1 << 20] {
+            for len in 0..=words.len() {
+                let one = words[..len]
+                    .iter()
+                    .enumerate()
+                    .fold(0u64, |acc, (i, &w)| acc ^ mix(base + i, w));
+                assert_eq!(
+                    digest_words(base, &words[..len]),
+                    one,
+                    "base {base}, len {len}"
+                );
+            }
+        }
     }
 
     #[test]
