@@ -7,7 +7,7 @@
 //! same decomposition by direct grouping on the host (no vector machine),
 //! and is the oracle the property tests compare against.
 
-use crate::error::{validate_decomposition, FolError, Validation};
+use crate::error::{first_repeat, validate_decomposition, FolError, Validation};
 use crate::Decomposition;
 use fol_vm::{CmpOp, Machine, Region, VReg, Word};
 
@@ -127,11 +127,8 @@ pub fn try_fol1_machine_observed(
             right: labels.len(),
         });
     }
-    {
-        let mut seen = std::collections::HashSet::new();
-        if let Some(position) = labels.iter().position(|l| !seen.insert(l)) {
-            return Err(FolError::DuplicateLabels { position });
-        }
+    if let Some(position) = first_repeat(labels.as_slice()) {
+        return Err(FolError::DuplicateLabels { position });
     }
     for (position, &target) in index_vec.iter().enumerate() {
         if target < 0 || target as usize >= work.len() {

@@ -24,7 +24,6 @@
 
 use crate::Decomposition;
 use fol_vm::MachineTrap;
-use std::collections::HashSet;
 use std::fmt;
 
 /// Every way a FOL decomposition or execution can fail.
@@ -299,34 +298,55 @@ pub enum Validation {
 /// Checks one round's execution-safety conditions: every position indexes
 /// `targets`, every target lies in `0..domain`, and no two positions of the
 /// round share a target (Lemma 2).
+///
+/// The verdict is the first violation in round order: a repeated target
+/// ahead of the first out-of-range position is reported as the repeat.
 pub fn validate_round(
     round_idx: usize,
     round: &[usize],
     targets: &[usize],
     domain: usize,
 ) -> Result<(), FolError> {
-    let mut seen = HashSet::with_capacity(round.len());
-    for &pos in round {
-        if pos >= targets.len() {
-            return Err(FolError::PositionMissing { position: pos });
-        }
-        let t = targets[pos];
-        if t >= domain {
-            return Err(FolError::TargetOutOfBounds {
+    let bad = round.iter().enumerate().find_map(|(k, &pos)| {
+        let err = match targets.get(pos) {
+            None => FolError::PositionMissing { position: pos },
+            Some(&t) if t >= domain => FolError::TargetOutOfBounds {
                 round: Some(round_idx),
                 position: pos,
                 target: t as i64,
                 domain,
-            });
-        }
-        if !seen.insert(t) {
-            return Err(FolError::DuplicateTargetInRound {
-                round: round_idx,
-                target: t,
-            });
-        }
+            },
+            Some(_) => return None,
+        };
+        Some((k, err))
+    });
+    let in_range = bad.as_ref().map_or(round.len(), |&(k, _)| k);
+    let round_targets: Vec<usize> = round[..in_range].iter().map(|&p| targets[p]).collect();
+    if let Some(k) = first_repeat(&round_targets) {
+        return Err(FolError::DuplicateTargetInRound {
+            round: round_idx,
+            target: round_targets[k],
+        });
     }
-    Ok(())
+    bad.map_or(Ok(()), |(_, err)| Err(err))
+}
+
+/// The position of the first element equal to an earlier one, if any.
+/// Strictly increasing values (as `iota` labels are) prove distinctness in
+/// one pass; otherwise a sorted copy of `(value, position)` pairs puts
+/// each value's occurrences side by side, and the earliest second
+/// occurrence is the answer.
+pub(crate) fn first_repeat<T: Ord + Copy>(values: &[T]) -> Option<usize> {
+    if values.windows(2).all(|w| w[0] < w[1]) {
+        return None;
+    }
+    let mut sorted: Vec<(T, usize)> = values.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    sorted
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
 }
 
 /// Validates a whole decomposition against `targets` and a storage of
@@ -362,16 +382,16 @@ pub fn validate_decomposition(
     if let Some(position) = seen.iter().position(|&s| !s) {
         return Err(FolError::PositionMissing { position });
     }
-    // Theorem 5: round count equals the maximum target multiplicity.
+    // Theorem 5: round count equals the maximum target multiplicity,
+    // counted as the longest run of a sorted copy.
     let max_multiplicity = {
-        let mut counts = std::collections::HashMap::with_capacity(targets.len());
-        let mut max = 0usize;
-        for &t in targets {
-            let c = counts.entry(t).or_insert(0usize);
-            *c += 1;
-            max = max.max(*c);
-        }
-        max
+        let mut sorted = targets.to_vec();
+        sorted.sort_unstable();
+        sorted
+            .chunk_by(|a, b| a == b)
+            .map(<[usize]>::len)
+            .max()
+            .unwrap_or(0)
     };
     if d.num_rounds() != max_multiplicity {
         return Err(FolError::NotMinimal {
@@ -540,5 +560,65 @@ mod tests {
         assert!(e.to_string().contains("machine trap"));
         use std::error::Error;
         assert!(e.source().is_some());
+    }
+
+    /// The one-pass set check `validate_round` and the duplicate-label
+    /// check made before they sorted copies.
+    fn one_pass_round(
+        round_idx: usize,
+        round: &[usize],
+        targets: &[usize],
+        domain: usize,
+    ) -> Result<(), FolError> {
+        let mut seen = std::collections::BTreeSet::new();
+        for &pos in round {
+            let Some(&t) = targets.get(pos) else {
+                return Err(FolError::PositionMissing { position: pos });
+            };
+            if t >= domain {
+                return Err(FolError::TargetOutOfBounds {
+                    round: Some(round_idx),
+                    position: pos,
+                    target: t as i64,
+                    domain,
+                });
+            }
+            if !seen.insert(t) {
+                return Err(FolError::DuplicateTargetInRound {
+                    round: round_idx,
+                    target: t,
+                });
+            }
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn sorted_copy_checks_match_one_pass_set_checks() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut draw = |n: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % n) as usize
+        };
+        for case in 0..3000 {
+            let domain = 1 + draw(12);
+            let targets: Vec<usize> = (0..1 + draw(16)).map(|_| draw(domain as u64 + 2)).collect();
+            let round: Vec<usize> = (0..draw(10))
+                .map(|_| draw(targets.len() as u64 + 2))
+                .collect();
+            assert_eq!(
+                validate_round(3, &round, &targets, domain),
+                one_pass_round(3, &round, &targets, domain),
+                "case {case}: round {round:?} targets {targets:?} domain {domain}"
+            );
+            let mut seen = std::collections::BTreeSet::new();
+            let want = round.iter().position(|v| !seen.insert(v));
+            assert_eq!(first_repeat(&round), want, "case {case}: {round:?}");
+        }
+        assert_eq!(first_repeat(&[1, 2, 5, 9]), None);
+        assert_eq!(first_repeat::<i64>(&[]), None);
+        assert_eq!(first_repeat(&[4, 1, 4, 1]), Some(2));
     }
 }

@@ -21,7 +21,6 @@ use fol_core::recover::{
     RecoveryReport, RetryPolicy,
 };
 use fol_vm::{AluOp, CmpOp, Machine, Region, VReg, Word};
-use std::collections::HashMap;
 
 /// Nil chain pointer.
 pub const NIL: Word = -1;
@@ -282,14 +281,21 @@ fn insert_landed_exactly(m: &Machine, table: &ChainTable, keys: &[Word], first: 
     };
     let mem = m.mem();
     let buckets = table.buckets() as Word;
-    let mut per_bucket: HashMap<usize, usize> = HashMap::new();
-    for &k in keys {
-        *per_bucket.entry(hash_mod(k, buckets) as usize).or_default() += 1;
-    }
+    // The batch's buckets with their key counts, ascending by bucket.
+    let mut hashed: Vec<usize> = keys
+        .iter()
+        .map(|&k| hash_mod(k, buckets) as usize)
+        .collect();
+    hashed.sort_unstable();
+    let per_bucket: Vec<(usize, usize)> = hashed
+        .chunk_by(|a, b| a == b)
+        .map(|run| (run[0], run.len()))
+        .collect();
     let new_nodes = table.arena.base() + 2 * first..table.arena.base() + 2 * (first + keys.len());
     for addr in journal.addrs() {
         let must_keep = if table.heads.contains(addr) {
-            !per_bucket.contains_key(&(addr - table.heads.base()))
+            let b = addr - table.heads.base();
+            per_bucket.binary_search_by_key(&b, |&(b, _)| b).is_err()
         } else {
             table.arena.contains(addr) && !new_nodes.contains(&addr)
         };
@@ -299,7 +305,7 @@ fn insert_landed_exactly(m: &Machine, table: &ChainTable, keys: &[Word], first: 
     }
     let mut visited = vec![false; keys.len()];
     let mut landed = Vec::with_capacity(keys.len());
-    for (&b, &count) in &per_bucket {
+    for &(b, count) in &per_bucket {
         let head = table.heads.at(b);
         let old_head = journal.pre_image(head).unwrap_or_else(|| mem.read(head));
         let mut p = mem.read(head);
@@ -416,17 +422,17 @@ pub fn txn_insert_all(
 ///
 /// Returns one outcome per input group, in order: the FOL round count of the
 /// transaction that landed the group, or a typed [`GroupError`].
-pub fn txn_insert_groups(
+pub fn txn_insert_groups<G: AsRef<[Word]>>(
     m: &mut Machine,
     table: &mut ChainTable,
-    groups: &[Vec<Word>],
+    groups: &[G],
     policy: &RetryPolicy,
 ) -> Vec<Result<usize, GroupError>> {
     let capacity = table.arena.len() / 2;
     let mut admitted: Vec<usize> = Vec::new();
     let mut out: Vec<Option<Result<usize, GroupError>>> = vec![None; groups.len()];
     let mut planned = table.used_nodes;
-    for (i, g) in groups.iter().enumerate() {
+    for (i, g) in groups.iter().map(AsRef::as_ref).enumerate() {
         if planned + g.len() <= capacity {
             planned += g.len();
             admitted.push(i);
@@ -444,7 +450,7 @@ pub fn txn_insert_groups(
     let results = split_retry(&admitted, &mut |idxs: &[usize]| {
         let keys: Vec<Word> = idxs
             .iter()
-            .flat_map(|&i| groups[i].iter().copied())
+            .flat_map(|&i| groups[i].as_ref().iter().copied())
             .collect();
         txn_insert_all(m, table, &keys, policy).map(|(rounds, _)| rounds)
     });

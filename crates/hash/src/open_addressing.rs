@@ -396,10 +396,10 @@ fn group_admission_verdict(
 /// # Panics
 /// Panics on table-level contract violations (empty table, key-dependent
 /// probing on a table of ≤ 32 slots) or if a transaction is already open.
-pub fn txn_insert_groups(
+pub fn txn_insert_groups<G: AsRef<[Word]>>(
     m: &mut Machine,
     table: Region,
-    groups: &[Vec<Word>],
+    groups: &[G],
     probe: ProbeStrategy,
     policy: &RetryPolicy,
 ) -> Vec<Result<InsertReport, GroupError>> {
@@ -418,7 +418,7 @@ pub fn txn_insert_groups(
     let mut batch_keys = std::collections::HashSet::new();
     let mut planned = 0usize;
     let mut out: Vec<Option<Result<InsertReport, GroupError>>> = vec![None; groups.len()];
-    for (i, g) in groups.iter().enumerate() {
+    for (i, g) in groups.iter().map(AsRef::as_ref).enumerate() {
         match group_admission_verdict(g, planned, free, &batch_keys) {
             Some(reason) => out[i] = Some(Err(GroupError::Rejected { reason })),
             None => {
@@ -431,7 +431,7 @@ pub fn txn_insert_groups(
     let results = split_retry(&admitted, &mut |idxs: &[usize]| {
         let keys: Vec<Word> = idxs
             .iter()
-            .flat_map(|&i| groups[i].iter().copied())
+            .flat_map(|&i| groups[i].as_ref().iter().copied())
             .collect();
         txn_insert_all(m, table, &keys, probe, policy).map(|(report, _)| report)
     });

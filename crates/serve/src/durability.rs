@@ -197,6 +197,13 @@ pub fn encode_admit(
     e.into_bytes()
 }
 
+/// Renumbers an admission record [`encode_admit`] framed: its sequence
+/// number sits right after the tag byte. A burst is framed before the
+/// queue lock and numbered under it.
+pub(crate) fn set_admit_seq(record: &mut [u8], seq: u64) {
+    record[1..9].copy_from_slice(&seq.to_le_bytes());
+}
+
 /// Encodes a completion record.
 pub(crate) fn encode_complete(seq: u64, applied: bool) -> Vec<u8> {
     let mut e = Enc::new();
@@ -372,6 +379,19 @@ mod tests {
         ];
         for (bytes, expected) in cases {
             assert_eq!(decode_record(&bytes).unwrap(), expected);
+        }
+    }
+
+    #[test]
+    fn a_renumbered_admission_is_the_record_framed_with_that_number() {
+        let request = Request::ChainInsert { keys: vec![3, -4] };
+        for deadline in [None, Some(Duration::from_millis(250))] {
+            let mut bytes = encode_admit(0, &request, Priority::High, deadline);
+            set_admit_seq(&mut bytes, u64::MAX - 5);
+            assert_eq!(
+                bytes,
+                encode_admit(u64::MAX - 5, &request, Priority::High, deadline)
+            );
         }
     }
 

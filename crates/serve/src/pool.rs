@@ -482,7 +482,7 @@ impl Worker {
                 });
                 // Lookups are read-only SIVP: coalesce every request into
                 // one long query vector, then slice the answers back out.
-                let all: Vec<Word> = groups.iter().flatten().copied().collect();
+                let all: Vec<Word> = groups.concat();
                 let found = if all.is_empty() {
                     Vec::new()
                 } else {
@@ -801,11 +801,12 @@ impl Worker {
     }
 }
 
+/// Each request's keys, borrowed from the batch.
 fn collect_groups<'a>(
     items: &'a [Pending],
-    extract: impl Fn(&'a Request) -> &'a Vec<Word>,
-) -> Vec<Vec<Word>> {
-    items.iter().map(|p| extract(&p.request).clone()).collect()
+    extract: impl Fn(&'a Request) -> &'a [Word],
+) -> Vec<&'a [Word]> {
+    items.iter().map(|p| extract(&p.request)).collect()
 }
 
 fn serve_error(e: GroupError) -> ServeError {

@@ -1,9 +1,14 @@
 //! The shared admission queue: bounded, typed backpressure, per-kind lanes.
 //!
-//! Clients [`Shared::submit`] under the queue lock; workers drain under the
-//! same lock via [`Shared::next_batch`], which also purges deadline-expired
-//! requests (completing them with a typed [`ServeError::DeadlineExceeded`],
-//! never a silent drop). The scheduler is work-conserving by default:
+//! Clients [`Shared::submit_many`] a burst: its slots, tickets and log
+//! records are built first, and the queue lock covers only numbering, the
+//! log write and linking. Workers drain under the same lock via
+//! [`Shared::next_batch`], which also purges deadline-expired requests
+//! (completing them with a typed [`ServeError::DeadlineExceeded`], never a
+//! silent drop) once the earliest queued deadline has passed. Each lane
+//! keeps a FIFO per priority, so a batch pops a prefix in take order and
+//! readiness reads only the fronts: every step under the lock costs O(1)
+//! per request moved. The scheduler is work-conserving by default:
 //! with a zero `max_wait` a lane is ready as soon as it holds a request,
 //! and the worker that asks takes up to `max_batch` of them, so a batch is
 //! as long as the backlog that built while the workers were busy. A
@@ -20,17 +25,18 @@
 //! instead of sleeping once per ticket.
 //!
 //! A durable server also logs here. [`Shared::submit_many`] frames a
-//! burst's admission records into one log write under the queue lock,
-//! before any of the burst's tickets exists, so log order is sequence
-//! order. A worker appends its batch's completion records with one write
-//! and then group-commits ([`Shared::wal_commit`]): the `fdatasync` runs
-//! outside the log mutex, so admissions and other workers' appends go on
-//! during it, and one sync covers every record appended before it began.
+//! burst's admission records before the queue lock, then numbers them and
+//! writes them with one log write under it, before any of the burst's
+//! tickets is handed out, so log order is sequence order. A worker appends
+//! its batch's completion records with one write and then group-commits
+//! ([`Shared::wal_commit`]): the `fdatasync` runs outside the log mutex, so
+//! admissions and other workers' appends go on during it, and one sync
+//! covers every record appended before it began.
 //! Lock order: `inner` → `wal`, and `wal_sync` → `wal`; below
 //! [`fol_persist::FsyncPolicy::Always`] no lock but `wal_sync` is held
 //! across a sync.
 
-use crate::durability::{encode_admit, encode_complete};
+use crate::durability::{encode_admit, encode_complete, set_admit_seq};
 use crate::request::{Kind, Priority, Request, Response, ServeError, WorkloadClass};
 use crate::writer::ImageWriter;
 use fol_persist::Wal;
@@ -170,11 +176,77 @@ fn kind_of_lane(l: usize) -> Kind {
     }
 }
 
+/// One queue lane, kept in take order: a FIFO per priority, each in
+/// sequence order, so a batch pops the fronts from `High` down and the
+/// oldest entry of each priority is its front.
+#[derive(Default)]
+struct Lane {
+    /// Indexed by `Priority as usize`.
+    fifos: [VecDeque<Pending>; 3],
+}
+
+impl Lane {
+    fn len(&self) -> usize {
+        self.fifos.iter().map(VecDeque::len).sum()
+    }
+
+    fn is_empty(&self) -> bool {
+        self.fifos.iter().all(VecDeque::is_empty)
+    }
+
+    /// Links an entry behind every entry of its priority; entries arrive
+    /// in sequence order.
+    fn push(&mut self, p: Pending) {
+        let fifo = &mut self.fifos[p.priority as usize];
+        debug_assert!(fifo.back().is_none_or(|b| b.seq < p.seq));
+        fifo.push_back(p);
+    }
+
+    /// When the lane's oldest entry was enqueued: the earliest of the
+    /// fronts. A burst reads the clock before it takes the queue lock, so
+    /// a front may be younger than an entry behind it by one lock wait.
+    fn oldest(&self) -> Option<Instant> {
+        self.fifos
+            .iter()
+            .filter_map(|f| f.front())
+            .map(|p| p.enqueued)
+            .min()
+    }
+
+    /// Pops up to `cap` entries by descending priority, ties in sequence
+    /// order.
+    fn take(&mut self, cap: usize) -> Vec<Pending> {
+        let mut out = Vec::with_capacity(cap.min(self.len()));
+        for fifo in self.fifos.iter_mut().rev() {
+            let n = (cap - out.len()).min(fifo.len());
+            out.extend(fifo.drain(..n));
+        }
+        out
+    }
+}
+
 pub(crate) struct Inner {
-    lanes: [VecDeque<Pending>; LANES],
+    lanes: [Lane; LANES],
     total: usize,
     next_seq: u64,
+    /// No queued deadline is earlier than this; `None` when no queued entry
+    /// has one. An entry that leaves in a batch may leave it early, which
+    /// costs one purge scan that finds nothing and recomputes it.
+    earliest_deadline: Option<Instant>,
     pub(crate) shutdown: bool,
+}
+
+impl Inner {
+    /// Links admitted entries into their lanes.
+    fn link(&mut self, entries: impl IntoIterator<Item = Pending>) {
+        for p in entries {
+            if let Some(d) = p.deadline {
+                self.earliest_deadline = Some(self.earliest_deadline.map_or(d, |e| e.min(d)));
+            }
+            self.total += 1;
+            self.lanes[lane_of(&p.request)].push(p);
+        }
+    }
 }
 
 /// Aggregate serving statistics, maintained lock-free.
@@ -376,6 +448,7 @@ impl Shared {
                 lanes: Default::default(),
                 total: 0,
                 next_seq: 0,
+                earliest_deadline: None,
                 shutdown: false,
             }),
             work_cv: Condvar::new(),
@@ -528,10 +601,14 @@ impl Shared {
     /// [`ServeError::ShuttingDown`] after [`Shared::begin_shutdown`],
     /// [`ServeError::Overloaded`] when the bounded queue is full.
     ///
+    /// The burst reads the clock once and builds every slot, ticket and
+    /// admission record before it takes the queue lock, which then covers
+    /// only numbering, the log write and linking.
+    ///
     /// With durability on, every admissible item's record is framed into
     /// ONE log write under the queue lock, **before** any of the burst's
-    /// [`Ticket`]s exists — under [`fol_persist::FsyncPolicy::Always`] that
-    /// write is on stable storage before any caller sees an
+    /// [`Ticket`]s is handed out — under [`fol_persist::FsyncPolicy::Always`]
+    /// that write is on stable storage before any caller sees an
     /// acknowledgement. When the write fails, every admissible item of the
     /// burst is refused with [`ServeError::Persist`] (a durable server
     /// acknowledges nothing it cannot re-drive): the sequence numbers are
@@ -540,6 +617,29 @@ impl Shared {
         &self,
         items: Vec<(Request, Priority, Option<Duration>)>,
     ) -> Vec<Result<Ticket, ServeError>> {
+        let now = Instant::now();
+        let mut records: Vec<Vec<u8>> = Vec::new();
+        let mut tickets = Vec::with_capacity(items.len());
+        let mut entries: Vec<Pending> = items
+            .into_iter()
+            .map(|(request, priority, deadline)| {
+                if self.wal.is_some() {
+                    records.push(encode_admit(0, &request, priority, deadline));
+                }
+                let slot = Arc::new(Slot::new());
+                tickets.push(Ticket {
+                    slot: Arc::clone(&slot),
+                });
+                Pending {
+                    seq: 0,
+                    request,
+                    priority,
+                    deadline: deadline.map(|d| now + d),
+                    enqueued: now,
+                    slot,
+                }
+            })
+            .collect();
         let mut g = self.lock();
         // Items are judged in order against the same queue, so the admitted
         // ones are a prefix: none after shutdown, else as many as fit.
@@ -547,59 +647,51 @@ impl Shared {
         let admitted = if shutdown {
             0
         } else {
-            self.capacity.saturating_sub(g.total).min(items.len())
+            self.capacity.saturating_sub(g.total).min(entries.len())
         };
         let first_seq = g.next_seq;
         g.next_seq += admitted as u64;
-        let logged = self.log_admissions(first_seq, &items[..admitted]);
-        let out = items
+        for (p, seq) in entries[..admitted].iter_mut().zip(first_seq..) {
+            p.seq = seq;
+        }
+        records.truncate(admitted);
+        for (r, seq) in records.iter_mut().zip(first_seq..) {
+            set_admit_seq(r, seq);
+        }
+        let logged = self.wal_append_all(&records).map(|_| ());
+        let linked = if logged.is_ok() { admitted } else { 0 };
+        g.link(entries.drain(..linked));
+        self.stats
+            .submitted
+            .fetch_add(linked as u64, Ordering::Relaxed);
+        drop(g);
+        if linked > 0 {
+            self.work_cv.notify_all();
+        }
+        let refused = tickets.len() - admitted;
+        if refused > 0 && !shutdown {
+            self.stats
+                .overloaded
+                .fetch_add(refused as u64, Ordering::Relaxed);
+        }
+        // Dropped here, outside the lock: the entries never linked.
+        drop(entries);
+        tickets
             .into_iter()
             .enumerate()
-            .map(|(i, (request, priority, deadline))| {
+            .map(|(i, ticket)| {
                 if i >= admitted {
-                    return Err(self.refusal(shutdown));
+                    return Err(if shutdown {
+                        ServeError::ShuttingDown
+                    } else {
+                        ServeError::Overloaded {
+                            capacity: self.capacity,
+                        }
+                    });
                 }
-                logged.clone()?;
-                let seq = first_seq + i as u64;
-                Ok(self.enqueue(&mut g, seq, request, priority, deadline))
+                logged.clone().map(|()| ticket)
             })
-            .collect();
-        drop(g);
-        self.work_cv.notify_all();
-        out
-    }
-
-    /// Logs the admission records of a burst's admitted prefix, numbered
-    /// from `first_seq`, with one write; without durability nothing is
-    /// encoded.
-    fn log_admissions(
-        &self,
-        first_seq: u64,
-        admitted: &[(Request, Priority, Option<Duration>)],
-    ) -> Result<(), ServeError> {
-        if self.wal.is_none() {
-            return Ok(());
-        }
-        let records: Vec<Vec<u8>> = admitted
-            .iter()
-            .zip(first_seq..)
-            .map(|((request, priority, deadline), seq)| {
-                encode_admit(seq, request, *priority, *deadline)
-            })
-            .collect();
-        self.wal_append_all(&records).map(|_| ())
-    }
-
-    /// The typed refusal of an item the queue does not take, counted when
-    /// it is backpressure.
-    fn refusal(&self, shutdown: bool) -> ServeError {
-        if shutdown {
-            return ServeError::ShuttingDown;
-        }
-        self.stats.overloaded.fetch_add(1, Ordering::Relaxed);
-        ServeError::Overloaded {
-            capacity: self.capacity,
-        }
+            .collect()
     }
 
     /// Re-admits one acknowledged request recovered from the log at
@@ -607,37 +699,22 @@ impl Shared {
     /// capacity bound (an acknowledged request outranks backpressure) and
     /// does not re-log the admission — the original admit record is still
     /// in an earlier segment, and this run's completion record will pair
-    /// with it.
+    /// with it. Startup re-drives in sequence order, before any submission.
     pub(crate) fn resubmit(&self, seq: u64, request: Request, priority: Priority) {
-        let mut g = self.lock();
-        let _ = self.enqueue(&mut g, seq, request, priority, None);
-        self.stats.wal_replayed.fetch_add(1, Ordering::Relaxed);
-        drop(g);
-        self.work_cv.notify_all();
-    }
-
-    fn enqueue(
-        &self,
-        g: &mut Inner,
-        seq: u64,
-        request: Request,
-        priority: Priority,
-        deadline: Option<Duration>,
-    ) -> Ticket {
-        let now = Instant::now();
-        let slot = Arc::new(Slot::new());
-        let l = lane_of(&request);
-        g.lanes[l].push_back(Pending {
+        let entry = Pending {
             seq,
             request,
             priority,
-            deadline: deadline.map(|d| now + d),
-            enqueued: now,
-            slot: Arc::clone(&slot),
-        });
-        g.total += 1;
+            deadline: None,
+            enqueued: Instant::now(),
+            slot: Arc::new(Slot::new()),
+        };
+        let mut g = self.lock();
+        g.link([entry]);
         self.stats.submitted.fetch_add(1, Ordering::Relaxed);
-        Ticket { slot }
+        self.stats.wal_replayed.fetch_add(1, Ordering::Relaxed);
+        drop(g);
+        self.work_cv.notify_all();
     }
 
     /// Marks the server as draining: no new admissions, every queued
@@ -648,21 +725,32 @@ impl Shared {
     }
 
     /// Completes and removes every queued request whose deadline has
-    /// passed. Runs under the queue lock on every drain attempt, so an
-    /// expired request is shed the next time any worker looks at the queue.
-    /// The counters and the log record come first, so a caller that sees
-    /// its outcome also sees it counted and logged.
+    /// passed. Runs under the queue lock on every drain attempt, but scans
+    /// the lanes only once the earliest queued deadline has passed, so an
+    /// expired request is shed the next time any worker looks at the queue
+    /// and a queue without deadlines costs one comparison. The counters and
+    /// the log record come first, so a caller that sees its outcome also
+    /// sees it counted and logged.
     fn purge_expired(&self, g: &mut Inner, now: Instant) {
+        if g.earliest_deadline.is_none_or(|d| d > now) {
+            return;
+        }
         let mut shed: Vec<(u64, Arc<Slot>)> = Vec::new();
-        for deque in &mut g.lanes {
-            deque.retain(|p| match p.deadline {
+        let mut earliest: Option<Instant> = None;
+        for fifo in g.lanes.iter_mut().flat_map(|l| &mut l.fifos) {
+            fifo.retain(|p| match p.deadline {
                 Some(d) if d <= now => {
                     shed.push((p.seq, Arc::clone(&p.slot)));
                     false
                 }
-                _ => true,
+                Some(d) => {
+                    earliest = Some(earliest.map_or(d, |e| e.min(d)));
+                    true
+                }
+                None => true,
             });
         }
+        g.earliest_deadline = earliest;
         if shed.is_empty() {
             return;
         }
@@ -697,16 +785,14 @@ impl Shared {
     /// it holds. A control lane is ready as soon as it is non-empty: its
     /// batches hold one request, so lingering could only delay it.
     fn lane_ready(&self, g: &Inner, l: usize, now: Instant) -> bool {
-        let deque = &g.lanes[l];
-        if deque.is_empty() {
+        let lane = &g.lanes[l];
+        let Some(oldest) = lane.oldest() else {
             return false;
-        }
+        };
         kind_of_lane(l) == Kind::Control
             || g.shutdown
-            || deque.len() >= self.max_batch
-            || deque
-                .iter()
-                .any(|p| now.duration_since(p.enqueued) >= self.max_wait)
+            || now.duration_since(oldest) >= self.max_wait
+            || lane.len() >= self.max_batch
     }
 
     /// Extracts up to `max_batch` requests from lane `l` by descending
@@ -719,12 +805,7 @@ impl Shared {
         } else {
             self.max_batch
         };
-        let mut all: Vec<Pending> = g.lanes[l].drain(..).collect();
-        all.sort_by_key(|p| (std::cmp::Reverse(p.priority), p.seq));
-        let rest = all.split_off(all.len().min(cap));
-        for p in rest.into_iter().rev() {
-            g.lanes[l].push_front(p);
-        }
+        let all = g.lanes[l].take(cap);
         g.total -= all.len();
         self.stats.batches.fetch_add(1, Ordering::Relaxed);
         self.stats
@@ -768,8 +849,8 @@ impl Shared {
         }
         let wait = lanes_served
             .iter()
-            .flat_map(|&l| g.lanes[l].iter())
-            .map(|p| self.max_wait.saturating_sub(now.duration_since(p.enqueued)))
+            .filter_map(|&l| g.lanes[l].oldest())
+            .map(|oldest| self.max_wait.saturating_sub(now.duration_since(oldest)))
             .fold(tick, Duration::min);
         let _ = self
             .work_cv
@@ -781,6 +862,7 @@ impl Shared {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fol_vm::Word;
 
     fn shared() -> Shared {
         Shared::new(4, 8, Duration::from_millis(0), None, None, 1)
@@ -873,6 +955,124 @@ mod tests {
             .expect("flushed by drain");
         assert_eq!(b.items.len(), 1);
         assert_eq!(s.next_batch(&[LANE_CHAIN_INSERT]), Err(true), "drained");
+    }
+
+    fn chain(key: Word) -> Request {
+        Request::ChainInsert { keys: vec![key] }
+    }
+
+    /// Drains `lanes` until nothing is ready, returning each batch's seqs.
+    fn drain(s: &Shared, lanes: &[usize]) -> Vec<Vec<u64>> {
+        let mut out = Vec::new();
+        while let Ok(b) = s.next_batch(lanes) {
+            out.push(b.items.iter().map(|p| p.seq).collect());
+        }
+        out
+    }
+
+    #[test]
+    fn a_long_lane_drains_by_priority_then_sequence_across_batches() {
+        let s = Shared::new(64, 4, Duration::ZERO, None, None, 1);
+        let priorities = [Priority::Low, Priority::High, Priority::Normal];
+        let mut tickets = Vec::new();
+        let mut expected: Vec<(std::cmp::Reverse<Priority>, u64)> = Vec::new();
+        // Single submissions and bursts interleave the three priorities.
+        for i in 0..7u64 {
+            let p = priorities[(i * 5 % 3) as usize];
+            tickets.push(s.submit(chain(i as Word), p, None).unwrap());
+            expected.push((std::cmp::Reverse(p), i));
+        }
+        let burst: Vec<_> = (7..15u64)
+            .map(|i| (chain(i as Word), priorities[(i % 3) as usize], None))
+            .collect();
+        for (i, (_, p, _)) in (7..).zip(&burst) {
+            expected.push((std::cmp::Reverse(*p), i));
+        }
+        tickets.extend(s.submit_many(burst).into_iter().map(Result::unwrap));
+        expected.sort_unstable();
+        let batches = drain(&s, &[LANE_CHAIN_INSERT]);
+        assert!(batches.iter().all(|b| b.len() <= 4), "{batches:?}");
+        assert_eq!(batches.len(), 4, "15 entries in batches of at most 4");
+        let order: Vec<u64> = batches.concat();
+        let want: Vec<u64> = expected.iter().map(|&(_, seq)| seq).collect();
+        assert_eq!(order, want);
+        assert_eq!(s.lock().total, 0);
+    }
+
+    #[test]
+    fn an_expired_entry_is_shed_after_the_earliest_deadline_left_in_a_batch() {
+        let s = Shared::new(8, 1, Duration::ZERO, None, None, 1);
+        // The High entry sets the earliest deadline and leaves in the
+        // first batch; the Low entry behind it expires later.
+        let ms = Duration::from_millis;
+        let _first = s.submit(chain(1), Priority::High, Some(ms(200))).unwrap();
+        let late = s.submit(chain(2), Priority::Low, Some(ms(250))).unwrap();
+        let keep = s.submit(chain(3), Priority::Low, None).unwrap();
+        let b = s.next_batch(&[LANE_CHAIN_INSERT]).expect("ready");
+        assert_eq!(b.items[0].seq, 0);
+        std::thread::sleep(ms(300));
+        // A drain of another lane sheds it (counted before it completes,
+        // so a queue that kept it fails here rather than blocking below).
+        assert!(s.next_batch(&[LANE_OA_INSERT]).is_err());
+        assert_eq!(s.stats.snapshot().deadline_expired, 1);
+        assert_eq!(late.wait(), Err(ServeError::DeadlineExceeded));
+        assert_eq!(drain(&s, &[LANE_CHAIN_INSERT]), vec![vec![2]]);
+        drop(keep);
+    }
+
+    #[test]
+    fn under_a_linger_readiness_follows_the_oldest_entry_of_any_priority() {
+        let linger = Duration::from_millis(400);
+        let s = Shared::new(8, 8, linger, None, None, 1);
+        let t0 = Instant::now();
+        let _low = s.submit(chain(1), Priority::Low, None).unwrap();
+        std::thread::sleep(Duration::from_millis(100));
+        let _high = s.submit(chain(2), Priority::High, None).unwrap();
+        assert!(
+            s.next_batch(&[LANE_CHAIN_INSERT]).is_err(),
+            "neither entry has lingered yet"
+        );
+        std::thread::sleep((linger + Duration::from_millis(20)).saturating_sub(t0.elapsed()));
+        // The High front is younger than the linger; the Low one is not.
+        let b = s
+            .next_batch(&[LANE_CHAIN_INSERT])
+            .expect("the oldest has lingered");
+        let order: Vec<u64> = b.items.iter().map(|p| p.seq).collect();
+        assert_eq!(order, vec![1, 0]);
+    }
+
+    #[test]
+    fn an_overflowing_burst_refuses_exactly_its_tail_and_leaves_nothing_behind() {
+        let s = shared(); // capacity 4
+        let _a = s.submit(chain(0), Priority::Normal, None).unwrap();
+        let _b = s.submit(chain(1), Priority::High, None).unwrap();
+        let burst: Vec<_> = (2..7).map(|k| (chain(k), Priority::Low, None)).collect();
+        let out = s.submit_many(burst);
+        assert_eq!(out.len(), 5);
+        let admitted: Vec<Ticket> = out[..2]
+            .iter()
+            .map(|r| Ticket {
+                slot: Arc::clone(&r.as_ref().expect("fits").slot),
+            })
+            .collect();
+        for r in &out[2..] {
+            assert_eq!(
+                r.as_ref().unwrap_err(),
+                &ServeError::Overloaded { capacity: 4 }
+            );
+        }
+        // Each admitted slot is held by its ticket, its copy above and its
+        // queue entry; the refused tail left no entry and no number.
+        assert!(admitted.iter().all(|t| Arc::strong_count(&t.slot) == 3));
+        {
+            let g = s.lock();
+            assert_eq!(g.total, 4);
+            assert_eq!(g.lanes.iter().map(Lane::len).sum::<usize>(), 4);
+            assert_eq!(g.next_seq, 4);
+        }
+        let snap = s.stats.snapshot();
+        assert_eq!((snap.submitted, snap.overloaded), (4, 3));
+        assert_eq!(drain(&s, &[LANE_CHAIN_INSERT]), vec![vec![1, 0, 2, 3]]);
     }
 
     #[test]

@@ -450,17 +450,17 @@ pub fn txn_insert_all(
 ///
 /// Returns one outcome per input group, in order; an `Ok` carries the
 /// [`BstReport`] of the (possibly shared) transaction that landed the group.
-pub fn txn_insert_groups(
+pub fn txn_insert_groups<G: AsRef<[Word]>>(
     m: &mut Machine,
     tree: &mut Bst,
-    groups: &[Vec<Word>],
+    groups: &[G],
     policy: &RetryPolicy,
 ) -> Vec<Result<BstReport, GroupError>> {
     let capacity = tree.keys.len();
     let mut admitted: Vec<usize> = Vec::new();
     let mut out: Vec<Option<Result<BstReport, GroupError>>> = vec![None; groups.len()];
     let mut planned = tree.used;
-    for (i, g) in groups.iter().enumerate() {
+    for (i, g) in groups.iter().map(AsRef::as_ref).enumerate() {
         if planned + g.len() <= capacity {
             planned += g.len();
             admitted.push(i);
@@ -478,7 +478,7 @@ pub fn txn_insert_groups(
     let results = split_retry(&admitted, &mut |idxs: &[usize]| {
         let keys: Vec<Word> = idxs
             .iter()
-            .flat_map(|&i| groups[i].iter().copied())
+            .flat_map(|&i| groups[i].as_ref().iter().copied())
             .collect();
         txn_insert_all(m, tree, &keys, policy).map(|(report, _)| report)
     });

@@ -39,10 +39,8 @@
 //! silently returning corrupted data.
 
 use crate::fault::hash3;
-use crate::journal::AddrMap;
 use crate::memory::{Addr, Region};
 use crate::vreg::Word;
-use std::collections::hash_map::Entry;
 
 /// Words per integrity block: the unit of the block digests, of the
 /// footprint a transaction records and of repair from the committed image.
@@ -181,12 +179,16 @@ impl std::error::Error for IntegrityError {}
 /// only judges the scatter→gather handshakes it was told about.
 ///
 /// The noted labels live in one arena, threaded per address in lane order
-/// from a head keyed by address; [`ElsAuditor::clear`] (or a note that
-/// finds every earlier one consumed) empties it, so a clean round reuses
-/// the arena's and the heads' storage and allocates nothing. A machine
-/// keeps a disabled auditor's storage for the next one it enables
-/// ([`crate::Machine::set_els_audit`]), so a transaction run that installs
-/// an auditor reuses the storage of the run before it.
+/// from the address's head. The heads are a sparse set over addresses: a
+/// dense array indexed by address names a position in the list of live
+/// heads, and the position counts only when the head there names the
+/// address back, so a note, a check and a consumption cost O(1) with no
+/// hashing, and [`ElsAuditor::clear`] (or a note that finds every earlier
+/// one consumed) empties the list without touching the array. A clean
+/// round reuses the arena's and the heads' storage and allocates nothing.
+/// A machine keeps a disabled auditor's storage for the next one it
+/// enables ([`crate::Machine::set_els_audit`]), so a transaction run that
+/// installs an auditor reuses the storage of the run before it.
 ///
 /// # Sampling
 ///
@@ -204,7 +206,11 @@ impl std::error::Error for IntegrityError {}
 pub struct ElsAuditor {
     /// Per noted address, its candidate labels: the ends of a list
     /// threaded through `labels`, from the most recent noted scatter.
-    heads: AddrMap<Head>,
+    heads: Vec<Head>,
+    /// Per address, the position of its head in `heads` where
+    /// `heads[slot].addr` is that address; grown to the highest address
+    /// noted.
+    slots: Vec<u32>,
     /// Every noted label with the arena index of the next label noted for
     /// the same address in the same round ([`NIL`] ends the list).
     labels: Vec<(Word, u32)>,
@@ -231,6 +237,7 @@ const COMPACT_MIN: usize = 1 << 12;
 /// audited round that noted them.
 #[derive(Clone, Copy, Debug)]
 struct Head {
+    addr: Addr,
     first: u32,
     last: u32,
     round: u64,
@@ -239,7 +246,8 @@ struct Head {
 impl Default for ElsAuditor {
     fn default() -> Self {
         Self {
-            heads: AddrMap::default(),
+            heads: Vec::new(),
+            slots: Vec::new(),
             labels: Vec::new(),
             compact_at: COMPACT_MIN,
             rate: 1,
@@ -311,38 +319,56 @@ impl ElsAuditor {
         // A head noted by an earlier round starts over (the new round's
         // scatter replaces its candidates); one noted by this round grows.
         let round = self.rounds_audited;
-        for (a, v) in lanes {
+        for (addr, v) in lanes {
             let at = u32::try_from(self.labels.len()).expect("audit arena under 2^32 labels");
             self.labels.push((v, NIL));
-            match self.heads.entry(a) {
-                Entry::Occupied(mut e) if e.get().round == round => {
-                    let h = e.get_mut();
+            let fresh = Head {
+                addr,
+                first: at,
+                last: at,
+                round,
+            };
+            match self.find(addr) {
+                Some(i) if self.heads[i].round == round => {
+                    let h = &mut self.heads[i];
                     self.labels[h.last as usize].1 = at;
                     h.last = at;
                 }
-                Entry::Occupied(mut e) => {
-                    *e.get_mut() = Head {
-                        first: at,
-                        last: at,
-                        round,
-                    };
-                }
-                Entry::Vacant(e) => {
-                    e.insert(Head {
-                        first: at,
-                        last: at,
-                        round,
-                    });
+                Some(i) => self.heads[i] = fresh,
+                None => {
+                    if addr >= self.slots.len() {
+                        self.slots.resize(addr + 1, 0);
+                    }
+                    self.slots[addr] = self.heads.len() as u32;
+                    self.heads.push(fresh);
                 }
             }
         }
+    }
+
+    /// The position of `addr`'s live head, if it has one.
+    #[inline]
+    fn find(&self, addr: Addr) -> Option<usize> {
+        let at = *self.slots.get(addr)? as usize;
+        (self.heads.get(at)?.addr == addr).then_some(at)
+    }
+
+    /// Removes and returns `addr`'s live head, if it has one: the last head
+    /// moves into its position.
+    fn consume(&mut self, addr: Addr) -> Option<Head> {
+        let at = self.find(addr)?;
+        let h = self.heads.swap_remove(at);
+        if let Some(moved) = self.heads.get(at) {
+            self.slots[moved.addr] = at as u32;
+        }
+        Some(h)
     }
 
     /// Rebuilds the arena from the live heads, dropping consumed and
     /// replaced labels; the next compaction waits for twice the survivors.
     fn compact(&mut self) {
         let mut kept: Vec<(Word, u32)> = Vec::with_capacity(self.labels.len() / 2);
-        for h in self.heads.values_mut() {
+        for h in &mut self.heads {
             let first = kept.len() as u32;
             let mut at = h.first;
             while at != NIL {
@@ -396,7 +422,7 @@ impl ElsAuditor {
     ) -> Result<(), IntegrityError> {
         let mut first: Option<(Addr, usize, Word, Vec<Word>)> = None;
         for (lane, (addr, &g)) in addrs.zip(got).enumerate() {
-            let Some(h) = self.heads.remove(&addr) else {
+            let Some(h) = self.consume(addr) else {
                 continue;
             };
             self.checked += 1;
@@ -433,6 +459,7 @@ impl ElsAuditor {
         self.clear();
         *self = Self {
             heads: std::mem::take(&mut self.heads),
+            slots: std::mem::take(&mut self.slots),
             labels: std::mem::take(&mut self.labels),
             ..Self::with_rate(rate, seed)
         };
@@ -484,6 +511,9 @@ pub(crate) struct RegionGuard {
     /// One bit per block: set while the open transaction's footprint
     /// holds the block.
     pub(crate) touched: Vec<u64>,
+    /// The offsets the open transaction wrote first, in first-write order:
+    /// the words its commit copies into the image.
+    pub(crate) written: Vec<usize>,
 }
 
 impl RegionGuard {
@@ -504,6 +534,7 @@ impl RegionGuard {
             blocks,
             image,
             touched,
+            written: Vec::new(),
         }
     }
 
@@ -736,10 +767,10 @@ mod tests {
     }
 
     /// The auditor as it stood before the label arena: one heap vector of
-    /// candidates per noted address, under the default hasher. The
-    /// property test below holds the arena auditor to its judgements.
+    /// candidates per noted address, in an ordered map. The property test
+    /// below holds the arena auditor to its judgements.
     struct ModelAuditor {
-        expected: std::collections::HashMap<Addr, Vec<Word>>,
+        expected: std::collections::BTreeMap<Addr, Vec<Word>>,
         rate: u64,
         seed: u64,
         rounds_seen: u64,
@@ -751,7 +782,7 @@ mod tests {
     impl ModelAuditor {
         fn with_rate(rate: u64, seed: u64) -> Self {
             Self {
-                expected: std::collections::HashMap::new(),
+                expected: std::collections::BTreeMap::new(),
                 rate: rate.max(1),
                 seed,
                 rounds_seen: 0,

@@ -20,40 +20,7 @@
 
 use crate::memory::{Addr, Memory, Region};
 use crate::vreg::Word;
-use std::collections::HashMap;
 use std::fmt;
-use std::hash::{BuildHasherDefault, Hasher};
-
-/// Multiply-shift hasher for journal addresses. `note` runs on *every*
-/// intercepted store, so SipHash's per-lookup cost is the journal's single
-/// hottest line; addresses are small dense integers for which a Fibonacci
-/// multiply is both collision-safe enough and several times cheaper.
-#[derive(Default)]
-pub(crate) struct AddrHasher(u64);
-
-impl Hasher for AddrHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Generic path (unused by usize keys, kept for completeness).
-        for &b in bytes {
-            self.0 = (self.0 ^ b as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        }
-    }
-
-    fn write_usize(&mut self, i: usize) {
-        let x = (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = x ^ (x >> 29);
-    }
-
-    fn write_u64(&mut self, i: u64) {
-        self.write_usize(i as usize);
-    }
-}
-
-pub(crate) type AddrMap<V> = HashMap<Addr, V, BuildHasherDefault<AddrHasher>>;
 
 /// A byte-exact copy of chosen regions, for before/after comparison.
 ///
@@ -141,15 +108,35 @@ impl Snapshot {
 /// word that was there *before the first store* — everything needed to
 /// restore memory byte-exact — and the word the *last* store wrote, which
 /// is what a commit folds into the machine's committed image.
+///
+/// The entries sit in one vector in first-write order. An address finds
+/// its entry through a dense array indexed by address, a sparse set: the
+/// slot names a position, and the position counts only when the entry
+/// there names the address back. A slot left over from an earlier
+/// transaction therefore never matches, so the machine hands one array
+/// from transaction to transaction and resets none of it; a note, a lookup
+/// and the commit's fold cost O(1) per address, with no hashing.
 #[derive(Clone, Debug, Default)]
 pub struct WriteJournal {
-    /// `(pre-image, last stored word)` per touched address (the pre-image
-    /// is the first write's).
-    pre: AddrMap<(Word, Word)>,
-    /// Touched addresses in first-write order, for deterministic iteration.
-    order: Vec<Addr>,
+    /// One entry per touched address, in first-write order.
+    entries: Vec<Entry>,
+    /// Per address, the position of its entry in `entries` where
+    /// `entries[slot].addr` is that address. Grown to the highest address
+    /// noted. Empty on a journal [`crate::Machine::commit_txn`] or
+    /// [`crate::Machine::abort_txn`] handed back (the machine keeps the
+    /// array): such a record answers lookups by scanning its entries.
+    slots: Vec<u32>,
     /// Total intercepted stores, including repeats to journaled addresses.
     writes: u64,
+}
+
+/// One journaled address: its pre-image (the first write's) and the last
+/// word stored there.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    addr: Addr,
+    pre: Word,
+    stored: Word,
 }
 
 impl WriteJournal {
@@ -158,61 +145,95 @@ impl WriteJournal {
         Self::default()
     }
 
+    /// An empty journal over a slot array kept from an earlier one
+    /// ([`WriteJournal::take_slots`]).
+    pub(crate) fn with_slots(slots: Vec<u32>) -> Self {
+        Self {
+            slots,
+            ..Self::default()
+        }
+    }
+
+    /// Hands the slot array back for the next transaction, leaving this
+    /// journal a record that answers lookups by scanning its entries.
+    pub(crate) fn take_slots(&mut self) -> Vec<u32> {
+        std::mem::take(&mut self.slots)
+    }
+
+    /// The position of `addr`'s entry, if it was written.
+    #[inline]
+    fn find(&self, addr: Addr) -> Option<usize> {
+        if self.slots.is_empty() {
+            return self.entries.iter().position(|e| e.addr == addr);
+        }
+        let at = *self.slots.get(addr)? as usize;
+        (self.entries.get(at)?.addr == addr).then_some(at)
+    }
+
     /// Records the pre-image of `addr` if this is its first write, and
     /// `stored` as its latest word; true on the first write. Called by the
     /// machine on every intercepted store.
+    #[inline]
     pub(crate) fn note(&mut self, addr: Addr, pre_image: Word, stored: Word) -> bool {
-        use std::collections::hash_map::Entry;
         self.writes += 1;
-        match self.pre.entry(addr) {
-            Entry::Vacant(e) => {
-                e.insert((pre_image, stored));
-                self.order.push(addr);
-                true
-            }
-            Entry::Occupied(mut e) => {
-                e.get_mut().1 = stored;
-                false
-            }
+        if let Some(at) = self.find(addr) {
+            self.entries[at].stored = stored;
+            return false;
         }
+        if addr >= self.slots.len() {
+            self.slots.resize(addr + 1, 0);
+        }
+        self.slots[addr] = u32::try_from(self.entries.len()).expect("journal under 2^32 addresses");
+        self.entries.push(Entry {
+            addr,
+            pre: pre_image,
+            stored,
+        });
+        true
+    }
+
+    /// The last word stored at `addr`, if it was written.
+    #[inline]
+    pub(crate) fn stored(&self, addr: Addr) -> Option<Word> {
+        self.find(addr).map(|at| self.entries[at].stored)
     }
 
     /// Restores every journaled pre-image into `mem` (idempotent: the
     /// journal keeps its entries, so a second rollback rewrites the same
     /// pre-images).
     pub(crate) fn rollback(&self, mem: &mut Memory) {
-        // Reverse first-write order: cosmetic for a first-write log (each
-        // address appears once), but the conventional direction for an undo
-        // log.
-        for &addr in self.order.iter().rev() {
-            mem.write(addr, self.pre[&addr].0);
+        for (addr, pre) in self.entries_rev() {
+            mem.write(addr, pre);
         }
     }
 
     /// The journaled `(addr, pre-image)` pairs in reverse first-write order
-    /// — the order the journal's own rollback replays them. Exposed so the
-    /// machine can roll back through its checksum-maintaining store path
-    /// instead of writing behind the integrity layer's back.
+    /// — the order the journal's own rollback replays them (cosmetic for a
+    /// first-write log, where each address appears once, but the
+    /// conventional direction for an undo log). Exposed so the machine can
+    /// roll back through its checksum-maintaining store path instead of
+    /// writing behind the integrity layer's back.
     pub fn entries_rev(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        self.order.iter().rev().map(move |&a| (a, self.pre[&a].0))
+        self.entries.iter().rev().map(|e| (e.addr, e.pre))
     }
 
-    /// The journaled `(addr, last stored word)` pairs, in no particular
-    /// order — what [`crate::Machine::commit_txn`] copies into the committed
-    /// image. The stored word, not memory, is the source: rot that struck a
-    /// journaled word after its store never reaches the image.
+    /// The journaled `(addr, last stored word)` pairs, in first-write
+    /// order — what [`crate::Machine::commit_txn`] copies into the
+    /// committed image. The stored word, not memory, is the source: rot
+    /// that struck a journaled word after its store never reaches the
+    /// image.
     pub fn entries_stored(&self) -> impl Iterator<Item = (Addr, Word)> + '_ {
-        self.pre.iter().map(|(&a, &(_, stored))| (a, stored))
+        self.entries.iter().map(|e| (e.addr, e.stored))
     }
 
     /// Number of distinct addresses journaled.
     pub fn len(&self) -> usize {
-        self.order.len()
+        self.entries.len()
     }
 
     /// True when no store has been intercepted.
     pub fn is_empty(&self) -> bool {
-        self.order.is_empty()
+        self.entries.is_empty()
     }
 
     /// Total intercepted stores (repeats included) — the write amplification
@@ -223,12 +244,12 @@ impl WriteJournal {
 
     /// The journaled pre-image of `addr`, if it was written.
     pub fn pre_image(&self, addr: Addr) -> Option<Word> {
-        self.pre.get(&addr).map(|&(pre, _)| pre)
+        self.find(addr).map(|at| self.entries[at].pre)
     }
 
     /// Journaled addresses in first-write order.
     pub fn addrs(&self) -> impl Iterator<Item = Addr> + '_ {
-        self.order.iter().copied()
+        self.entries.iter().map(|e| e.addr)
     }
 }
 

@@ -142,7 +142,7 @@ impl CmpOp {
 #[derive(Clone, Copy)]
 enum Upkeep {
     /// An address's first store inside a transaction: its block joins the
-    /// footprint.
+    /// footprint and its offset the words the commit images.
     Footprint,
     /// A store outside a transaction: the committed image takes the word.
     Image,
@@ -193,7 +193,10 @@ fn fold_change(
     t.sum ^= d;
     g.blocks[b] ^= d;
     match upkeep {
-        Upkeep::Footprint => g.touch(b),
+        Upkeep::Footprint => {
+            g.touch(b);
+            g.written.push(off);
+        }
         Upkeep::Image => g.image[off] = new,
         Upkeep::DigestsOnly => {}
     }
@@ -213,6 +216,9 @@ pub struct Machine {
     fault_log: FaultLog,
     /// Open transaction's undo log; `None` when no transaction is open.
     journal: Option<WriteJournal>,
+    /// The journal's address-indexed slot array between transactions:
+    /// each transaction's journal takes it over and hands it back.
+    journal_slots: Vec<u32>,
     /// Execution mask: the physical lanes vector instructions may schedule
     /// elements onto. Always nonempty; defaults to every lane.
     active_lanes: LaneSet,
@@ -279,6 +285,7 @@ impl Machine {
             fault_plan: None,
             fault_log: FaultLog::default(),
             journal: None,
+            journal_slots: Vec::new(),
             active_lanes: LaneSet::all(),
             health: LaneHealthRegistry::new(),
             start_rung: 0,
@@ -587,7 +594,9 @@ impl Machine {
         if self.journal.is_some() {
             return Err(TxnError::NestedTransaction);
         }
-        self.journal = Some(WriteJournal::new());
+        self.journal = Some(WriteJournal::with_slots(std::mem::take(
+            &mut self.journal_slots,
+        )));
         Ok(())
     }
 
@@ -604,19 +613,20 @@ impl Machine {
     /// Closes the open transaction keeping all writes, returning the
     /// journal (useful for write-set statistics). The committed image
     /// receives every journaled word's last stored value — a cost
-    /// proportional to the write set, not to the tracked regions.
+    /// proportional to the write set, not to the tracked regions: each
+    /// tracked region lists the offsets the transaction first wrote, and
+    /// the journal finds each one's last word by address.
     pub fn commit_txn(&mut self) -> Result<WriteJournal, TxnError> {
-        let j = self.journal.take().ok_or(TxnError::NoTransaction)?;
-        if !self.tracked.is_empty() {
-            for (addr, w) in j.entries_stored() {
-                for (t, g) in self.tracked.iter().zip(&mut self.guards) {
-                    if t.region.contains(addr) {
-                        g.image[addr - t.region.base()] = w;
-                    }
-                }
+        let mut j = self.journal.take().ok_or(TxnError::NoTransaction)?;
+        for (t, g) in self.tracked.iter().zip(&mut self.guards) {
+            for off in g.written.drain(..) {
+                g.image[off] = j
+                    .stored(t.region.base() + off)
+                    .expect("a tracked word's first write is journaled");
             }
         }
         self.clear_footprint();
+        self.journal_slots = j.take_slots();
         Ok(j)
     }
 
@@ -625,7 +635,7 @@ impl Machine {
     /// everything written through instruction methods; [`Machine::mem_mut`]
     /// writes bypass the journal). Returns the journal that was replayed.
     pub fn abort_txn(&mut self) -> Result<WriteJournal, TxnError> {
-        let j = self.journal.take().ok_or(TxnError::NoTransaction)?;
+        let mut j = self.journal.take().ok_or(TxnError::NoTransaction)?;
         if self.tracked.is_empty() {
             j.rollback(&mut self.mem);
         } else {
@@ -641,6 +651,7 @@ impl Machine {
             }
         }
         self.clear_footprint();
+        self.journal_slots = j.take_slots();
         // A rollback corroborates the fault log: lanes it has implicated
         // since their scores last decayed out get bumped towards quarantine.
         self.health.note_rollback(self.scatter_seq);
@@ -837,6 +848,7 @@ impl Machine {
     fn clear_footprint(&mut self) {
         for g in &mut self.guards {
             g.touched.fill(0);
+            g.written.clear();
         }
     }
 
